@@ -130,14 +130,17 @@ BenchResult RunOne(datagen::SmallBenchKind kind,
   const learn::LogisticModel& model = model_or.value();
 
   // Signed pair scores over all candidate pairs (featurized in parallel,
-  // folded serially in candidate order).
-  cluster::PairScores scores(data.size(), /*default_score=*/-0.25);
+  // stored in candidate order).
   const std::vector<std::vector<double>> candidate_rows =
       learn::FeaturizeAll(features, corpus, candidates);
+  std::vector<cluster::ScoredPair> scored(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    scores.Set(candidates[i].first, candidates[i].second,
-               model.Score(candidate_rows[i]));
+    scored[i] = {static_cast<uint32_t>(candidates[i].first),
+                 static_cast<uint32_t>(candidates[i].second),
+                 model.Score(candidate_rows[i])};
   }
+  const cluster::PairScores scores(data.size(), /*default_score=*/-0.25,
+                                   scored);
 
   // Exact reference clustering, per connected component. Components where
   // neither the subset DP nor an integral LP certifies optimality are
@@ -151,17 +154,20 @@ BenchResult RunOne(datagen::SmallBenchKind kind,
   out.components = components.size();
   for (const auto& component : components) {
     // Component-local scores.
-    cluster::PairScores local(component.size(), scores.default_score());
     std::map<size_t, size_t> pos;
     for (size_t i = 0; i < component.size(); ++i) pos[component[i]] = i;
+    std::vector<cluster::ScoredPair> local_pairs;
     for (size_t i = 0; i < component.size(); ++i) {
       for (const auto& [other, s] : scores.Neighbors(component[i])) {
         auto it = pos.find(other);
         if (it != pos.end() && it->second > i) {
-          local.Set(i, it->second, s);
+          local_pairs.push_back({static_cast<uint32_t>(i),
+                                 static_cast<uint32_t>(it->second), s});
         }
       }
     }
+    const cluster::PairScores local(component.size(), scores.default_score(),
+                                    local_pairs);
     cluster::Labels local_labels;
     bool component_certified = true;
     if (component.size() <= 16) {
@@ -202,7 +208,7 @@ BenchResult RunOne(datagen::SmallBenchKind kind,
                                     std::min(band, data.size()));
   auto segs = segment::BestSegmentations(seg_scorer, 1);
   const cluster::Labels seg_labels =
-      segment::SpansToLabels(segs[0].spans, order);
+      segment::SpansToLabels(segs.value()[0].spans, order);
 
   // (b) Transitive closure of positive pairs.
   const cluster::Labels tc_labels = cluster::TransitiveClosurePositive(scores);

@@ -3,6 +3,10 @@
 // similarity graphs (DESIGN.md §5 design-choice bench).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "cluster/pair_scores.h"
 #include "common/rng.h"
 #include "embed/linear_embedding.h"
@@ -13,11 +17,17 @@ namespace {
 cluster::PairScores ClusteredScores(size_t n, size_t cluster_size,
                                     uint64_t seed) {
   Rng rng(seed);
-  cluster::PairScores s(n);
+  std::vector<cluster::ScoredPair> pairs;
+  std::set<std::pair<size_t, size_t>> stored;
+  auto add = [&](size_t i, size_t j, double score) {
+    pairs.push_back(
+        {static_cast<uint32_t>(i), static_cast<uint32_t>(j), score});
+    stored.emplace(std::min(i, j), std::max(i, j));
+  };
   for (size_t base = 0; base + cluster_size <= n; base += cluster_size) {
     for (size_t i = base; i < base + cluster_size; ++i) {
       for (size_t j = i + 1; j < base + cluster_size; ++j) {
-        if (rng.Bernoulli(0.7)) s.Set(i, j, 1.0 + rng.NextDouble());
+        if (rng.Bernoulli(0.7)) add(i, j, 1.0 + rng.NextDouble());
       }
     }
   }
@@ -25,9 +35,11 @@ cluster::PairScores ClusteredScores(size_t n, size_t cluster_size,
   for (size_t e = 0; e < n; ++e) {
     const size_t i = rng.Uniform(n);
     const size_t j = rng.Uniform(n);
-    if (i != j && !s.Has(i, j)) s.Set(i, j, -rng.NextDouble());
+    if (i != j && stored.count({std::min(i, j), std::max(i, j)}) == 0) {
+      add(i, j, -rng.NextDouble());
+    }
   }
-  return s;
+  return cluster::PairScores(n, 0.0, pairs);
 }
 
 void BM_GreedyEmbedding(benchmark::State& state) {

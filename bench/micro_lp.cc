@@ -38,14 +38,16 @@ BENCHMARK(BM_SimplexDense)->Arg(32)->Arg(128)->Arg(256);
 void BM_LpClusterComponent(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(5);
-  cluster::PairScores scores(n);
+  std::vector<cluster::ScoredPair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       if (rng.Bernoulli(0.5)) {
-        scores.Set(i, j, (rng.NextDouble() - 0.5) * 4.0);
+        pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                         (rng.NextDouble() - 0.5) * 4.0});
       }
     }
   }
+  const cluster::PairScores scores(n, 0.0, pairs);
   bool integral = false;
   for (auto _ : state) {
     auto result = cluster::LpCluster(scores);

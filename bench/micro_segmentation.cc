@@ -15,13 +15,14 @@ namespace {
 
 cluster::PairScores ChainScores(size_t n, uint64_t seed) {
   Rng rng(seed);
-  cluster::PairScores s(n);
+  std::vector<cluster::ScoredPair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t d = 1; d <= 4 && i + d < n; ++d) {
-      s.Set(i, i + d, (rng.NextDouble() - 0.3) * 2.0);
+      pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(i + d),
+                       (rng.NextDouble() - 0.3) * 2.0});
     }
   }
-  return s;
+  return cluster::PairScores(n, 0.0, pairs);
 }
 
 void BM_SegmentScorerBuild(benchmark::State& state) {

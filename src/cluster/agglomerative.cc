@@ -35,11 +35,10 @@ StatusOr<AgglomerativeResult> Agglomerate(const PairScores& scores,
 
   // Dense similarity between active clusters, indexed by slot. Slot i holds
   // cluster id ids[i]; merged-away slots are marked dead.
-  std::vector<std::vector<double>> sim(n, std::vector<double>(n, 0.0));
+  std::vector<std::vector<double>> sim(
+      n, std::vector<double>(n, scores.default_score()));
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (i != j) sim[i][j] = scores.Get(i, j);
-    }
+    for (const auto& [j, s] : scores.Neighbors(i)) sim[i][j] = s;
     sim[i][i] = kNegInf;
   }
   std::vector<bool> dead(n, false);

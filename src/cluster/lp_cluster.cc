@@ -45,11 +45,12 @@ StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
   // pair is 2 P_ij. With these weights an integral LP optimum maximizes
   // CorrelationScore exactly.
   const size_t num_vars = n * (n - 1) / 2;
-  std::vector<double> objective(num_vars, 0.0);
+  const auto coefficient = [](double p) { return p > 0.0 ? p : 2.0 * p; };
+  std::vector<double> objective(num_vars,
+                                coefficient(scores.default_score()));
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const double p = scores.Get(i, j);
-      objective[PairIndex(i, j, n)] = p > 0.0 ? p : 2.0 * p;
+    for (const auto& [j, p] : scores.Neighbors(i)) {
+      if (j > i) objective[PairIndex(i, j, n)] = coefficient(p);
     }
   }
 

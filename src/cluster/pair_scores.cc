@@ -1,58 +1,112 @@
 #include "cluster/pair_scores.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace topkdup::cluster {
 
-PairScores::PairScores(size_t n, double default_score)
+namespace {
+
+/// Pairs a shard of the build covers at least, so a small matrix is built
+/// inline. Near-empty pool regions are not free: on a 4-core host, three
+/// of them per query on the 17-group `serve_online` snapshot tripled the
+/// wall time of the following query's prune stage.
+constexpr size_t kMinShardPairs = size_t{1} << 14;
+
+}  // namespace
+
+PairScores::PairScores(size_t n, double default_score,
+                       std::span<const std::vector<ScoredPair>> pair_lists)
     : n_(n),
       default_score_(default_score),
-      adj_(n),
+      row_start_(n + 1, 0),
       neg_incident_(n, 0.0) {
   TOPKDUP_CHECK(default_score <= 0.0);
-}
+  const size_t lists = pair_lists.size();
+  for (const std::vector<ScoredPair>& list : pair_lists) {
+    pair_count_ += list.size();
+  }
+  const size_t list_grain = std::max<size_t>(
+      1, lists * kMinShardPairs / std::max<size_t>(1, pair_count_));
+  const size_t row_grain = std::max(
+      DefaultGrain(n), n * kMinShardPairs / std::max<size_t>(1, pair_count_));
 
-void PairScores::Set(size_t i, size_t j, double score) {
-  TOPKDUP_CHECK(i < n_ && j < n_ && i != j);
-  auto [it, inserted] = store_.emplace(Key(i, j), score);
-  if (inserted) {
-    adj_[i].emplace_back(static_cast<uint32_t>(j), score);
-    adj_[j].emplace_back(static_cast<uint32_t>(i), score);
-    if (score < 0.0) {
-      neg_incident_[i] += score;
-      neg_incident_[j] += score;
+  // cursor[l * n + i] first counts list l's entries in row i, then becomes
+  // the position of the next one. Each list owns its n slots, so the lists
+  // are counted and scattered concurrently.
+  std::vector<size_t> cursor(lists * n, 0);
+  ParallelFor(0, lists, list_grain, [&](size_t l) {
+    size_t* count = cursor.data() + l * n;
+    for (const ScoredPair& p : pair_lists[l]) {
+      TOPKDUP_CHECK(p.i < n && p.j < n && p.i != p.j);
+      ++count[p.i];
+      ++count[p.j];
     }
+  });
+  for (size_t l = 0; l < lists; ++l) {
+    for (size_t i = 0; i < n; ++i) row_start_[i + 1] += cursor[l * n + i];
+  }
+  for (size_t i = 0; i < n; ++i) row_start_[i + 1] += row_start_[i];
+  // A region skipped by the `parallel.region` fault leaves the counts
+  // short (the caller's soft-fail handler then fails the query); keep the
+  // rows empty rather than scatter past them.
+  if (row_start_[n] != 2 * pair_count_) {
+    row_start_.assign(n + 1, 0);
+    pair_count_ = 0;
     return;
   }
-  // Overwrite: fix adjacency copies and the negative-incident cache.
-  const double old = it->second;
-  it->second = score;
-  for (auto& [other, s] : adj_[i]) {
-    if (other == j) s = score;
+  // Within row i, list 0's entries come first, then list 1's, and so on.
+  std::vector<size_t> next(row_start_.begin(), row_start_.end() - 1);
+  for (size_t l = 0; l < lists; ++l) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t count = cursor[l * n + i];
+      cursor[l * n + i] = next[i];
+      next[i] += count;
+    }
   }
-  for (auto& [other, s] : adj_[j]) {
-    if (other == i) s = score;
+
+  entries_.resize(row_start_[n]);
+  ParallelFor(0, lists, list_grain, [&](size_t l) {
+    size_t* at = cursor.data() + l * n;
+    for (const ScoredPair& p : pair_lists[l]) {
+      entries_[at[p.i]++] = {p.j, p.score};
+      entries_[at[p.j]++] = {p.i, p.score};
+    }
+  });
+  ParallelFor(0, n, row_grain, [&](size_t i) {
+    double sum = 0.0;
+    for (const auto& [other, s] : Neighbors(i)) {
+      if (s < 0.0) sum += s;
+    }
+    neg_incident_[i] = sum;
+  });
+}
+
+PairScores::PairScores(size_t n, double default_score,
+                       const std::vector<ScoredPair>& pairs)
+    : PairScores(n, default_score, std::span(&pairs, 1)) {}
+
+const PairScores::Neighbor* PairScores::Find(size_t i, size_t j) const {
+  if (Neighbors(j).size() < Neighbors(i).size()) std::swap(i, j);
+  for (const Neighbor& entry : Neighbors(i)) {
+    if (entry.first == j) return &entry;
   }
-  if (old < 0.0) {
-    neg_incident_[i] -= old;
-    neg_incident_[j] -= old;
-  }
-  if (score < 0.0) {
-    neg_incident_[i] += score;
-    neg_incident_[j] += score;
-  }
+  return nullptr;
 }
 
 double PairScores::Get(size_t i, size_t j) const {
   TOPKDUP_CHECK(i < n_ && j < n_);
   if (i == j) return 0.0;
-  auto it = store_.find(Key(i, j));
-  return it == store_.end() ? default_score_ : it->second;
+  const Neighbor* entry = Find(i, j);
+  return entry == nullptr ? default_score_ : entry->second;
 }
 
 bool PairScores::Has(size_t i, size_t j) const {
   if (i >= n_ || j >= n_ || i == j) return false;
-  return store_.count(Key(i, j)) > 0;
+  return Find(i, j) != nullptr;
 }
 
 Labels Canonicalize(const Labels& labels) {

@@ -28,7 +28,13 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
   // the true affinity at step i is value[k] * alpha^(i - stamp[k]).
   std::vector<double> value(n, 0.0);
   std::vector<size_t> stamp(n, 0);
-  std::vector<bool> placed(n, false);
+  std::vector<uint8_t> placed(n, 0);
+  // aging[d] = alpha^d for every age a step can see (d <= n). The same
+  // std::pow calls as evaluating it in the loop, made once per d.
+  std::vector<double> aging(n + 1);
+  for (size_t d = 0; d <= n; ++d) {
+    aging[d] = std::pow(options.alpha, static_cast<double>(d));
+  }
 
   auto pick_seed = [&]() {
     size_t best = n;
@@ -55,9 +61,7 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
     if (!order.empty()) {
       for (size_t k = 0; k < n; ++k) {
         if (placed[k]) continue;
-        const double aged =
-            value[k] * std::pow(options.alpha,
-                                static_cast<double>(i - stamp[k]));
+        const double aged = value[k] * aging[i - stamp[k]];
         if (aged > best_affinity ||
             (aged == best_affinity && aged > 0.0 && chosen != n &&
              weight_of(k) > weight_of(chosen))) {
@@ -84,14 +88,13 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
            runner_up_affinity, new_region});
     }
 
-    placed[chosen] = true;
+    placed[chosen] = 1;
     order.push_back(chosen);
     // Fold the newly placed item's similarities into its unplaced
     // neighbors' affinities at the current timestamp.
     for (const auto& [other, s] : scores.Neighbors(chosen)) {
       if (placed[other]) continue;
-      value[other] *= std::pow(options.alpha,
-                               static_cast<double>(i + 1 - stamp[other]));
+      value[other] *= aging[i + 1 - stamp[other]];
       stamp[other] = i + 1;
       value[other] += s;
     }

@@ -49,12 +49,15 @@ struct TopKDpOptions {
   /// candidate threshold but may miss an optimum whose critical threshold
   /// was dropped. 0 = no cap.
   size_t max_thresholds = 64;
-  /// When non-null, polled per candidate threshold and per DP row (the DP
-  /// is serial, so both checks are deterministic under a work budget). On
-  /// expiry the answers already completed are returned; a threshold whose
-  /// DP was interrupted mid-table contributes nothing. Callers detect the
-  /// truncation via deadline->expired(). DP cell visits are charged as
-  /// work units row by row.
+  /// When non-null, bounds the threshold exploration. Each threshold's
+  /// table costs a closed-form number of work units (one per row and
+  /// segment length), so before any table is filled the remaining work
+  /// budget fixes how many leading thresholds run; when it cannot cover
+  /// them all, the rest of the budget is spent and the stop latches as a
+  /// work-budget expiry. Thresholds run in parallel and poll only the
+  /// wall clock and cancel token; a threshold interrupted that way
+  /// contributes nothing, and neither does any later one. Callers detect
+  /// the truncation via deadline->expired().
   const Deadline* deadline = nullptr;
 };
 
@@ -67,7 +70,8 @@ struct TopKDpOptions {
 /// `weights[item]` is each item's weight (e.g. collapsed-group weight);
 /// pass all-ones for plain mention counts. Returns up to R answers sorted
 /// by decreasing score; fewer when the order admits fewer than R distinct
-/// qualifying segmentations. Errors when k < 1, r < 1, or the order cannot
+/// qualifying segmentations. The answers are identical at any thread
+/// count. Errors when k < 1, r is outside [1, 255], or the order cannot
 /// produce K segments.
 StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
     const SegmentScorer& scorer, const std::vector<size_t>& order,
@@ -76,13 +80,13 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
 /// The R highest-scoring *unconstrained* segmentations (no TopK answer
 /// designation) — the partition-quality workhorse used by the fig7
 /// accuracy comparison. Returns up to `r` segmentations sorted by
-/// decreasing score.
+/// decreasing score. Errors when r is outside [1, 255].
 struct Segmentation {
   double score = 0.0;
   std::vector<Span> spans;
 };
-std::vector<Segmentation> BestSegmentations(const SegmentScorer& scorer,
-                                            int r);
+StatusOr<std::vector<Segmentation>> BestSegmentations(
+    const SegmentScorer& scorer, int r);
 
 /// Converts spans over `order` into item-label form (items of span s get
 /// label s).

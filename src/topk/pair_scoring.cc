@@ -1,7 +1,6 @@
 #include "topk/pair_scoring.h"
 
 #include <cstdint>
-#include <tuple>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -30,50 +29,46 @@ cluster::PairScores BuildGroupPairScores(
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
 
-  cluster::PairScores scores(n, options.default_score);
   const predicates::IndexHandle index_handle(options.index_cache, necessary,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
-  // Predicate evaluation + scoring dominate; fan them out per shard into
-  // (p, q, score) triples and fold into the sparse matrix serially. The
-  // shard layout is thread-count independent, so the insertion order —
-  // and with it the stored structure — is reproducible at any level.
-  using Scored = std::tuple<uint32_t, uint32_t, double>;
-  const std::vector<Scored> triples = ParallelReduce<std::vector<Scored>>(
-      0, n, DefaultGrain(n),
-      [&](size_t b, size_t e, std::vector<Scored>* out) {
-        if (options.deadline != nullptr &&
-            options.deadline->ExpiredUrgent()) {
-          return;
-        }
-        predicates::BlockedIndex::QueryScratch scratch;
-        size_t enumerated = 0;
-        size_t scored = 0;
-        index.ForEachCandidatePairInRange(b, e, &scratch,
-                                          [&](size_t p, size_t q) {
-          ++enumerated;
-          if (!necessary.Evaluate(reps[p], reps[q])) return;
-          ++scored;
-          double s = scorer(reps[p], reps[q]);
-          if (options.aggregate ==
-              PairScoringOptions::Aggregate::kWeightProduct) {
-            s *= groups[p].weight * groups[q].weight;
-          }
-          out->emplace_back(static_cast<uint32_t>(p),
-                            static_cast<uint32_t>(q), s);
-        });
-        pairs_enumerated->Add(enumerated);
-        pair_evals->Add(enumerated);  // Every enumerated pair runs N_L.
-        pairs_scored->Add(scored);
-        if (options.deadline != nullptr) {
-          options.deadline->ChargeWork(enumerated);
-        }
-      },
-      [](std::vector<Scored>* total, std::vector<Scored>&& shard) {
-        total->insert(total->end(), shard.begin(), shard.end());
-      });
-  for (const auto& [p, q, s] : triples) scores.Set(p, q, s);
-  span.AddArg("scored", static_cast<int64_t>(triples.size()));
+  // Predicate evaluation + scoring dominate; fan them out into one pair
+  // list per shard, which the PairScores constructor scatters into rows in
+  // parallel. The shard layout is thread-count independent, so every row's
+  // order — and with it the stored structure — is reproducible at any
+  // level.
+  const size_t grain = DefaultGrain(n);
+  std::vector<std::vector<cluster::ScoredPair>> shard_pairs(
+      MakeShards(0, n, grain).shard_count());
+  ParallelForShards(0, n, grain, [&](size_t b, size_t e, size_t shard) {
+    if (options.deadline != nullptr && options.deadline->ExpiredUrgent()) {
+      return;
+    }
+    std::vector<cluster::ScoredPair>& out = shard_pairs[shard];
+    predicates::BlockedIndex::QueryScratch scratch;
+    size_t enumerated = 0;
+    size_t scored = 0;
+    index.ForEachCandidatePairInRange(b, e, &scratch,
+                                      [&](size_t p, size_t q) {
+      ++enumerated;
+      if (!necessary.Evaluate(reps[p], reps[q])) return;
+      ++scored;
+      double s = scorer(reps[p], reps[q]);
+      if (options.aggregate ==
+          PairScoringOptions::Aggregate::kWeightProduct) {
+        s *= groups[p].weight * groups[q].weight;
+      }
+      out.push_back({static_cast<uint32_t>(p), static_cast<uint32_t>(q), s});
+    });
+    pairs_enumerated->Add(enumerated);
+    pair_evals->Add(enumerated);  // Every enumerated pair runs N_L.
+    pairs_scored->Add(scored);
+    if (options.deadline != nullptr) {
+      options.deadline->ChargeWork(enumerated);
+    }
+  });
+  cluster::PairScores scores(n, options.default_score, shard_pairs);
+  span.AddArg("scored", static_cast<int64_t>(scores.stored_pair_count()));
   return scores;
 }
 

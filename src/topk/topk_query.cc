@@ -152,6 +152,10 @@ StatusOr<TopKCountResult> TopKCountQuery(
   if (options.r < 1) {
     return Status::InvalidArgument("TopKCountQuery: r must be >= 1");
   }
+  // The DP is asked for 3·r segmentations and ranks at most 255.
+  if (options.r > 85) {
+    return Status::InvalidArgument("TopKCountQuery: r must be <= 85");
+  }
   if (!(options.embedding_alpha > 0.0 && options.embedding_alpha <= 1.0)) {
     return Status::InvalidArgument(
         "TopKCountQuery: embedding_alpha must be in (0, 1]");

@@ -82,7 +82,7 @@ struct TopKCountResult {
 
 struct TopKCountOptions {
   int k = 10;
-  /// Number of plausible answers to return (the paper's R).
+  /// Number of plausible answers to return (the paper's R), in [1, 85].
   int r = 1;
   /// Owning service query id (serve::QueryResponse::query_id), stamped on
   /// the query's trace spans and explain report so live introspection

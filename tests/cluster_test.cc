@@ -36,27 +36,124 @@ double BruteForceBest(const PairScores& scores, Labels* best_labels) {
   return best;
 }
 
-TEST(PairScoresTest, SetGetAndDefault) {
-  PairScores s(4, -0.5);
-  EXPECT_DOUBLE_EQ(s.Get(0, 1), -0.5);
-  s.Set(0, 1, 2.0);
+/// Each pair i < j stored with probability `density`, scored
+/// (uniform - shift) * scale.
+std::vector<ScoredPair> RandomPairs(Rng* rng, size_t n, double density,
+                                    double shift, double scale = 4.0) {
+  std::vector<ScoredPair> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (rng->Bernoulli(density)) {
+        pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                         (rng->NextDouble() - shift) * scale});
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(PairScoresTest, GetHasAndDefault) {
+  const PairScores empty(4, -0.5);
+  EXPECT_DOUBLE_EQ(empty.Get(0, 1), -0.5);
+  EXPECT_EQ(empty.stored_pair_count(), 0u);
+
+  const PairScores s(4, -0.5, std::vector<ScoredPair>{{0, 1, 2.0}});
   EXPECT_DOUBLE_EQ(s.Get(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(s.Get(1, 0), 2.0);
+  EXPECT_DOUBLE_EQ(s.Get(0, 2), -0.5);
   EXPECT_TRUE(s.Has(0, 1));
+  EXPECT_TRUE(s.Has(1, 0));
   EXPECT_FALSE(s.Has(0, 2));
+  EXPECT_FALSE(s.Has(1, 1));
+  EXPECT_FALSE(s.Has(0, 9));
   EXPECT_EQ(s.stored_pair_count(), 1u);
   EXPECT_DOUBLE_EQ(s.Get(2, 2), 0.0);
 }
 
-TEST(PairScoresTest, OverwriteFixesNegativeCache) {
-  PairScores s(3);
-  s.Set(0, 1, -2.0);
-  EXPECT_DOUBLE_EQ(s.StoredNegativeIncident(0), -2.0);
-  s.Set(0, 1, 3.0);
-  EXPECT_DOUBLE_EQ(s.StoredNegativeIncident(0), 0.0);
-  EXPECT_DOUBLE_EQ(s.Get(0, 1), 3.0);
-  s.Set(0, 1, -1.0);
-  EXPECT_DOUBLE_EQ(s.StoredNegativeIncident(1), -1.0);
+// Get and Has scan one row; a dense oracle checks them on every (i, j),
+// stored or not, including the diagonal.
+TEST(PairScoresTest, GetAndHasMatchDenseOracle) {
+  Rng rng(2024);
+  const size_t n = 12;
+  const std::vector<ScoredPair> pairs = RandomPairs(&rng, n, 0.4, 0.5);
+  const PairScores s(n, -0.25, pairs);
+  std::vector<std::vector<double>> dense(n, std::vector<double>(n, -0.25));
+  std::vector<std::vector<bool>> stored(n, std::vector<bool>(n, false));
+  for (const ScoredPair& p : pairs) {
+    dense[p.i][p.j] = dense[p.j][p.i] = p.score;
+    stored[p.i][p.j] = stored[p.j][p.i] = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(s.Has(i, j), stored[i][j]) << i << "," << j;
+      EXPECT_EQ(s.Get(i, j), i == j ? 0.0 : dense[i][j]) << i << "," << j;
+    }
+  }
+}
+
+// The row-order contract: row i lists the pairs touching i in input
+// order — list by list, then within each list — and the negative-incident
+// sum is accumulated in that order.
+TEST(PairScoresTest, RowsListPairsInInputOrder) {
+  Rng rng(77);
+  const size_t n = 9;
+  std::vector<std::vector<ScoredPair>> lists(3);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!rng.Bernoulli(0.6)) continue;
+      // Scatter pairs over the lists, written in either orientation.
+      const ScoredPair p =
+          rng.Bernoulli(0.5)
+              ? ScoredPair{static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                           rng.NextDouble() - 0.5}
+              : ScoredPair{static_cast<uint32_t>(j), static_cast<uint32_t>(i),
+                           rng.NextDouble() - 0.5};
+      lists[rng.Uniform(lists.size())].push_back(p);
+    }
+  }
+  for (auto& list : lists) rng.Shuffle(&list);
+  const PairScores s(n, -0.1, lists);
+
+  std::vector<std::vector<PairScores::Neighbor>> expected(n);
+  size_t total = 0;
+  for (const auto& list : lists) {
+    for (const ScoredPair& p : list) {
+      expected[p.i].emplace_back(p.j, p.score);
+      expected[p.j].emplace_back(p.i, p.score);
+      ++total;
+    }
+  }
+  EXPECT_EQ(s.stored_pair_count(), total);
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = s.Neighbors(i);
+    EXPECT_EQ(std::vector<PairScores::Neighbor>(row.begin(), row.end()),
+              expected[i])
+        << "row " << i;
+    double negative = 0.0;
+    for (const auto& [other, score] : expected[i]) {
+      if (score < 0.0) negative += score;
+    }
+    EXPECT_EQ(s.StoredNegativeIncident(i), negative) << "row " << i;
+  }
+}
+
+// One list or many, the same pairs in the same order build the same rows.
+TEST(PairScoresTest, SplittingTheInputKeepsRows) {
+  Rng rng(5);
+  const size_t n = 15;
+  const std::vector<ScoredPair> pairs = RandomPairs(&rng, n, 0.5, 0.4);
+  std::vector<std::vector<ScoredPair>> lists(4);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    lists[p * lists.size() / pairs.size()].push_back(pairs[p]);
+  }
+  const PairScores one(n, 0.0, pairs);
+  const PairScores split(n, 0.0, lists);
+  for (size_t i = 0; i < n; ++i) {
+    const auto a = one.Neighbors(i);
+    const auto b = split.Neighbors(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "row " << i;
+  }
 }
 
 TEST(LabelsTest, CanonicalizeAndGroups) {
@@ -72,9 +169,7 @@ TEST(LabelsTest, CanonicalizeAndGroups) {
 
 TEST(CorrelationTest, HandScoredExample) {
   // Items 0,1 positive pair (+2); 0,2 negative pair (-1).
-  PairScores s(3);
-  s.Set(0, 1, 2.0);
-  s.Set(0, 2, -1.0);
+  const PairScores s(3, 0.0, {{0, 1, 2.0}, {0, 2, -1.0}});
   // Partition {0,1},{2}: inside + = 2; crossing negatives: (0,2) counted
   // from both sides: GroupScore({0,1}) = 2 - (-1) = 3; GroupScore({2}) =
   // -(-1) = 1. Total 4.
@@ -86,10 +181,7 @@ TEST(CorrelationTest, HandScoredExample) {
 }
 
 TEST(TransitiveClosureTest, PositiveEdgesOnly) {
-  PairScores s(5);
-  s.Set(0, 1, 1.0);
-  s.Set(1, 2, 0.5);
-  s.Set(3, 4, -1.0);
+  const PairScores s(5, 0.0, {{0, 1, 1.0}, {1, 2, 0.5}, {3, 4, -1.0}});
   Labels labels = TransitiveClosurePositive(s);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
@@ -98,10 +190,7 @@ TEST(TransitiveClosureTest, PositiveEdgesOnly) {
 }
 
 TEST(GreedyPivotTest, RespectsObviousStructure) {
-  PairScores s(4);
-  s.Set(0, 1, 5.0);
-  s.Set(2, 3, 5.0);
-  s.Set(0, 2, -5.0);
+  const PairScores s(4, 0.0, {{0, 1, 5.0}, {2, 3, 5.0}, {0, 2, -5.0}});
   Rng rng(3);
   Labels labels = GreedyPivotBestOf(s, &rng, 5);
   EXPECT_EQ(labels[0], labels[1]);
@@ -113,14 +202,7 @@ TEST(ExactPartitionTest, MatchesBruteForceOnRandomInstances) {
   Rng rng(99);
   for (int trial = 0; trial < 15; ++trial) {
     const size_t n = 3 + rng.Uniform(5);  // 3..7 items.
-    PairScores s(n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (rng.Bernoulli(0.7)) {
-          s.Set(i, j, (rng.NextDouble() - 0.5) * 4.0);
-        }
-      }
-    }
+    const PairScores s(n, 0.0, RandomPairs(&rng, n, 0.7, 0.5));
     auto exact = ExactPartition(s);
     ASSERT_TRUE(exact.ok());
     const double brute = BruteForceBest(s, nullptr);
@@ -133,8 +215,7 @@ TEST(ExactPartitionTest, MatchesBruteForceOnRandomInstances) {
 
 TEST(ExactPartitionTest, RespectsDefaultScore) {
   // Unstored pairs carry a repulsion of -1; stored positives attract.
-  PairScores s(3, -1.0);
-  s.Set(0, 1, 3.0);
+  const PairScores s(3, -1.0, {{0, 1, 3.0}});
   auto exact = ExactPartition(s);
   ASSERT_TRUE(exact.ok());
   Labels brute_labels;
@@ -151,10 +232,7 @@ TEST(ExactPartitionTest, RejectsLargeInputs) {
 }
 
 TEST(ComponentsTest, StoredPairsLinkRegardlessOfSign) {
-  PairScores s(6);
-  s.Set(0, 1, 1.0);
-  s.Set(1, 2, -1.0);
-  s.Set(4, 5, 0.5);
+  const PairScores s(6, 0.0, {{0, 1, 1.0}, {1, 2, -1.0}, {4, 5, 0.5}});
   auto comps = ScoreComponents(s);
   ASSERT_EQ(comps.size(), 3u);  // {0,1,2}, {3}, {4,5}.
   EXPECT_EQ(comps[0].size(), 3u);
@@ -165,10 +243,7 @@ TEST(ComponentsTest, StoredPairsLinkRegardlessOfSign) {
 TEST(AgglomerativeTest, SingleAndAverageLink) {
   // Unstored pairs carry a slight repulsion so the two blocks stay apart
   // under the 0.0 stop threshold.
-  PairScores s(4, -0.1);
-  s.Set(0, 1, 3.0);
-  s.Set(2, 3, 2.0);
-  s.Set(1, 2, -4.0);
+  const PairScores s(4, -0.1, {{0, 1, 3.0}, {2, 3, 2.0}, {1, 2, -4.0}});
   for (Linkage linkage : {Linkage::kSingle, Linkage::kAverage}) {
     auto result = Agglomerate(s, linkage, 0.0);
     ASSERT_TRUE(result.ok());
@@ -183,12 +258,7 @@ TEST(AgglomerativeTest, SingleAndAverageLink) {
 
 TEST(AgglomerativeTest, LeafOrderIsPermutation) {
   Rng rng(7);
-  PairScores s(8);
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) {
-      if (rng.Bernoulli(0.5)) s.Set(i, j, rng.NextDouble() * 2 - 0.5);
-    }
-  }
+  const PairScores s(8, 0.0, RandomPairs(&rng, 8, 0.5, 0.25, 2.0));
   auto result = Agglomerate(s, Linkage::kAverage, 0.0);
   ASSERT_TRUE(result.ok());
   auto order = DendrogramLeafOrder(result.value().merges, 8);
@@ -219,12 +289,7 @@ class ExactDominatesTest : public ::testing::TestWithParam<int> {};
 TEST_P(ExactDominatesTest, ExactAtLeastHeuristics) {
   Rng rng(500 + GetParam());
   const size_t n = 4 + rng.Uniform(6);
-  PairScores s(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(0.6)) s.Set(i, j, (rng.NextDouble() - 0.4) * 3.0);
-    }
-  }
+  const PairScores s(n, 0.0, RandomPairs(&rng, n, 0.6, 0.4, 3.0));
   auto exact = ExactPartition(s);
   ASSERT_TRUE(exact.ok());
   const double tc =

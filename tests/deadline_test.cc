@@ -256,6 +256,68 @@ TEST_F(DeadlinePipelineTest, WorkBudgetStopIsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// The same contract for a stop inside the segmentation DP, whose
+/// thresholds fan out over the pool: the budget decides how many whole
+/// thresholds run before the fan-out, so answers, degradation and explain
+/// output are byte-identical at 1, 2 and 8 threads.
+TEST_F(DeadlinePipelineTest, SegmentDpBudgetStopIsIdenticalAcrossThreadCounts) {
+  topk::TopKCountOptions options;
+  options.k = 10;
+  options.r = 3;
+  options.explain = true;
+  Deadline probe =
+      Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
+  options.deadline = &probe;
+  auto full_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  ASSERT_TRUE(full_or.ok());
+  ASSERT_EQ(full_or.value().quality, topk::AnswerQuality::kExact);
+  // One unit short of the full run: the last DP threshold cannot run.
+  const uint64_t budget = probe.work_charged() - 1;
+
+  std::vector<topk::TopKCountResult> results;
+  std::vector<std::string> explain_json;
+  for (int threads : {1, 2, 8}) {
+    Deadline deadline = Deadline::WithWorkBudget(budget);
+    options.threads = threads;
+    options.deadline = &deadline;
+    auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+    ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
+    explain_json.push_back(result_or.value().explain->ToJson());
+    results.push_back(std::move(result_or).value());
+  }
+
+  const topk::TopKCountResult& base = results[0];
+  ASSERT_TRUE(base.degradation.degraded);
+  EXPECT_EQ(base.degradation.stage, "segment_dp");
+  EXPECT_EQ(base.degradation.reason, DeadlineReason::kWorkBudget);
+  EXPECT_EQ(base.degradation.work_done, budget);
+  EXPECT_EQ(base.quality, topk::AnswerQuality::kTruncatedLevel);
+  ASSERT_FALSE(base.answers.empty());
+  for (size_t r = 1; r < results.size(); ++r) {
+    const topk::TopKCountResult& other = results[r];
+    EXPECT_EQ(base.quality, other.quality);
+    EXPECT_EQ(base.degradation.stage, other.degradation.stage);
+    EXPECT_EQ(base.degradation.reason, other.degradation.reason);
+    EXPECT_EQ(base.degradation.work_done, other.degradation.work_done);
+    EXPECT_EQ(base.degradation.partial_stage, other.degradation.partial_stage);
+    ASSERT_EQ(base.answers.size(), other.answers.size());
+    for (size_t a = 0; a < base.answers.size(); ++a) {
+      EXPECT_EQ(base.answers[a].score, other.answers[a].score);
+      ASSERT_EQ(base.answers[a].groups.size(), other.answers[a].groups.size());
+      for (size_t g = 0; g < base.answers[a].groups.size(); ++g) {
+        const topk::AnswerGroup& x = base.answers[a].groups[g];
+        const topk::AnswerGroup& y = other.answers[a].groups[g];
+        EXPECT_EQ(x.weight, y.weight);
+        EXPECT_EQ(x.representative, y.representative);
+        EXPECT_EQ(x.members, y.members);
+        EXPECT_EQ(x.count_lower, y.count_lower);
+        EXPECT_EQ(x.count_upper, y.count_upper);
+      }
+    }
+    EXPECT_EQ(explain_json[0], explain_json[r]);  // Byte-identical.
+  }
+}
+
 TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
   // Scan budgets downward for one that stops the pipeline inside the
   // prune stage. Work-budget expiry is only decided between prune passes,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/rng.h"
@@ -10,6 +11,135 @@ namespace topkdup::embed {
 namespace {
 
 using cluster::PairScores;
+using cluster::ScoredPair;
+
+/// Reference for GreedyEmbedding: the Eq.-3 loop evaluating alpha^d with
+/// std::pow at every use, with the same tie-breaks and explain picks.
+std::vector<size_t> ReferenceGreedyEmbedding(
+    const PairScores& scores, const std::vector<double>& weights,
+    double alpha, obs::ExplainRecorder* recorder) {
+  const size_t n = scores.item_count();
+  std::vector<size_t> order;
+  if (n == 0) return order;
+  auto weight_of = [&](size_t k) {
+    return weights.empty() ? 0.0 : weights[k];
+  };
+  std::vector<double> value(n, 0.0);
+  std::vector<size_t> stamp(n, 0);
+  std::vector<bool> placed(n, false);
+  auto pick_seed = [&]() {
+    size_t best = n;
+    for (size_t k = 0; k < n; ++k) {
+      if (placed[k]) continue;
+      if (best == n || weight_of(k) > weight_of(best) ||
+          (weight_of(k) == weight_of(best) && k < best)) {
+        best = k;
+      }
+    }
+    return best;
+  };
+  size_t regions = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t chosen = n;
+    const bool record_pick = recorder != nullptr && recorder->SampleKey(i);
+    double best_affinity = 0.0;
+    size_t runner_up = n;
+    double runner_up_affinity = 0.0;
+    if (!order.empty()) {
+      for (size_t k = 0; k < n; ++k) {
+        if (placed[k]) continue;
+        const double aged =
+            value[k] * std::pow(alpha, static_cast<double>(i - stamp[k]));
+        if (aged > best_affinity ||
+            (aged == best_affinity && aged > 0.0 && chosen != n &&
+             weight_of(k) > weight_of(chosen))) {
+          if (record_pick && chosen != n) {
+            runner_up = chosen;
+            runner_up_affinity = best_affinity;
+          }
+          best_affinity = aged;
+          chosen = k;
+        } else if (record_pick && aged > runner_up_affinity && k != chosen) {
+          runner_up = k;
+          runner_up_affinity = aged;
+        }
+      }
+    }
+    const bool new_region = chosen == n;
+    if (new_region) {
+      chosen = pick_seed();
+      ++regions;
+    }
+    if (record_pick) {
+      recorder->RecordEmbeddingPick({i, chosen,
+                                     new_region ? 0.0 : best_affinity,
+                                     runner_up, runner_up_affinity,
+                                     new_region});
+    }
+    placed[chosen] = true;
+    order.push_back(chosen);
+    for (const auto& [other, s] : scores.Neighbors(chosen)) {
+      if (placed[other]) continue;
+      value[other] *=
+          std::pow(alpha, static_cast<double>(i + 1 - stamp[other]));
+      stamp[other] = i + 1;
+      value[other] += s;
+    }
+  }
+  if (recorder != nullptr) {
+    recorder->RecordEmbeddingSummary(n, alpha, regions);
+  }
+  return order;
+}
+
+/// Pair scores drawn from a few values (so aged affinities tie), over
+/// `blocks` disconnected blocks (so the embedding restarts regions).
+PairScores TiedBlockScores(Rng* rng, size_t n, size_t blocks,
+                           double density) {
+  const double values[] = {1.0, 1.0, 2.0, 0.5, -1.0};
+  std::vector<ScoredPair> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (i * blocks / n != j * blocks / n || !rng->Bernoulli(density)) {
+        continue;
+      }
+      pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                       values[rng->Uniform(5)]});
+    }
+  }
+  rng->Shuffle(&pairs);
+  return PairScores(n, -0.1, pairs);
+}
+
+TEST(GreedyEmbeddingTest, MatchesPowReferenceIncludingExplainPicks) {
+  Rng rng(2009);
+  // alpha = 1e-3 underflows alpha^d to 0 past d ~ 108, inside n = 160.
+  for (double alpha : {1.0, 0.5, 1e-3}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const size_t n = trial < 3 ? 40 : 160;
+      const size_t blocks = 1 + trial % 3;
+      const PairScores scores = TiedBlockScores(&rng, n, blocks, 0.15);
+      std::vector<double> weights(n);
+      for (double& w : weights) w = 1.0 + static_cast<double>(rng.Uniform(2));
+      for (const bool weighted : {false, true}) {
+        const std::vector<double> w =
+            weighted ? weights : std::vector<double>{};
+        obs::ExplainRecorder want_recorder;
+        obs::ExplainRecorder got_recorder;
+        const std::vector<size_t> want =
+            ReferenceGreedyEmbedding(scores, w, alpha, &want_recorder);
+        GreedyEmbeddingOptions options;
+        options.alpha = alpha;
+        options.recorder = &got_recorder;
+        const std::vector<size_t> got = GreedyEmbedding(scores, w, options);
+        EXPECT_EQ(got, want) << "alpha " << alpha << " trial " << trial;
+        EXPECT_EQ(got_recorder.Finish().ToJson(),
+                  want_recorder.Finish().ToJson())
+            << "alpha " << alpha << " trial " << trial;
+      }
+    }
+  }
+}
 
 bool IsPermutation(const std::vector<size_t>& order, size_t n) {
   if (order.size() != n) return false;
@@ -26,22 +156,21 @@ size_t PositionOf(const std::vector<size_t>& order, size_t item) {
 }
 
 TEST(GreedyEmbeddingTest, ReturnsPermutation) {
-  PairScores s(6);
-  s.Set(0, 3, 2.0);
-  s.Set(1, 4, 1.0);
+  const PairScores s(6, 0.0, {{0, 3, 2.0}, {1, 4, 1.0}});
   auto order = GreedyEmbedding(s);
   EXPECT_TRUE(IsPermutation(order, 6));
 }
 
 TEST(GreedyEmbeddingTest, SimilarItemsAdjacent) {
   // Two tight blocks {0,1,2} and {3,4,5}, repulsion between them.
-  PairScores s(6);
-  for (size_t block : {size_t{0}, size_t{3}}) {
-    for (size_t i = block; i < block + 3; ++i) {
-      for (size_t j = i + 1; j < block + 3; ++j) s.Set(i, j, 3.0);
+  std::vector<ScoredPair> pairs;
+  for (uint32_t block : {0u, 3u}) {
+    for (uint32_t i = block; i < block + 3; ++i) {
+      for (uint32_t j = i + 1; j < block + 3; ++j) pairs.push_back({i, j, 3.0});
     }
   }
-  s.Set(2, 3, -2.0);
+  pairs.push_back({2, 3, -2.0});
+  const PairScores s(6, 0.0, pairs);
   auto order = GreedyEmbedding(s);
   ASSERT_TRUE(IsPermutation(order, 6));
   // Each block must occupy contiguous positions.
@@ -73,8 +202,7 @@ TEST(GreedyEmbeddingTest, SeedsByWeightWhenDisconnected) {
 }
 
 TEST(ArrangementCostTest, AdjacentBeatsSpread) {
-  PairScores s(4);
-  s.Set(0, 1, 5.0);
+  const PairScores s(4, 0.0, {{0, 1, 5.0}});
   const double adjacent = ArrangementCost({0, 1, 2, 3}, s);
   const double spread = ArrangementCost({0, 2, 3, 1}, s);
   EXPECT_LT(adjacent, spread);
@@ -85,13 +213,14 @@ TEST(ArrangementCostTest, AdjacentBeatsSpread) {
 TEST(GreedyEmbeddingTest, BeatsRandomOrderOnBlockData) {
   Rng rng(77);
   const size_t n = 30;
-  PairScores s(n);
   // Ten blocks of three with strong internal similarity.
-  for (size_t b = 0; b < n; b += 3) {
-    s.Set(b, b + 1, 4.0);
-    s.Set(b + 1, b + 2, 4.0);
-    s.Set(b, b + 2, 4.0);
+  std::vector<ScoredPair> pairs;
+  for (uint32_t b = 0; b < n; b += 3) {
+    pairs.push_back({b, b + 1, 4.0});
+    pairs.push_back({b + 1, b + 2, 4.0});
+    pairs.push_back({b, b + 2, 4.0});
   }
+  const PairScores s(n, 0.0, pairs);
   auto greedy = GreedyEmbedding(s);
   std::vector<size_t> random_order(n);
   std::iota(random_order.begin(), random_order.end(), size_t{0});
@@ -100,14 +229,15 @@ TEST(GreedyEmbeddingTest, BeatsRandomOrderOnBlockData) {
 }
 
 TEST(SpectralEmbeddingTest, ReturnsPermutationAndSeparatesBlocks) {
-  PairScores s(8);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = i + 1; j < 4; ++j) s.Set(i, j, 2.0);
+  std::vector<ScoredPair> pairs;
+  for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t j = i + 1; j < 4; ++j) pairs.push_back({i, j, 2.0});
   }
-  for (size_t i = 4; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) s.Set(i, j, 2.0);
+  for (uint32_t i = 4; i < 8; ++i) {
+    for (uint32_t j = i + 1; j < 8; ++j) pairs.push_back({i, j, 2.0});
   }
-  s.Set(3, 4, 0.1);  // Weak bridge keeps the graph connected.
+  pairs.push_back({3, 4, 0.1});  // Weak bridge keeps the graph connected.
+  const PairScores s(8, 0.0, pairs);
   auto order = SpectralEmbedding(s);
   ASSERT_TRUE(IsPermutation(order, 8));
   // The Fiedler vector must place one block wholly before the other.
@@ -127,12 +257,13 @@ TEST(SpectralEmbeddingTest, TinyInputs) {
 }
 
 TEST(HierarchyEmbeddingTest, PermutationAndBlockContiguity) {
-  PairScores s(9, -0.1);
-  for (size_t block : {size_t{0}, size_t{3}, size_t{6}}) {
-    for (size_t i = block; i < block + 3; ++i) {
-      for (size_t j = i + 1; j < block + 3; ++j) s.Set(i, j, 2.0);
+  std::vector<ScoredPair> pairs;
+  for (uint32_t block : {0u, 3u, 6u}) {
+    for (uint32_t i = block; i < block + 3; ++i) {
+      for (uint32_t j = i + 1; j < block + 3; ++j) pairs.push_back({i, j, 2.0});
     }
   }
+  const PairScores s(9, -0.1, pairs);
   auto order = HierarchyEmbedding(s);
   ASSERT_TRUE(IsPermutation(order, 9));
   for (size_t block : {size_t{0}, size_t{3}, size_t{6}}) {
@@ -146,8 +277,7 @@ TEST(HierarchyEmbeddingTest, PermutationAndBlockContiguity) {
 }
 
 TEST(HierarchyEmbeddingTest, FallsBackWhenTooLarge) {
-  PairScores s(32);
-  s.Set(0, 1, 1.0);
+  const PairScores s(32, 0.0, {{0, 1, 1.0}});
   auto order = HierarchyEmbedding(s, /*max_items=*/8);
   EXPECT_TRUE(IsPermutation(order, 32));  // Greedy fallback still valid.
 }

@@ -16,15 +16,16 @@ namespace topkdup::cluster {
 namespace {
 
 PairScores RandomScores(Rng* rng, size_t n, double density) {
-  PairScores s(n, -0.15);
+  std::vector<ScoredPair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       if (rng->Bernoulli(density)) {
-        s.Set(i, j, (rng->NextDouble() - 0.4) * 3.0);
+        pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                         (rng->NextDouble() - 0.4) * 3.0});
       }
     }
   }
-  return s;
+  return PairScores(n, -0.15, pairs);
 }
 
 /// Brute-force the best frontier grouping of a dendrogram by enumerating
@@ -122,8 +123,9 @@ TEST(HierarchyDpTest, SegmentationGeneralizesHierarchy) {
         DendrogramLeafOrder(agg.value().merges, n);
     segment::SegmentScorer scorer(scores, order, n);
     auto segs = segment::BestSegmentations(scorer, 1);
-    ASSERT_FALSE(segs.empty());
-    EXPECT_GE(segs[0].score, groupings.value()[0].score - 1e-9)
+    ASSERT_TRUE(segs.ok());
+    ASSERT_FALSE(segs.value().empty());
+    EXPECT_GE(segs.value()[0].score, groupings.value()[0].score - 1e-9)
         << "n=" << n << " trial=" << trial;
   }
 }
@@ -139,9 +141,7 @@ TEST(HierarchyDpTest, RejectsBadInput) {
 
 TEST(HierarchyDpTest, ForestInputsCombine) {
   // Two disjoint pairs, no root merge: the DP must handle the forest.
-  PairScores scores(4);
-  scores.Set(0, 1, 2.0);
-  scores.Set(2, 3, 2.0);
+  const PairScores scores(4, 0.0, {{0, 1, 2.0}, {2, 3, 2.0}});
   std::vector<Merge> merges = {{0, 1, 4, 2.0}, {2, 3, 5, 2.0}};
   auto groupings = BestHierarchyGroupings(scores, merges, 2);
   ASSERT_TRUE(groupings.ok());

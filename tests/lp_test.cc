@@ -75,12 +75,9 @@ TEST(SimplexTest, UnboundedReportsError) {
 }
 
 TEST(LpClusterTest, ObviousStructureSolvesIntegrally) {
-  cluster::PairScores s(5);
-  s.Set(0, 1, 4.0);
-  s.Set(1, 2, 4.0);
-  s.Set(0, 2, 4.0);
-  s.Set(3, 4, 2.0);
-  s.Set(2, 3, -3.0);
+  const cluster::PairScores s(
+      5, 0.0,
+      {{0, 1, 4.0}, {1, 2, 4.0}, {0, 2, 4.0}, {3, 4, 2.0}, {2, 3, -3.0}});
   auto result = cluster::LpCluster(s);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().integral);
@@ -94,10 +91,8 @@ TEST(LpClusterTest, ObviousStructureSolvesIntegrally) {
 TEST(LpClusterTest, TriangleConstraintEnforced) {
   // 0~1 and 1~2 strongly positive, 0-2 strongly negative: without the
   // triangle inequality the LP would pick x01=x12=1, x02=0.
-  cluster::PairScores s(3);
-  s.Set(0, 1, 5.0);
-  s.Set(1, 2, 5.0);
-  s.Set(0, 2, -12.0);
+  const cluster::PairScores s(3, 0.0,
+                              {{0, 1, 5.0}, {1, 2, 5.0}, {0, 2, -12.0}});
   auto result = cluster::LpCluster(s);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().constraints_added, 0u);
@@ -112,14 +107,16 @@ TEST(LpClusterTest, MatchesExactPartitionWhenIntegral) {
   int integral_checked = 0;
   for (int trial = 0; trial < 10; ++trial) {
     const size_t n = 4 + rng.Uniform(5);
-    cluster::PairScores s(n);
+    std::vector<cluster::ScoredPair> pairs;
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         if (rng.Bernoulli(0.6)) {
-          s.Set(i, j, (rng.NextDouble() - 0.5) * 6.0);
+          pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                           (rng.NextDouble() - 0.5) * 6.0});
         }
       }
     }
+    const cluster::PairScores s(n, 0.0, pairs);
     auto lp_result = cluster::LpCluster(s);
     ASSERT_TRUE(lp_result.ok());
     if (!lp_result.value().integral) continue;

@@ -15,15 +15,16 @@ namespace {
 using cluster::PairScores;
 
 PairScores RandomScores(Rng* rng, size_t n, double density) {
-  PairScores s(n, -0.1);
+  std::vector<cluster::ScoredPair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       if (rng->Bernoulli(density)) {
-        s.Set(i, j, (rng->NextDouble() - 0.45) * 3.0);
+        pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                         (rng->NextDouble() - 0.45) * 3.0});
       }
     }
   }
-  return s;
+  return PairScores(n, -0.1, pairs);
 }
 
 std::vector<size_t> Identity(size_t n) {

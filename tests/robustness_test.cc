@@ -202,9 +202,7 @@ TEST_F(RobustnessTest, PrunedDedupValidatesItsOptions) {
 TEST_F(RobustnessTest, TopKSegmentationValidatesKAndR) {
   const std::vector<size_t> order = {0, 1, 2};
   const std::vector<double> weights = {1.0, 1.0, 1.0};
-  cluster::PairScores scores(3);
-  scores.Set(0, 1, 1.0);
-  scores.Set(1, 2, 1.0);
+  const cluster::PairScores scores(3, 0.0, {{0, 1, 1.0}, {1, 2, 1.0}});
   segment::SegmentScorer scorer(scores, order, /*band=*/8);
 
   segment::TopKDpOptions bad_k;
@@ -213,11 +211,28 @@ TEST_F(RobustnessTest, TopKSegmentationValidatesKAndR) {
   ASSERT_FALSE(k_or.ok());
   EXPECT_EQ(k_or.status().code(), StatusCode::kInvalidArgument);
 
-  segment::TopKDpOptions bad_r;
-  bad_r.r = 0;
-  auto r_or = segment::TopKSegmentation(scorer, order, weights, bad_r);
-  ASSERT_FALSE(r_or.ok());
-  EXPECT_EQ(r_or.status().code(), StatusCode::kInvalidArgument);
+  // An entry names its predecessor's rank in one byte, so r is capped at
+  // 255 in both DPs.
+  for (int r : {0, 256, 1000}) {
+    segment::TopKDpOptions bad_r;
+    bad_r.r = r;
+    auto r_or = segment::TopKSegmentation(scorer, order, weights, bad_r);
+    ASSERT_FALSE(r_or.ok()) << "r=" << r;
+    EXPECT_EQ(r_or.status().code(), StatusCode::kInvalidArgument);
+    auto best_or = segment::BestSegmentations(scorer, r);
+    ASSERT_FALSE(best_or.ok()) << "r=" << r;
+    EXPECT_EQ(best_or.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(RobustnessTest, RAboveDpRankLimitIsInvalidArgument) {
+  // The query asks the DP for 3·r segmentations, so r > 85 would exceed
+  // its 255 ranks; a huge r would also overflow 3·r.
+  ExpectInvalid(QueryStatus([](TopKCountOptions& o) { o.r = 86; }),
+                "r must be <= 85");
+  ExpectInvalid(QueryStatus([](TopKCountOptions& o) { o.r = 1 << 30; }),
+                "r must be <= 85");
+  EXPECT_TRUE(QueryStatus([](TopKCountOptions& o) { o.r = 85; }).ok());
 }
 
 TEST_F(RobustnessTest, ValidQueryStillSucceedsAfterConversions) {

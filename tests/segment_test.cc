@@ -4,6 +4,8 @@
 #include <numeric>
 
 #include "cluster/correlation.h"
+#include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "segment/segment_scorer.h"
 #include "segment/topk_dp.h"
@@ -15,15 +17,16 @@ using cluster::PairScores;
 
 PairScores RandomScores(Rng* rng, size_t n, double density,
                         double default_score = 0.0) {
-  PairScores s(n, default_score);
+  std::vector<cluster::ScoredPair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       if (rng->Bernoulli(density)) {
-        s.Set(i, j, (rng->NextDouble() - 0.45) * 4.0);
+        pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
+                         (rng->NextDouble() - 0.45) * 4.0});
       }
     }
   }
-  return s;
+  return PairScores(n, default_score, pairs);
 }
 
 std::vector<size_t> Identity(size_t n) {
@@ -100,9 +103,10 @@ TEST(BestSegmentationsTest, Top1MatchesBruteForce) {
     const std::vector<size_t> order = Identity(n);
     SegmentScorer scorer(scores, order, n);
     auto segs = BestSegmentations(scorer, 1);
-    ASSERT_FALSE(segs.empty());
+    ASSERT_TRUE(segs.ok());
+    ASSERT_FALSE(segs.value().empty());
     BruteResult brute = BruteForceSegmentations(scores, order, n);
-    EXPECT_NEAR(segs[0].score, brute.best, 1e-9) << "n=" << n;
+    EXPECT_NEAR(segs.value()[0].score, brute.best, 1e-9) << "n=" << n;
   }
 }
 
@@ -114,11 +118,39 @@ TEST(BestSegmentationsTest, TopRMatchesBruteForceRanking) {
   SegmentScorer scorer(scores, order, n);
   const int r = 5;
   auto segs = BestSegmentations(scorer, r);
+  ASSERT_TRUE(segs.ok());
   BruteResult brute = BruteForceSegmentations(scores, order, n);
-  ASSERT_GE(segs.size(), static_cast<size_t>(r));
+  ASSERT_GE(segs.value().size(), static_cast<size_t>(r));
   for (int i = 0; i < r; ++i) {
-    EXPECT_NEAR(segs[i].score, brute.all_scores[i], 1e-9) << "rank " << i;
+    EXPECT_NEAR(segs.value()[i].score, brute.all_scores[i], 1e-9)
+        << "rank " << i;
   }
+}
+
+// Ranks up to the 255 limit: every returned segmentation's spans must
+// tile the positions and add up to its reported score.
+TEST(BestSegmentationsTest, LargeRSpansAddUpToScores) {
+  Rng rng(300);
+  const size_t n = 12;
+  PairScores scores = RandomScores(&rng, n, 0.6);
+  const std::vector<size_t> order = Identity(n);
+  SegmentScorer scorer(scores, order, n);
+  auto segs = BestSegmentations(scorer, 255);
+  ASSERT_TRUE(segs.ok());
+  ASSERT_EQ(segs.value().size(), 255u);
+  for (const Segmentation& seg : segs.value()) {
+    double total = 0.0;
+    size_t covered = 0;
+    for (const Span& span : seg.spans) {
+      EXPECT_EQ(span.begin, covered);
+      covered = span.end + 1;
+      total += scorer.Score(span.begin, span.end);
+    }
+    EXPECT_EQ(covered, n);
+    EXPECT_NEAR(total, seg.score, 1e-9);
+  }
+  EXPECT_FALSE(BestSegmentations(scorer, 256).ok());
+  EXPECT_FALSE(BestSegmentations(scorer, 0).ok());
 }
 
 TEST(BestSegmentationsTest, RespectsBand) {
@@ -129,12 +161,13 @@ TEST(BestSegmentationsTest, RespectsBand) {
   const size_t band = 3;
   SegmentScorer scorer(scores, order, band);
   auto segs = BestSegmentations(scorer, 1);
-  ASSERT_FALSE(segs.empty());
-  for (const Span& span : segs[0].spans) {
+  ASSERT_TRUE(segs.ok());
+  ASSERT_FALSE(segs.value().empty());
+  for (const Span& span : segs.value()[0].spans) {
     EXPECT_LE(span.end - span.begin + 1, band);
   }
   BruteResult brute = BruteForceSegmentations(scores, order, band);
-  EXPECT_NEAR(segs[0].score, brute.best, 1e-9);
+  EXPECT_NEAR(segs.value()[0].score, brute.best, 1e-9);
 }
 
 TEST(SpansToLabelsTest, MapsThroughOrder) {
@@ -285,10 +318,7 @@ TEST(SegmentScorerTest, MinPairPenalizesWeakLink) {
   // Chain 0-1-2 where 0-1 is strong, 1-2 weak-positive, 0-2 negative:
   // under kSumPositive the triple nets +; under kMinPair the 0-2 edge
   // caps the whole segment.
-  PairScores s(3);
-  s.Set(0, 1, 5.0);
-  s.Set(1, 2, 1.0);
-  s.Set(0, 2, -2.0);
+  const PairScores s(3, 0.0, {{0, 1, 5.0}, {1, 2, 1.0}, {0, 2, -2.0}});
   std::vector<size_t> order = {0, 1, 2};
   SegmentScorer sum_scorer(s, order, 3);
   SegmentScorer min_scorer(s, order, 3,
@@ -297,6 +327,53 @@ TEST(SegmentScorerTest, MinPairPenalizesWeakLink) {
   EXPECT_LT(min_scorer.Score(0, 2), 0.0);
   // Two-item spans agree on the pair they contain.
   EXPECT_DOUBLE_EQ(min_scorer.Score(0, 1) - min_scorer.Score(0, 1), 0.0);
+}
+
+// Thresholds fan out over the pool; the merged answers (scores,
+// thresholds, spans) must not depend on the thread count.
+TEST(TopKSegmentationTest, IdenticalAtAnyThreadCount) {
+  Rng rng(41);
+  const size_t n = 1200;
+  std::vector<cluster::ScoredPair> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 1; d <= 4 && i + d < n; ++d) {
+      pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(i + d),
+                       (rng.NextDouble() - 0.3) * 2.0});
+    }
+  }
+  const PairScores scores(n, -0.05, pairs);
+  const std::vector<size_t> order = Identity(n);
+  std::vector<double> weights(n);
+  for (double& w : weights) w = 1.0 + static_cast<double>(rng.Uniform(20));
+  const SegmentScorer scorer(scores, order, 16);
+  TopKDpOptions options;
+  options.k = 2;
+  options.r = 6;
+  options.band = 16;
+
+  metrics::Counter* regions =
+      metrics::Registry::Global().GetCounter("parallel.regions");
+  std::vector<std::vector<TopKAnswer>> runs;
+  for (int threads : {1, 2, 8}) {
+    ScopedParallelism parallelism(threads);
+    const uint64_t regions_before = regions->Value();
+    auto answers = TopKSegmentation(scorer, order, weights, options);
+    ASSERT_TRUE(answers.ok());
+    runs.push_back(std::move(answers).value());
+    if (threads > 1) {
+      EXPECT_GT(regions->Value(), regions_before) << "no fan-out";
+    }
+  }
+  ASSERT_EQ(runs[0].size(), 6u);
+  for (size_t t = 1; t < runs.size(); ++t) {
+    ASSERT_EQ(runs[t].size(), runs[0].size());
+    for (size_t a = 0; a < runs[0].size(); ++a) {
+      EXPECT_EQ(runs[t][a].score, runs[0][a].score);
+      EXPECT_EQ(runs[t][a].threshold, runs[0][a].threshold);
+      EXPECT_EQ(runs[t][a].segmentation, runs[0][a].segmentation);
+      EXPECT_EQ(runs[t][a].answer, runs[0][a].answer);
+    }
+  }
 }
 
 TEST(TopKSegmentationTest, ErrorsOnBadArguments) {
@@ -312,6 +389,10 @@ TEST(TopKSegmentationTest, ErrorsOnBadArguments) {
   options.k = 1;
   options.r = 0;
   EXPECT_FALSE(TopKSegmentation(scorer, order, weights, options).ok());
+  options.r = 256;
+  EXPECT_FALSE(TopKSegmentation(scorer, order, weights, options).ok());
+  options.r = 255;
+  EXPECT_TRUE(TopKSegmentation(scorer, order, weights, options).ok());
 }
 
 }  // namespace
