@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/check.h"
 #include "common/crc32.h"
 #include "common/metrics.h"
 
@@ -111,6 +112,34 @@ void AppendVarint(std::vector<uint8_t>* out, uint32_t v) {
     v >>= 7;
   }
   out->push_back(static_cast<uint8_t>(v));
+}
+
+/// Whether sorted signatures `a` and `b` share at least `thr` valid tokens
+/// (invalid tokens never count as shared). Merges with early accept, and
+/// early reject once even a full match of the shorter remainder falls
+/// short.
+bool SharesAtLeast(const text::TokenId* a, size_t an, const text::TokenId* b,
+                   size_t bn, int thr) {
+  int common = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (common < thr) {
+    if (common + static_cast<int>(std::min(an - i, bn - j)) < thr) {
+      return false;
+    }
+    const text::TokenId ta = a[i];
+    const text::TokenId tb = b[j];
+    if (ta < tb) {
+      ++i;
+    } else if (tb < ta) {
+      ++j;
+    } else {
+      if (ta >= 0) ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -347,6 +376,32 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
     std::memcpy(body + lay.blob, blob.data(), blob.size());
   }
   BindViews(body, lay.total);
+  TOPKDUP_CHECK(CopySignatures().ok());
+}
+
+Status BlockedIndex::CopySignatures() {
+  // Sizes are checked against the predicate before anything is reserved,
+  // so a corrupt image cannot request an oversized copy.
+  uint64_t total = 0;
+  for (size_t ip = 0; ip < n_; ++ip) {
+    if (pred_->Signature(items_[order_[ip]]).size() != sig_size_[ip]) {
+      return Status::InvalidArgument(
+          "stored signature size disagrees with the predicate");
+    }
+    total += sig_size_[ip];
+  }
+  sig_offsets_.clear();
+  sig_offsets_.reserve(n_ + 1);
+  sig_tokens_.clear();
+  sig_tokens_.reserve(total);
+  sig_offsets_.push_back(0);
+  for (size_t ip = 0; ip < n_; ++ip) {
+    const std::vector<text::TokenId>& sig =
+        pred_->Signature(items_[order_[ip]]);
+    sig_tokens_.insert(sig_tokens_.end(), sig.begin(), sig.end());
+    sig_offsets_.push_back(sig_tokens_.size());
+  }
+  return Status::OK();
 }
 
 void BlockedIndex::BindViews(const uint8_t* body, size_t body_size) {
@@ -436,7 +491,8 @@ size_t BlockedIndex::DecodeBlock(const ListMeta& list, uint32_t block_id,
   return cnt;
 }
 
-void BlockedIndex::ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
+void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
+                                        QueryScratch* scratch,
                                         FunctionRef<bool(size_t)> fn) const {
   uint64_t postings_scanned = 0;
   uint64_t postings_decoded = 0;
@@ -455,13 +511,16 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
 
   if (scratch->counts.size() < n_) scratch->counts.assign(n_, 0);
   scratch->touched.clear();
-  const std::vector<text::TokenId>& sig = pred_->Signature(items_[pos]);
-  const size_t s = sig.size();
+  const uint32_t self_ip = rank_[pos];
+  const text::TokenId* const sig_tokens = sig_tokens_.data();
+  const uint64_t* const sig_offsets = sig_offsets_.data();
+  const text::TokenId* const sig = sig_tokens + sig_offsets[self_ip];
+  const size_t s = sig_offsets[self_ip + 1] - sig_offsets[self_ip];
   EnsureThresholds(s, scratch);
 
   scratch->scan_lists.clear();
   text::TokenId prev_t = text::kInvalidToken;
-  for (size_t idx = 0; idx < sig.size(); ++idx) {
+  for (size_t idx = 0; idx < s; ++idx) {
     const text::TokenId t = sig[idx];
     if (t < 0 || static_cast<size_t>(t) >= token_count_) continue;
     if (t == prev_t) continue;  // Contract: sorted unique.
@@ -489,6 +548,7 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
     if (hit != nullptr) {
       blocks_skipped += total_blocks;
       for (const uint32_t ext : *hit) {
+        if (later_only && ext <= pos) continue;
         ++candidates;
         if (!fn(ext)) break;
       }
@@ -501,7 +561,6 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
     flush();
     return;
   }
-  const uint32_t self_ip = rank_[pos];
   // While filling a memo slot, enumeration runs to completion even after
   // the consumer stops (fn is no longer called) so the recorded list is
   // the item's full candidate set.
@@ -671,42 +730,26 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
 
     // Qualify pass: a candidate the generation lists counted thr times is
     // in; the rest are verified by a direct merge of the two sorted
-    // signatures (both already resident via the predicate) with early
-    // accept/reject — no posting list is ever decoded for verification.
-    // Scratch counts are always reset, even after the consumer stops.
+    // signatures from the index's own copy (class z's copies are one
+    // contiguous run) with early accept/reject — no posting list is ever
+    // decoded for verification. Under `later_only` a candidate at an
+    // external position <= pos is dropped before the merge: the pair was
+    // (or will be) verified from its other end. Scratch counts are always
+    // reset, even after the consumer stops.
     for (const uint32_t ip : scratch->touched) {
       const int count = scratch->counts[ip];
       scratch->counts[ip] = 0;
-      if (!keep_going && !memo_fill) continue;
-      if (count < thr) {
-        const std::vector<text::TokenId>& other =
-            pred_->Signature(items_[order_[ip]]);
-        int common = 0;
-        size_t a = 0;
-        size_t b = 0;
-        const size_t an = sig.size();
-        const size_t bn = other.size();
-        while (common < thr) {
-          // Out of reach even if one side's remainder fully matches.
-          if (common + static_cast<int>(std::min(an - a, bn - b)) < thr) break;
-          const text::TokenId ta = sig[a];
-          const text::TokenId tb = other[b];
-          if (ta < tb) {
-            ++a;
-          } else if (tb < ta) {
-            ++b;
-          } else {
-            if (ta >= 0) ++common;  // Invalid tokens never count as shared.
-            ++a;
-            ++b;
-          }
-        }
-        if (common < thr) continue;
+      const uint32_t ext = order_[ip];
+      const bool emit = keep_going && (!later_only || ext > pos);
+      if (!emit && !memo_fill) continue;
+      if (count < thr &&
+          !SharesAtLeast(sig, s, sig_tokens + sig_offsets[ip], z, thr)) {
+        continue;
       }
-      if (memo_fill) memo_vec.push_back(order_[ip]);
-      if (keep_going) {
+      if (memo_fill) memo_vec.push_back(ext);
+      if (emit) {
         ++candidates;
-        keep_going = fn(order_[ip]);
+        keep_going = fn(ext);
       }
     }
   }
@@ -734,8 +777,9 @@ void BlockedIndex::ForEachCandidatePairInRangeImpl(
     FunctionRef<void(size_t, size_t)> fn) const {
   const size_t last = std::min(end, n_);
   for (size_t p = begin; p < last; ++p) {
-    ForEachCandidateImpl(p, scratch, FunctionRef<bool(size_t)>([&](size_t q) {
-                           if (p < q) fn(p, q);
+    ForEachCandidateImpl(p, /*later_only=*/true, scratch,
+                         FunctionRef<bool(size_t)>([&](size_t q) {
+                           fn(p, q);
                            return true;
                          }));
   }
@@ -824,11 +868,6 @@ Status BlockedIndex::Validate(size_t record_count) const {
                             distinct_sizes_ + distinct_size_count_, z)) {
       return Status::InvalidArgument(
           "signature size missing from distinct-size table");
-    }
-    const size_t rec = items_[order_[ip]];
-    if (pred_->Signature(rec).size() != z) {
-      return Status::InvalidArgument(
-          "stored signature size disagrees with the predicate");
     }
   }
   if (n_ > 0 && max_seen != max_sig_size_) {
@@ -993,6 +1032,7 @@ StatusOr<BlockedIndex> BlockedIndex::Deserialize(const PairPredicate& pred,
   index.max_sig_size_ = header.max_sig_size;
   index.BindViews(data + kHeaderSize, header.body_size);
   TOPKDUP_RETURN_IF_ERROR(index.Validate(record_count));
+  TOPKDUP_RETURN_IF_ERROR(index.CopySignatures());
   return index;
 }
 
@@ -1037,6 +1077,7 @@ StatusOr<BlockedIndex> BlockedIndex::LoadFromFile(const PairPredicate& pred,
   index.max_sig_size_ = header.max_sig_size;
   index.BindViews(data + kHeaderSize, header.body_size);
   TOPKDUP_RETURN_IF_ERROR(index.Validate(record_count));
+  TOPKDUP_RETURN_IF_ERROR(index.CopySignatures());
   return index;
 }
 

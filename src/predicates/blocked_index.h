@@ -23,29 +23,36 @@ namespace topkdup::predicates {
 /// per-block signature-size ranges tight; every position a query sees or
 /// emits is still the caller's original position.
 ///
-/// Each posting list is stored as varint-encoded deltas in blocks of at
-/// most kBlockSize positions, with per-block metadata (last position,
-/// min/max member signature size, byte extent). Because items are ordered
-/// by signature size, each size class z is one contiguous position range,
-/// and enumeration runs per admissible class with that class's uniform
-/// threshold thr(z) = MinCommon(|query sig|, z), skipping whole blocks
-/// that cannot contain a qualifying candidate:
+/// Each posting list is stored as varint-encoded (token rank, position)
+/// pairs in blocks of at most kBlockSize postings, with per-block metadata
+/// (min/max member signature size, min member token rank, byte extent, and
+/// a last position that is validated but never read by queries). Because
+/// items are ordered by signature size, each size class z is one
+/// contiguous position range, and enumeration runs per admissible class
+/// with that class's uniform threshold thr(z) = MinCommon(|query sig|, z),
+/// skipping whole blocks that cannot contain a qualifying candidate:
 ///
-///   * Blocks outside class z's position range are never decoded while
-///     class z is enumerated (block binary search jumps to the segment).
+///   * Blocks outside class z are never decoded while class z is
+///     enumerated: a binary search on the blocks' min_sig finds the
+///     class's segment of each list.
 ///   * A metadata pre-pass sizes each query list's class-z segment; if
 ///     fewer than thr(z) lists have a non-empty segment the whole class
 ///     is skipped without decoding a byte.
-///   * Within a class, a candidate sharing thr(z) tokens with the query
-///     appears in at least one of any chosen (L_z - thr(z) + 1) of the
-///     L_z intersecting lists, so only the lists with the SMALLEST class
-///     segments are decoded to generate candidates; the thr(z)-1 largest
-///     segments are never decoded. Generated candidates short of the
-///     threshold are verified by a direct merge of the two sorted
-///     signatures (early accept/reject), not by probing posting lists.
+///   * Candidates are generated either from the L_z - thr(z) + 1 lists
+///     with the SMALLEST class segments (a qualifying candidate appears
+///     in at least one of them) or, when the metadata predicts it is
+///     cheaper, from the positional prefix: the query's first
+///     |query sig| - thr(z) + 1 tokens, decoding only the segment blocks
+///     whose min_rank (found by binary search) is at most z - thr(z).
 ///   * Classes whose threshold exceeds min(|query sig|, z) or the number
 ///     of non-empty query lists are skipped outright (the paper's size
 ///     filters, e.g. CitationS1's equal-set blocking, make this decisive).
+///
+/// Only candidates the generating lists counted fewer than thr(z) times
+/// are verified, by a direct merge of the two sorted signatures with early
+/// accept/reject. Both signatures come from the index's own contiguous
+/// copy of every item's signature, stored in internal order; verification
+/// never calls back into the predicate and never decodes a posting.
 ///
 /// The candidate *set* enumerated at every MinCommon threshold is exactly
 /// the set an uncompressed full scan produces; only the enumeration order
@@ -56,8 +63,10 @@ namespace topkdup::predicates {
 /// scratches are safe (the parallel collapse/prune paths rely on this).
 ///
 /// A built index can be serialized to a versioned, checksummed byte image
-/// and later mapped back in O(1) (header validation plus pointer fixup;
-/// no per-token allocation) via Deserialize / LoadFromFile.
+/// and later mapped back via Deserialize / LoadFromFile: header and
+/// structural validation plus pointer fixup, and one pass over the
+/// predicate's signatures to rebuild the (unserialized) signature copy.
+/// Loading allocates O(1) times regardless of the index size.
 class BlockedIndex {
  public:
   static constexpr size_t kBlockSize = 128;
@@ -111,7 +120,8 @@ class BlockedIndex {
   /// unspecified. If `fn` returns false the scan stops early.
   template <typename Fn>
   void ForEachCandidate(size_t pos, QueryScratch* scratch, Fn&& fn) const {
-    ForEachCandidateImpl(pos, scratch, FunctionRef<bool(size_t)>(fn));
+    ForEachCandidateImpl(pos, /*later_only=*/false, scratch,
+                         FunctionRef<bool(size_t)>(fn));
   }
 
   /// Convenience overload with a transient scratch; fine for one-off
@@ -119,13 +129,18 @@ class BlockedIndex {
   template <typename Fn>
   void ForEachCandidate(size_t pos, Fn&& fn) const {
     QueryScratch scratch;
-    ForEachCandidateImpl(pos, &scratch, FunctionRef<bool(size_t)>(fn));
+    ForEachCandidateImpl(pos, /*later_only=*/false, &scratch,
+                         FunctionRef<bool(size_t)>(fn));
   }
 
   /// Calls `fn(p, q)` (p < q) for every unordered candidate pair, i.e.
   /// every pair passing the blocking filter, restricted to first elements
   /// p in [begin, end). Predicate evaluation is left to the caller. The
   /// parallel pipelines call this per shard with per-shard scratches.
+  /// For each p the pairs come in ForEachCandidate(p)'s order, and each
+  /// unordered pair is verified and counted once: candidates q <= p are
+  /// dropped before verification, so the `candidates` counter grows by
+  /// the number of pairs emitted.
   template <typename Fn>
   void ForEachCandidatePairInRange(size_t begin, size_t end,
                                    QueryScratch* scratch, Fn&& fn) const {
@@ -177,7 +192,8 @@ class BlockedIndex {
   /// signature size is validated against them. Malformed, truncated, or
   /// checksum-mismatched input returns InvalidArgument — never UB. Aside
   /// from the byte buffer itself the reconstruction allocates O(1): the
-  /// body is validated and adopted in place.
+  /// body is validated and adopted in place, and the signature copy is
+  /// filled from `pred` into two exactly reserved arrays.
   static StatusOr<BlockedIndex> Deserialize(const PairPredicate& pred,
                                             size_t record_count,
                                             std::string bytes);
@@ -196,7 +212,7 @@ class BlockedIndex {
     uint32_t count = 0;        // Postings in the list.
   };
   struct BlockMeta {
-    uint32_t last_pos = 0;      // Largest internal position in the block.
+    uint32_t last_pos = 0;      // Largest internal position (validated only).
     uint32_t blob_end_rel = 0;  // End of block bytes, relative to the list.
     uint32_t min_sig = 0;       // Smallest member signature size.
     uint32_t max_sig = 0;       // Largest member signature size.
@@ -213,8 +229,15 @@ class BlockedIndex {
   /// the section extents were already validated.
   void BindViews(const uint8_t* body, size_t body_size);
   Status Validate(size_t record_count) const;
+  /// Fills the signature copy from pred_ in internal order, checking every
+  /// stored signature size against the predicate. Needs a validated body.
+  Status CopySignatures();
 
-  void ForEachCandidateImpl(size_t pos, QueryScratch* scratch,
+  /// Enumerates item `pos`'s candidates; with `later_only`, only those at
+  /// external positions > pos are verified and emitted (a memo fill still
+  /// verifies and records the full list).
+  void ForEachCandidateImpl(size_t pos, bool later_only,
+                            QueryScratch* scratch,
                             FunctionRef<bool(size_t)> fn) const;
   void ForEachCandidatePairInRangeImpl(
       size_t begin, size_t end, QueryScratch* scratch,
@@ -261,6 +284,13 @@ class BlockedIndex {
   const BlockMeta* blocks_ = nullptr;    // [block_count].
   const uint8_t* blob_ = nullptr;
   size_t blob_size_ = 0;
+
+  // Signature copy in internal order: item ip's sorted tokens, exactly as
+  // pred_->Signature returns them (invalid tokens included), are
+  // sig_tokens_[sig_offsets_[ip] .. sig_offsets_[ip + 1]). 64-bit offsets:
+  // the token total can exceed 2^32.
+  std::vector<uint64_t> sig_offsets_;   // [n + 1]
+  std::vector<text::TokenId> sig_tokens_;
 
   size_t n_ = 0;
   size_t token_count_ = 0;

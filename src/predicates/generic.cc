@@ -1,7 +1,6 @@
 #include "predicates/generic.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -56,10 +55,7 @@ const std::vector<text::TokenId>& QGramOverlapPredicate::Signature(
 }
 
 int QGramOverlapPredicate::MinCommon(size_t size_a, size_t size_b) const {
-  const size_t smaller = std::min(size_a, size_b);
-  const int bound =
-      static_cast<int>(std::ceil(min_fraction_ * static_cast<double>(smaller)));
-  return std::max(1, bound);
+  return MinCommonForFraction(min_fraction_, std::min(size_a, size_b));
 }
 
 bool QGramOverlapPredicate::Evaluate(size_t a, size_t b) const {

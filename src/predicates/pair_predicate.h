@@ -1,6 +1,8 @@
 #ifndef TOPKDUP_PREDICATES_PAIR_PREDICATE_H_
 #define TOPKDUP_PREDICATES_PAIR_PREDICATE_H_
 
+#include <cmath>
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -43,6 +45,21 @@ class PairPredicate {
   /// disjoint signatures is never a candidate).
   virtual int MinCommon(size_t size_a, size_t size_b) const { return 1; }
 };
+
+/// MinCommon of a predicate that accepts a pair iff common / smaller >=
+/// `fraction`, where `smaller` is the smaller signature size: the smallest
+/// c >= 1 with c / smaller >= fraction, in the same double arithmetic as
+/// that acceptance test. ceil(fraction * smaller) alone can overshoot by
+/// one (fraction 0.28, smaller 25: the product rounds above 7, yet
+/// 7 / 25 >= 0.28), and the blocking would then miss accepted pairs.
+inline int MinCommonForFraction(double fraction, size_t smaller) {
+  if (smaller == 0) return 1;
+  const double s = static_cast<double>(smaller);
+  size_t c = static_cast<size_t>(std::fmax(1.0, std::ceil(fraction * s)));
+  while (c > 1 && static_cast<double>(c - 1) / s >= fraction) --c;
+  while (static_cast<double>(c) / s < fraction) ++c;
+  return static_cast<int>(c);
+}
 
 }  // namespace topkdup::predicates
 

@@ -1,7 +1,6 @@
 #include "predicates/student.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "text/tokenize.h"
 
@@ -104,9 +103,7 @@ StudentN2::StudentN2(const Corpus* corpus, StudentFields fields,
 }
 
 int StudentN2::MinCommon(size_t size_a, size_t size_b) const {
-  const size_t smaller = std::min(size_a, size_b);
-  return std::max(1, static_cast<int>(std::ceil(
-                         min_gram_fraction_ * static_cast<double>(smaller))));
+  return MinCommonForFraction(min_gram_fraction_, std::min(size_a, size_b));
 }
 
 bool StudentN2::Evaluate(size_t a, size_t b) const {

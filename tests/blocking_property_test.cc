@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "datagen/address_gen.h"
 #include "datagen/citation_gen.h"
 #include "datagen/lexicon.h"
@@ -169,6 +170,27 @@ std::vector<size_t> IndexCandidates(const BlockedIndex& index,
   return out;
 }
 
+/// Checks the index `pred` builds over items 0..n-1, and the same index
+/// after a Serialize -> Deserialize round trip, against the reference scan
+/// for every item.
+void ExpectIndexMatchesReference(const PairPredicate& pred, size_t n) {
+  std::vector<size_t> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = i;
+  const BlockedIndex built(pred, items);
+  auto loaded = BlockedIndex::Deserialize(pred, n, built.Serialize());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const BlockedIndex& reloaded = loaded.value();
+  BlockedIndex::QueryScratch scratch;
+  for (const BlockedIndex* index : {&built, &reloaded}) {
+    const char* kind = index == &built ? "built" : "loaded";
+    for (size_t p = 0; p < n; ++p) {
+      EXPECT_EQ(IndexCandidates(*index, &scratch, p),
+                ReferenceCandidates(pred, p, n))
+          << pred.name() << " (" << kind << ") item " << p;
+    }
+  }
+}
+
 /// The compressed, skip-capable index must enumerate, for every item,
 /// exactly the candidate *set* the uncompressed reference scan produces —
 /// at every MinCommon regime the pipelines use.
@@ -197,20 +219,38 @@ TEST_P(IndexEquivalenceSweep, MatchesUncompressedScan) {
     pred = std::make_unique<CommonWordsPredicate>(
         &corpus, std::vector<int>{0}, min_common);
   }
-  std::vector<size_t> items(data.size());
-  for (size_t i = 0; i < items.size(); ++i) items[i] = i;
-  BlockedIndex index(*pred, items);
-  BlockedIndex::QueryScratch scratch;
-  for (size_t p = 0; p < data.size(); ++p) {
-    EXPECT_EQ(IndexCandidates(index, &scratch, p),
-              ReferenceCandidates(*pred, p, data.size()))
-        << pred->name() << " item " << p;
-  }
+  ExpectIndexMatchesReference(*pred, data.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsByMinCommon, IndexEquivalenceSweep,
     ::testing::Combine(::testing::Range(0, 3), ::testing::Values(1, 2, 3)));
+
+/// The address regime: short name signatures under AddressS1's fractional
+/// threshold, where nearly every generated candidate is verified by the
+/// signature merge, and AddressN1's fixed count over name + address words.
+class AddressIndexEquivalenceSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AddressIndexEquivalenceSweep, MatchesUncompressedScan) {
+  datagen::AddressGenOptions gen;
+  gen.num_records = 300;
+  gen.num_entities = 60;
+  gen.seed = 13000 + GetParam();
+  auto data_or = datagen::GenerateAddresses(gen);
+  ASSERT_TRUE(data_or.ok());
+  const record::Dataset& data = data_or.value();
+  Corpus::Options corpus_options;
+  corpus_options.stop_words = datagen::AddressStopWords();
+  auto corpus_or = Corpus::Build(&data, corpus_options);
+  ASSERT_TRUE(corpus_or.ok());
+  const Corpus& corpus = corpus_or.value();
+  AddressFields fields;
+  ExpectIndexMatchesReference(AddressS1(&corpus, fields), data.size());
+  ExpectIndexMatchesReference(AddressN1(&corpus, fields), data.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AddressIndexEquivalenceSweep,
+                         ::testing::Range(0, 3));
 
 /// Serialize -> Deserialize and SerializeToFile -> LoadFromFile must both
 /// reproduce the built index's enumeration byte-for-byte: same candidates
@@ -318,6 +358,124 @@ TEST(IndexMemoTest, ReplayIsIdenticalAndEarlyExitSafe) {
     });
     EXPECT_EQ(replay, reference) << "item " << p;
   }
+}
+
+using Pairs = std::vector<std::pair<size_t, size_t>>;
+
+/// Pairs of ForEachCandidatePairInRange over [begin, end), with the
+/// `candidates` counter's growth during the call.
+Pairs PairsInRange(const BlockedIndex& index, size_t begin, size_t end,
+                   uint64_t* counted) {
+  metrics::Counter* candidates = metrics::Registry::Global().GetCounter(
+      "predicates.blocked_index.candidates");
+  const uint64_t before = candidates->Value();
+  BlockedIndex::QueryScratch scratch;
+  Pairs out;
+  index.ForEachCandidatePairInRange(
+      begin, end, &scratch, [&](size_t p, size_t q) { out.push_back({p, q}); });
+  *counted = candidates->Value() - before;
+  return out;
+}
+
+/// Pair enumeration must emit, for every p, exactly the q > p
+/// subsequence of ForEachCandidate(p) in the same order; split ranges
+/// must concatenate to the full-range sequence; and the `candidates`
+/// counter must grow by the number of pairs emitted (each unordered pair
+/// is verified and counted once). Checked on a plain index, on memo-
+/// enabled indexes filled by either enumeration (one first fill cut short
+/// by the consumer), and on a loaded index.
+void ExpectPairContract(const PairPredicate& pred, size_t n) {
+  std::vector<size_t> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = i;
+  const BlockedIndex plain(pred, items);
+  BlockedIndex::QueryScratch scratch;
+  std::vector<std::vector<size_t>> lists(n);
+  Pairs expected;
+  for (size_t p = 0; p < n; ++p) {
+    plain.ForEachCandidate(p, &scratch, [&](size_t q) {
+      lists[p].push_back(q);
+      if (q > p) expected.push_back({p, q});
+      return true;
+    });
+  }
+  ASSERT_FALSE(expected.empty()) << pred.name() << ": vacuous dataset";
+
+  uint64_t counted = 0;
+  EXPECT_EQ(PairsInRange(plain, 0, n, &counted), expected) << pred.name();
+  EXPECT_EQ(counted, expected.size()) << pred.name();
+  for (const size_t split : {size_t{1}, n / 3, n / 2, n - 1}) {
+    uint64_t counted_lo = 0;
+    uint64_t counted_hi = 0;
+    Pairs joined = PairsInRange(plain, 0, split, &counted_lo);
+    const Pairs hi = PairsInRange(plain, split, n, &counted_hi);
+    joined.insert(joined.end(), hi.begin(), hi.end());
+    EXPECT_EQ(joined, expected) << pred.name() << " split at " << split;
+    EXPECT_EQ(counted_lo + counted_hi, expected.size()) << pred.name();
+  }
+
+  // Memo filled by pair enumeration: the pairs are unchanged, and the
+  // memo still records each item's full list (earlier items included).
+  BlockedIndex pairs_first(pred, items);
+  pairs_first.EnableCandidateMemo();
+  EXPECT_EQ(PairsInRange(pairs_first, 0, n, &counted), expected)
+      << pred.name();
+  EXPECT_EQ(counted, expected.size()) << pred.name();
+  for (size_t p = 0; p < n; ++p) {
+    std::vector<size_t> replay;
+    pairs_first.ForEachCandidate(p, &scratch, [&](size_t q) {
+      replay.push_back(q);
+      return true;
+    });
+    ASSERT_EQ(replay, lists[p]) << pred.name() << " item " << p;
+  }
+
+  // Memo filled by a consumer that stops after one candidate, then
+  // replayed by pair enumeration (twice: the replay is stable).
+  BlockedIndex cut_first(pred, items);
+  cut_first.EnableCandidateMemo();
+  for (size_t p = 0; p < n; ++p) {
+    cut_first.ForEachCandidate(p, &scratch, [](size_t) { return false; });
+  }
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(PairsInRange(cut_first, 0, n, &counted), expected)
+        << pred.name() << " replay " << round;
+    EXPECT_EQ(counted, expected.size()) << pred.name();
+  }
+
+  auto loaded = BlockedIndex::Deserialize(pred, n, plain.Serialize());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(PairsInRange(loaded.value(), 0, n, &counted), expected)
+      << pred.name();
+  EXPECT_EQ(counted, expected.size()) << pred.name();
+}
+
+TEST(PairEnumerationTest, LaterCandidatesOncePerPairInItemOrder) {
+  datagen::CitationGenOptions citation_gen;
+  citation_gen.num_records = 220;
+  citation_gen.num_authors = 44;
+  citation_gen.seed = 12003;
+  auto citations_or = datagen::GenerateCitations(citation_gen);
+  ASSERT_TRUE(citations_or.ok());
+  const record::Dataset& citations = citations_or.value();
+  auto citation_corpus_or = Corpus::Build(&citations, {});
+  ASSERT_TRUE(citation_corpus_or.ok());
+  ExpectPairContract(
+      QGramOverlapPredicate(&citation_corpus_or.value(), 0, 0.6),
+      citations.size());
+
+  datagen::AddressGenOptions address_gen;
+  address_gen.num_records = 300;
+  address_gen.num_entities = 60;
+  address_gen.seed = 12004;
+  auto addresses_or = datagen::GenerateAddresses(address_gen);
+  ASSERT_TRUE(addresses_or.ok());
+  const record::Dataset& addresses = addresses_or.value();
+  Corpus::Options corpus_options;
+  corpus_options.stop_words = datagen::AddressStopWords();
+  auto address_corpus_or = Corpus::Build(&addresses, corpus_options);
+  ASSERT_TRUE(address_corpus_or.ok());
+  ExpectPairContract(AddressS1(&address_corpus_or.value(), AddressFields{}),
+                     addresses.size());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "predicates/address.h"
@@ -198,6 +199,54 @@ TEST(AddressPredTest, S1Semantics) {
   EXPECT_TRUE(s1.Evaluate(0, 1));   // Identical name, address overlap 1.0.
   EXPECT_FALSE(s1.Evaluate(0, 2));  // raj vs ravi: name overlap 0.5 <= 0.7.
   EXPECT_FALSE(s1.Evaluate(0, 3));  // Initials differ.
+}
+
+/// The smallest common-token count a fractional-overlap predicate accepts
+/// (common / smaller >= f, in double arithmetic), found by counting up.
+int SmallestAcceptedCommon(double f, size_t smaller) {
+  int c = 1;
+  while (static_cast<double>(c) / static_cast<double>(smaller) < f) ++c;
+  return c;
+}
+
+/// QGramOverlapPredicate and StudentN2 accept when common / smaller >= f,
+/// so their blocking threshold must be exactly the smallest such count: a
+/// larger one drops accepted pairs from the blocked index. ceil(f * smaller)
+/// is not always it: ceil(0.28 * 25) is 8 in doubles, yet 7 / 25 passes.
+TEST(MinCommonTest, FractionThresholdIsSmallestAcceptedCount) {
+  record::Dataset data{
+      record::Schema({"name", "birth_date", "class", "school", "paper"})};
+  record::Record r;
+  r.fields = {"anil kumar", "01-02-1999", "C3", "S017", "P01"};
+  data.Add(r);
+  auto corpus_or = Corpus::Build(&data, Corpus::Options{});
+  ASSERT_TRUE(corpus_or.ok());
+  const Corpus& corpus = corpus_or.value();
+  for (int step = 1; step <= 100; ++step) {
+    const double f = step / 100.0;
+    const QGramOverlapPredicate qgram(&corpus, 0, f);
+    const StudentN2 n2(&corpus, StudentFields{}, f);
+    for (size_t smaller = 1; smaller <= 300; ++smaller) {
+      const int want = SmallestAcceptedCommon(f, smaller);
+      ASSERT_EQ(qgram.MinCommon(smaller, smaller + 7), want)
+          << "f=" << f << " smaller=" << smaller;
+      ASSERT_EQ(n2.MinCommon(smaller + 3, smaller), want)
+          << "f=" << f << " smaller=" << smaller;
+    }
+  }
+  // The fractions the pipelines use keep their ceil(f * smaller)
+  // thresholds, so no blocking they do changes.
+  const QGramOverlapPredicate qgram(&corpus, 0, 0.6);
+  const StudentN2 n2(&corpus, StudentFields{});  // Fraction 0.5.
+  for (size_t smaller = 1; smaller <= 5000; ++smaller) {
+    const double s = static_cast<double>(smaller);
+    ASSERT_EQ(qgram.MinCommon(smaller, smaller),
+              static_cast<int>(std::ceil(0.6 * s)))
+        << smaller;
+    ASSERT_EQ(n2.MinCommon(smaller, smaller),
+              static_cast<int>(std::ceil(0.5 * s)))
+        << smaller;
+  }
 }
 
 TEST(GenericPredTest, ExactFieldsAndCommonWords) {
