@@ -1,13 +1,12 @@
 // Load generator for the resident QueryService (src/serve/): drives
-// concurrent TopK count queries at configurable arrival rates and fault
-// probabilities and reports goodput, shed rate, degraded fraction, and
-// p50/p95/p99 latency per phase.
+// concurrent TopK count queries at configurable arrival rates and reports
+// goodput, shed rate, degraded fraction, and p50/p95/p99 latency per
+// phase.
 //
 // Phases:
 //   closed   `--clients` threads issue `--requests` queries back-to-back.
-//            With --clients=1 and a fixed --fault-seed the answered /
-//            error / retry / shed counts are exact replays — the
-//            deterministic keys the CI perf gate pins.
+//            With --clients=1 the answered / error / shed counts are
+//            exact replays — the deterministic keys the CI perf gate pins.
 //   rate<R>  One open-loop phase per `--rates=R1,R2,...` entry: requests
 //            are submitted at R per second regardless of completion, so
 //            rates above saturation exercise queue eviction and
@@ -15,12 +14,13 @@
 //            machine-dependent and stay in the gate's loose band.
 //
 // Every response must be an answer (exact or degraded) or a typed
-// rejection (ResourceExhausted / FailedPrecondition / Internal); anything
-// else exits nonzero, so a CI smoke run with TOPKDUP_FAULTS armed proves
-// the service degrades instead of crashing.
+// rejection (ResourceExhausted / FailedPrecondition); anything else exits
+// nonzero, so a smoke run proves the service degrades instead of
+// crashing. --wal-fault-prob arms the durability fault sites (seeded by
+// --fault-seed) so ingest rounds exercise the WAL rollback path.
 //
-//   load_serve --records=600 --requests=100 --rates=50,400 \
-//       --fault-prob=0.25 --json=BENCH_serve.json
+//   load_serve --records=600 --requests=100 --rates=50,400
+//       --json=BENCH_serve.json
 
 #include <algorithm>
 #include <atomic>
@@ -169,9 +169,8 @@ struct PhaseStats {
   int degraded = 0;          // Deadline-degraded answers.
   int breaker_degraded = 0;  // Bounds-only cached answers.
   int shed = 0;
-  int errors = 0;  // Typed errors (exhausted retries, breaker strict).
+  int errors = 0;  // Typed errors (breaker strict).
   int invalid = 0;  // Untyped / unexpected — fails the run.
-  uint64_t retries = 0;  // serve.retries delta over the phase.
   std::vector<double> latencies;  // Answered requests only.
 
   int answered() const { return exact + degraded + breaker_degraded; }
@@ -203,7 +202,6 @@ void Absorb(PhaseStats& stats, const serve::QueryResponse& response) {
     case StatusCode::kResourceExhausted:
       ++stats.shed;
       break;
-    case StatusCode::kInternal:
     case StatusCode::kFailedPrecondition:
       ++stats.errors;
       break;
@@ -383,7 +381,6 @@ PhaseStats RunClosedLoop(serve::QueryService& service,
   PhaseStats stats;
   stats.label = "closed";
   stats.requests = requests;
-  const uint64_t retries_before = service.Health().retries;
   std::vector<std::vector<serve::QueryResponse>> per_client(clients);
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> threads;
@@ -402,7 +399,6 @@ PhaseStats RunClosedLoop(serve::QueryService& service,
   for (const auto& responses : per_client) {
     for (const auto& response : responses) Absorb(stats, response);
   }
-  stats.retries = service.Health().retries - retries_before;
   return stats;
 }
 
@@ -413,7 +409,6 @@ PhaseStats RunOpenLoop(serve::QueryService& service,
   PhaseStats stats;
   stats.label = "rate" + std::to_string(rate);
   stats.requests = requests;
-  const uint64_t retries_before = service.Health().retries;
   std::vector<std::future<serve::QueryResponse>> futures;
   futures.reserve(requests);
   const Clock::time_point start = Clock::now();
@@ -428,7 +423,6 @@ PhaseStats RunOpenLoop(serve::QueryService& service,
   for (auto& future : futures) Absorb(stats, future.get());
   stats.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  stats.retries = service.Health().retries - retries_before;
   return stats;
 }
 
@@ -438,7 +432,6 @@ int Main(int argc, char** argv) {
   const int records = static_cast<int>(flags.GetInt("records", 600));
   const int requests = static_cast<int>(flags.GetInt("requests", 100));
   const int clients = static_cast<int>(flags.GetInt("clients", 1));
-  const double fault_prob = flags.GetDouble("fault-prob", 0.0);
   const int64_t fault_seed = flags.GetInt("fault-seed", 20090324);
   std::vector<int> rates = {50, 400};
   rates = flags.GetIntList("rates", rates);
@@ -508,11 +501,9 @@ int Main(int argc, char** argv) {
   auto service = std::make_unique<serve::QueryService>(options);
   // Register (and calibrate) before arming programmatic faults so the
   // cost estimate and the breaker's degraded-answer cache start clean.
-  // Env-armed faults (TOPKDUP_FAULTS) hit calibration too — that is the
-  // smoke configuration, and the service must survive it. With
-  // --requests=0 (the crash-harness ingest rounds) the query dataset is
-  // skipped entirely — registration and calibration cost would only slow
-  // the crash loop down.
+  // With --requests=0 (the crash-harness ingest rounds) the query dataset
+  // is skipped entirely — registration and calibration cost would only
+  // slow the crash loop down.
   if (requests > 0) {
     Status registered =
         service->RegisterDataset("cites", MakeCitationBundle(records, 7));
@@ -606,13 +597,9 @@ int Main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  if (fault_prob > 0.0) {
-    fault::ArmForTest("serve.query", fault_prob,
-                      static_cast<uint64_t>(fault_seed));
-  }
-  // Independent of the query-path faults: the chaos harness arms only the
-  // durability sites so crash rounds exercise the WAL rollback + retry
-  // path without perturbing the pinned query workload.
+  // The chaos harness arms the durability sites so crash rounds exercise
+  // the WAL rollback + ingest retry path; the query workload has no fault
+  // sites, so the pinned query counters are unaffected.
   const double wal_fault_prob = flags.GetDouble("wal-fault-prob", 0.0);
   if (wal_fault_prob > 0.0) {
     fault::ArmForTest("wal.append", wal_fault_prob,
@@ -697,8 +684,8 @@ int Main(int argc, char** argv) {
   // schedule whose steady state is 1 miss / 2 hits / 2 stale hits per 5
   // queries (ingest at i%5==3 invalidates the entry; the two queries that
   // follow it allow stale service), so the cache-path scalars the CI gate
-  // pins are exact. Runs after Drain + fault disarm so the fault RNG
-  // sequence consumed by the pinned phases is untouched.
+  // pins are exact. Runs after Drain + fault disarm so WAL faults never
+  // fail its ingests.
   int64_t cache_phase_hits = 0;
   int64_t cache_phase_stale = 0;
   int64_t cache_phase_miss = 0;
@@ -775,8 +762,7 @@ int Main(int argc, char** argv) {
   }
 
   const serve::HealthSnapshot health = service->Health();
-  std::printf("serve.retries=%llu serve.admitted=%llu serve.shed=%llu\n",
-              static_cast<unsigned long long>(health.retries),
+  std::printf("serve.admitted=%llu serve.shed=%llu\n",
               static_cast<unsigned long long>(health.admitted),
               static_cast<unsigned long long>(health.shed));
   if (want_stream) {
@@ -813,7 +799,6 @@ int Main(int argc, char** argv) {
       {"queue_capacity", static_cast<double>(options.queue_capacity)},
       {"deadline_ms", static_cast<double>(options.default_deadline_ms)},
       {"k", static_cast<double>(flags.GetInt("k", 5))},
-      {"fault_prob", fault_prob},
       {"fault_seed", static_cast<double>(fault_seed)},
   };
   for (size_t i = 0; i < rates.size(); ++i) {
@@ -838,8 +823,6 @@ int Main(int argc, char** argv) {
                          p.degraded + p.breaker_degraded);
     scalars.emplace_back(p.label + ".shed", p.shed);
     scalars.emplace_back(p.label + ".errors", p.errors);
-    scalars.emplace_back(p.label + ".retries",
-                         static_cast<double>(p.retries));
     scalars.emplace_back(p.label + ".goodput_qps", p.goodput_qps());
     scalars.emplace_back(p.label + ".p50_seconds",
                          Percentile(p.latencies, 0.50));

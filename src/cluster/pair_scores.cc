@@ -50,14 +50,6 @@ PairScores::PairScores(size_t n, double default_score,
     for (size_t i = 0; i < n; ++i) row_start_[i + 1] += cursor[l * n + i];
   }
   for (size_t i = 0; i < n; ++i) row_start_[i + 1] += row_start_[i];
-  // A region skipped by the `parallel.region` fault leaves the counts
-  // short (the caller's soft-fail handler then fails the query); keep the
-  // rows empty rather than scatter past them.
-  if (row_start_[n] != 2 * pair_count_) {
-    row_start_.assign(n + 1, 0);
-    pair_count_ = 0;
-    return;
-  }
   // Within row i, list 0's entries come first, then list 1's, and so on.
   std::vector<size_t> next(row_start_.begin(), row_start_.end() - 1);
   for (size_t l = 0; l < lists; ++l) {

@@ -1,9 +1,7 @@
 #include "common/deadline.h"
 
-#include <mutex>
-#include <vector>
-
 #include "common/log.h"
+#include "common/metrics.h"
 
 namespace topkdup {
 
@@ -60,87 +58,24 @@ void Deadline::Latch(DeadlineReason reason) const {
                                    std::memory_order_relaxed);
 }
 
-namespace {
-
-// Delivery can cross threads (a pool worker reporting into a handler
-// delegated from the region-launching thread), so status_ writes are
-// serialized by one global mutex; delivery is rare (per-fault), while
-// registration stays lock-free on the thread-local stack below.
-std::mutex& DeliveryMutex() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
+void MarkDegraded(const Deadline& deadline, const char* stage, int level,
+                  bool partial_stage, DegradationInfo* info) {
+  if (info->degraded) return;
+  info->degraded = true;
+  info->stage = stage;
+  info->level = level;
+  info->reason = deadline.reason();
+  info->work_done = deadline.work_charged();
+  info->work_budget = deadline.work_budget();
+  info->partial_stage = partial_stage;
+  auto& registry = metrics::Registry::Global();
+  registry.GetCounter("deadline.degraded_queries")->Increment();
+  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
+      ->Increment();
+  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
+                    << ") in stage " << stage
+                    << (level > 0 ? " at level " + std::to_string(level) : "")
+                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
 }
-
-// Innermost-last stack of handlers visible to *this thread*: the ones it
-// registered itself plus any delegated to it for the duration of a
-// parallel-region shard. Thread-local so a fault fired under query A can
-// never land in concurrently running query B's handler.
-std::vector<ScopedSoftFailHandler*>& HandlerStack() {
-  thread_local std::vector<ScopedSoftFailHandler*> stack;
-  return stack;
-}
-
-}  // namespace
-
-ScopedSoftFailHandler::ScopedSoftFailHandler() {
-  HandlerStack().push_back(this);
-}
-
-ScopedSoftFailHandler::~ScopedSoftFailHandler() {
-  auto& stack = HandlerStack();
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    if (*it == this) {
-      stack.erase(std::next(it).base());
-      break;
-    }
-  }
-}
-
-void ScopedSoftFailHandler::Deliver(Status status) {
-  std::lock_guard<std::mutex> lock(DeliveryMutex());
-  if (!triggered_.load(std::memory_order_relaxed)) {
-    status_ = std::move(status);
-    triggered_.store(true, std::memory_order_release);
-  }
-}
-
-bool ScopedSoftFailHandler::Report(Status status) {
-  ScopedSoftFailHandler* handler = internal::CurrentSoftFailHandler();
-  if (handler == nullptr) {
-    TOPKDUP_LOG(Warning)
-        << "soft failure with no handler registered on this thread: "
-        << status.ToString();
-    return false;
-  }
-  handler->Deliver(std::move(status));
-  return true;
-}
-
-bool ScopedSoftFailHandler::triggered() const {
-  return triggered_.load(std::memory_order_acquire);
-}
-
-Status ScopedSoftFailHandler::status() const {
-  std::lock_guard<std::mutex> lock(DeliveryMutex());
-  return triggered_.load(std::memory_order_relaxed) ? status_ : Status::OK();
-}
-
-namespace internal {
-
-ScopedSoftFailHandler* CurrentSoftFailHandler() {
-  auto& stack = HandlerStack();
-  return stack.empty() ? nullptr : stack.back();
-}
-
-ScopedSoftFailDelegate::ScopedSoftFailDelegate(ScopedSoftFailHandler* handler)
-    : installed_(handler != nullptr) {
-  if (installed_) HandlerStack().push_back(handler);
-}
-
-ScopedSoftFailDelegate::~ScopedSoftFailDelegate() {
-  if (installed_) HandlerStack().pop_back();
-}
-
-}  // namespace internal
 
 }  // namespace topkdup

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/status.h"
-
 namespace topkdup {
 
 /// Cooperative cancellation flag. The caller keeps the token alive for the
@@ -150,7 +148,7 @@ class Deadline {
 struct DegradationInfo {
   bool degraded = false;
   /// Stage that stopped first: "collapse", "lower_bound", "prune",
-  /// "pair_scoring", "segment_dp", "simplex".
+  /// "pair_scoring", "segment_dp", "rank_resolution", "simplex".
   std::string stage;
   /// 1-based predicate level the stage was working on (0 when the stage is
   /// not per-level, e.g. segmentation).
@@ -166,67 +164,14 @@ struct DegradationInfo {
   bool partial_stage = false;
 };
 
-/// Registers the calling scope as this thread's sink for soft failures
-/// reported by code with no Status return channel (the thread pool's
-/// fault-injection site). Handlers nest per thread; Report() delivers to
-/// the reporting thread's innermost live handler and the first reported
-/// status wins. The stack is thread-local, so concurrent queries on
-/// different threads can never receive each other's faults; parallel
-/// workers inherit the region-launching thread's innermost handler for
-/// the duration of a shard (internal::ScopedSoftFailDelegate, installed
-/// by the pool). Handlers must be stack-allocated and be destroyed on the
-/// thread that created them.
-class ScopedSoftFailHandler {
- public:
-  ScopedSoftFailHandler();
-  ~ScopedSoftFailHandler();
-  ScopedSoftFailHandler(const ScopedSoftFailHandler&) = delete;
-  ScopedSoftFailHandler& operator=(const ScopedSoftFailHandler&) = delete;
-
-  /// Delivers `status` to the reporting thread's innermost live handler.
-  /// Returns false (and logs a warning) when this thread has no handler,
-  /// registered or delegated.
-  static bool Report(Status status);
-
-  bool triggered() const;
-  /// The first status reported while this handler was innermost (OK when
-  /// not triggered).
-  Status status() const;
-
- private:
-  /// Records `status` if this handler has not triggered yet. May be
-  /// called from a thread other than the registering one (a pool worker
-  /// delivering into a delegated handler).
-  void Deliver(Status status);
-
-  mutable std::atomic<bool> triggered_{false};
-  Status status_;  // Guarded by the global delivery mutex.
-};
-
-namespace internal {
-
-/// Innermost soft-fail handler registered or delegated on this thread
-/// (null when none). The thread pool captures this when launching a
-/// region so its workers can inherit it.
-ScopedSoftFailHandler* CurrentSoftFailHandler();
-
-/// Installs an existing handler (null: no-op) as this thread's innermost
-/// soft-fail sink for the current scope. The pool wraps each shard with
-/// one so a worker's Report lands in the handler of the thread that
-/// launched the region — which blocks until the region completes, keeping
-/// the handler alive past every delegate.
-class ScopedSoftFailDelegate {
- public:
-  explicit ScopedSoftFailDelegate(ScopedSoftFailHandler* handler);
-  ~ScopedSoftFailDelegate();
-  ScopedSoftFailDelegate(const ScopedSoftFailDelegate&) = delete;
-  ScopedSoftFailDelegate& operator=(const ScopedSoftFailDelegate&) = delete;
-
- private:
-  const bool installed_;
-};
-
-}  // namespace internal
+/// Fills `info` for a query whose deadline expired in `stage` and bumps
+/// the `deadline.degraded_queries` and `deadline.stage_stopped.<stage>`
+/// counters. The first stop wins: a later call on an already degraded
+/// `info` does nothing. `level` is the 1-based predicate level of a
+/// per-level stage, 0 for query-level stages (pair scoring, segmentation,
+/// rank resolution).
+void MarkDegraded(const Deadline& deadline, const char* stage, int level,
+                  bool partial_stage, DegradationInfo* info);
 
 }  // namespace topkdup
 

@@ -12,23 +12,23 @@ namespace topkdup::fault {
 
 /// Named, deterministically-seeded fault-injection sites.
 ///
-/// Production code plants sites at error-path boundaries (the CSV reader,
-/// the thread pool, each pipeline stage, the rank query, streaming
-/// ingestion — `online.ingest` — the resident query service —
-/// `serve.query` — and the durability layer — `wal.append` fires before a
-/// WAL frame is written, `wal.fsync` wherever a sync would be issued, so
-/// chaos runs exercise the ingest rollback and breaker paths) with
-/// TOPKDUP_FAULT_RETURN_IF; when
-/// a site fires it returns an Internal Status naming the site, so tests and
-/// CI can prove every error path propagates instead of crashing or hanging.
+/// Production code plants sites with TOPKDUP_FAULT_RETURN_IF only where a
+/// real failure can happen: reading a CSV file (`csv.read`), ingesting a
+/// streaming mention (`online.ingest`), and the durability layer
+/// (`wal.append` fires before a WAL frame is written, `wal.fsync` wherever
+/// a sync would be issued), so chaos runs exercise the ingest rollback and
+/// breaker paths. The query pipeline is a deterministic function of its
+/// input and has no sites. A fired site returns an Internal Status naming
+/// the site, so tests and CI can prove the error path propagates instead
+/// of crashing or hanging.
 ///
 /// Disabled (the default) the whole machinery compiles down to one relaxed
 /// atomic load per site visit. Enable with the environment variable
 ///
 ///   TOPKDUP_FAULTS=site:prob:seed[,site:prob:seed...]
 ///
-/// e.g. TOPKDUP_FAULTS=dedup.collapse:1.0:7 or
-/// TOPKDUP_FAULTS=csv.read:0.01:42,parallel.region:0.5:9. Draws are pure
+/// e.g. TOPKDUP_FAULTS=csv.read:1.0:7 or
+/// TOPKDUP_FAULTS=csv.read:0.01:42,wal.fsync:0.5:9. Draws are pure
 /// functions of (seed, site, per-site visit counter) via splitmix64, so a
 /// given configuration fires at exactly the same visits on every run.
 

@@ -11,9 +11,6 @@
 #include <cerrno>
 #include <limits>
 
-#include "common/check.h"
-#include "common/deadline.h"
-#include "common/faultpoint.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/resource_meter.h"
@@ -218,21 +215,6 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // The pool has no Status channel back to its caller, so this fault is
-  // delivered through the calling thread's soft-failure handler; the
-  // region is skipped, and the driver surfaces the Status at its next
-  // stage check. Skipping a region with nobody to deliver to would
-  // silently corrupt the caller's results, so a missing handler — a
-  // query entry point that forgot to register one — is a programmer
-  // error and fails hard rather than quietly.
-  if (fault::Enabled() && fault::Fires("parallel.region")) {
-    const bool delivered = ScopedSoftFailHandler::Report(
-        Status::Internal("fault injected at parallel.region"));
-    TOPKDUP_CHECK(delivered &&
-                  "parallel.region fired with no ScopedSoftFailHandler");
-    return;
-  }
-
   // Pool utilization metrics: per-region latency, per-shard task latency,
   // and a queue-depth gauge tracking shards not yet claimed. Handles are
   // resolved once; the per-shard cost is one clock read plus striped
@@ -259,17 +241,13 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& fn) {
   span.AddArg("shards", static_cast<int64_t>(num_shards));
   span.AddArg("threads", threads);
 
-  // Workers must deliver soft failures reported from inside `fn` to the
-  // handler of the thread launching this region — their own thread-local
-  // stacks belong to whatever query last ran on them.
-  ScopedSoftFailHandler* soft_fail_sink = CurrentSoftFailHandler();
-  // Same delegation for resource attribution: shard CPU is charged to
-  // the launching thread's meter under the stage that was current at
-  // region launch, so fan-out doesn't lose per-query CPU accounting.
+  // Shard CPU is charged to the launching thread's meter under the stage
+  // that was current at region launch, so fan-out doesn't lose per-query
+  // CPU accounting: a pool worker's own thread-local attribution belongs
+  // to whatever query last ran on it.
   const resource::internal::Attribution meter_sink =
       resource::internal::CurrentAttribution();
   const auto instrumented = [&](size_t s) {
-    ScopedSoftFailDelegate soft_fail_delegate(soft_fail_sink);
     resource::ScopedMeterAttach meter_attach(meter_sink.meter,
                                              meter_sink.stage);
     // `s` is claimed in increasing order, so num_shards - s approximates

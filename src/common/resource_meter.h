@@ -31,8 +31,7 @@ namespace topkdup::resource {
 ///     attribution from the stage they run under.
 ///  3. common/parallel's region launch captures the launching thread's
 ///     attachment (meter + current stage) and installs it on each worker
-///     for the duration of a shard — the same delegation pattern the
-///     soft-failure channel uses — so CPU burned on pool workers is
+///     for the duration of a shard, so CPU burned on pool workers is
 ///     charged to the stage whose region fanned out.
 ///
 /// Because every charged interval is exclusive (a thread is in exactly one

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/faultpoint.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -51,31 +50,6 @@ struct StageCounters {
 
 }  // namespace
 
-namespace {
-
-/// Fills the result's DegradationInfo once (the first stop wins) and bumps
-/// the topkdup_deadline_* metrics.
-void MarkDegraded(const Deadline& deadline, const char* stage, int level,
-                  bool partial_stage, DegradationInfo* info) {
-  if (info->degraded) return;
-  info->degraded = true;
-  info->stage = stage;
-  info->level = level;
-  info->reason = deadline.reason();
-  info->work_done = deadline.work_charged();
-  info->work_budget = deadline.work_budget();
-  info->partial_stage = partial_stage;
-  auto& registry = metrics::Registry::Global();
-  registry.GetCounter("deadline.degraded_queries")->Increment();
-  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
-      ->Increment();
-  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
-                    << ") in stage " << stage << " at level " << level
-                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
-}
-
-}  // namespace
-
 StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
     const PrunedDedupOptions& options) {
@@ -90,9 +64,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   }
   ScopedParallelism parallelism(options.threads);
   const Deadline* deadline = options.deadline;
-  // Receives soft failures reported by code below us with no Status
-  // channel (the thread pool's fault site); checked after each stage.
-  ScopedSoftFailHandler soft_fail;
   const StageCounters& counters = StageCounters::Get();
   const metrics::MetricsSnapshot snapshot_before =
       metrics::Registry::Global().Snapshot();
@@ -153,10 +124,8 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     bool stopped = false;
 
     if (level.sufficient != nullptr) {
-      TOPKDUP_FAULT_RETURN_IF("dedup.collapse");
       groups = Collapse(groups, *level.sufficient, recorder, deadline,
                         options.index_cache);
-      if (soft_fail.triggered()) return soft_fail.status();
       if (deadline != nullptr && deadline->Expired()) {
         // The closure may be missing edges from skipped shards: a valid
         // but under-collapsed partition. Bounds from previous levels no
@@ -175,7 +144,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     stats.records_collapsed = groups_before - groups.size();
 
     if (!stopped && level.necessary != nullptr) {
-      TOPKDUP_FAULT_RETURN_IF("dedup.lower_bound");
       timer.Reset();
       LowerBoundOptions lb_options = options.lower_bound;
       lb_options.recorder = recorder;
@@ -201,7 +169,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
       }
 
       if (!stopped) {
-        TOPKDUP_FAULT_RETURN_IF("dedup.prune");
         timer.Reset();
         PruneOptions prune_options;
         prune_options.passes = options.prune_passes;
@@ -210,7 +177,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
         prune_options.index_cache = options.index_cache;
         PruneResult pruned = PruneGroups(groups, *level.necessary, lb.M,
                                          prune_options, options.exact_bounds);
-        if (soft_fail.triggered()) return soft_fail.status();
         stats.prune_seconds = timer.ElapsedSeconds();
         stats.groups_pruned = groups.size() - pruned.groups.size();
         groups = std::move(pruned.groups);

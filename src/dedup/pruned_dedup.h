@@ -129,8 +129,8 @@ struct PrunedDedupOptions {
   const Deadline* deadline = nullptr;
   /// When non-null, every stage's blocking index resolves through this
   /// cache (resident serving builds each index once per dataset and
-  /// reuses it — memoized — across requests and retries); null keeps the
-  /// historical build-per-stage behavior.
+  /// reuses it — memoized — across requests); null keeps the historical
+  /// build-per-stage behavior.
   predicates::IndexCache* index_cache = nullptr;
 };
 

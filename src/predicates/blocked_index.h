@@ -158,8 +158,8 @@ class BlockedIndex {
 
   /// Opt-in per-item candidate memoization for resident indexes that are
   /// queried repeatedly (the serve path registers an index once and reuses
-  /// it across requests and retries). The first enumeration of an item
-  /// decodes postings as usual and records the emitted candidate list; any
+  /// it across requests). The first enumeration of an item decodes
+  /// postings as usual and records the emitted candidate list; any
   /// repeat enumeration of the same item replays that list in identical
   /// order without touching a block. Memory is bounded by the total
   /// candidate count, which is why one-shot pipeline builds leave this off.

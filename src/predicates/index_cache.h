@@ -17,11 +17,11 @@ namespace topkdup::predicates {
 /// one cache per dataset: every pipeline stage that would otherwise
 /// rebuild the same index on every request — collapse over the full record
 /// set, CPN probes over the same weight-sorted group representatives,
-/// pruning, pair scoring, and retries of all of the above — shares one
-/// immutable index instead. Cached indexes have their per-item candidate
-/// memo enabled (BlockedIndex::EnableCandidateMemo), so repeat
-/// enumerations of an item replay its recorded candidate list without
-/// decoding a single posting block.
+/// pruning, and pair scoring — shares one immutable index instead.
+/// Cached indexes have their per-item candidate memo enabled
+/// (BlockedIndex::EnableCandidateMemo), so repeat enumerations of an item
+/// replay its recorded candidate list without decoding a single posting
+/// block.
 ///
 /// Keys compare the item vector exactly (no hashing shortcut), so a hit
 /// can never serve an index over the wrong item set; a request whose

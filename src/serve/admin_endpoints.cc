@@ -74,13 +74,11 @@ std::string StatuszJson(const QueryService& service,
   out += StrFormat(",\"uptime_seconds\":%.3f", uptime);
   out += StrFormat(
       ",\"serve\":{\"ready\":%s,\"queue_depth\":%zu,\"inflight\":%zu,"
-      "\"workers\":%d,\"admitted\":%llu,\"completed\":%llu,\"shed\":%llu,"
-      "\"retries\":%llu}",
+      "\"workers\":%d,\"admitted\":%llu,\"completed\":%llu,\"shed\":%llu}",
       health.ready ? "true" : "false", health.queue_depth, health.inflight,
       health.workers, static_cast<unsigned long long>(health.admitted),
       static_cast<unsigned long long>(health.completed),
-      static_cast<unsigned long long>(health.shed),
-      static_cast<unsigned long long>(health.retries));
+      static_cast<unsigned long long>(health.shed));
   out += StrFormat(
       ",\"index_cache\":{\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.4f,"
       "\"evictions\":%llu}",

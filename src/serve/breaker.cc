@@ -89,13 +89,8 @@ void CircuitBreaker::OnSuccess(Decision decision) {
   if (state_ == BreakerState::kClosed) PushOutcomeLocked(false);
 }
 
-void CircuitBreaker::OnFailure(Decision decision) {
+void CircuitBreaker::OnFailure() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (decision == Decision::kProbe) {
-    probes_in_flight_ = std::max(0, probes_in_flight_ - 1);
-    TripLocked();  // Any probe failure reopens with a fresh cooldown.
-    return;
-  }
   if (state_ != BreakerState::kClosed) return;
   PushOutcomeLocked(true);
   if (count_ >= options_.min_samples &&
@@ -112,7 +107,7 @@ void CircuitBreaker::OnAbandon(Decision decision) {
   }
 }
 
-void CircuitBreaker::OnShed() { OnFailure(Decision::kProceed); }
+void CircuitBreaker::OnShed() { OnFailure(); }
 
 BreakerState CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -30,7 +30,7 @@ struct BreakerOptions {
   /// How long an open breaker rejects before allowing half-open probes.
   int64_t cooldown_ms = 250;
   /// Half-open probe quota: at most this many probes in flight, and this
-  /// many consecutive probe successes close the breaker again.
+  /// many probe successes close the breaker again.
   int probe_quota = 2;
   /// Monotonic clock in milliseconds; tests inject a manual clock for
   /// deterministic state-machine coverage. Null uses steady_clock.
@@ -41,19 +41,22 @@ struct BreakerOptions {
 ///
 /// State machine: Closed --(failure/shed rate over the window >=
 /// trip_ratio)--> Open --(cooldown elapses)--> HalfOpen --(probe_quota
-/// consecutive probe successes)--> Closed, or --(any probe failure)-->
-/// Open again with a fresh cooldown.
+/// probe successes)--> Closed. A failure or shed reported while not
+/// Closed changes nothing; a half-open probe that does not succeed only
+/// releases its slot.
 ///
 /// The caller (QueryService) pairs every Admit() == kProceed/kProbe with
-/// exactly one OnSuccess/OnFailure carrying the same decision, and reports
-/// admission-queue sheds via OnShed(): overload counts toward tripping
-/// just like errors, so a dataset drowning in traffic stops accepting more
-/// work it cannot finish. Thread-safe.
+/// exactly one OnSuccess or OnAbandon carrying the same decision. Query
+/// errors are the request's own (the pipeline is deterministic), so they
+/// release the decision neutrally; what counts against the dataset are
+/// admission-queue sheds (OnShed: a dataset drowning in traffic stops
+/// accepting work it cannot finish) and ingest I/O failures (OnFailure).
+/// Thread-safe.
 class CircuitBreaker {
  public:
   enum class Decision {
     kProceed,  // Closed: execute normally.
-    kProbe,    // HalfOpen: execute; the outcome decides reopen vs close.
+    kProbe,    // HalfOpen: execute; probe_quota successes close it.
     kReject,   // Open (or probe quota busy): serve degraded / typed error.
   };
 
@@ -63,14 +66,18 @@ class CircuitBreaker {
   /// when the cooldown has elapsed.
   Decision Admit();
 
-  /// Outcome of a request previously admitted with `decision`.
+  /// A request previously admitted with `decision` succeeded.
   void OnSuccess(Decision decision);
-  void OnFailure(Decision decision);
 
   /// The request admitted with `decision` never executed (shed in queue,
-  /// shutdown). Releases a probe slot without judging the dataset — an
-  /// abandoned probe says nothing about its health.
+  /// shutdown) or failed for a reason of its own. Releases a probe slot
+  /// without judging the dataset — such a request says nothing about its
+  /// health.
   void OnAbandon(Decision decision);
+
+  /// A dataset failure outside any admitted request (an ingest I/O
+  /// error), counted into the window; ignored while not Closed.
+  void OnFailure();
 
   /// An admission-queue shed of a request for this dataset (counted into
   /// the window as a failure-class outcome; ignored while not Closed so an

@@ -84,7 +84,7 @@ std::string RequestLogEvent::ToJsonLine() const {
     out += ",\"shed_reason\":";
     AppendJsonString(out, shed_reason);
   }
-  out += StrFormat(",\"attempts\":%d,\"retries\":%d", attempts, retries);
+  out += StrFormat(",\"attempts\":%d", attempts);
   out += StrFormat(",\"queue_seconds\":%.6f,\"latency_seconds\":%.6f",
                    queue_seconds, latency_seconds);
   out += ",\"attempt_seconds\":[";

@@ -19,9 +19,8 @@ namespace topkdup::serve {
 /// JSON line per terminal query disposition, carrying everything an
 /// operator needs to answer "what happened to query N" without
 /// correlating five systems — id, dataset, shape (k/r), outcome, answer
-/// quality, degradation stage/reason, shed reason, retries, queue wait,
-/// per-attempt execution latency, and the per-stage work counters the
-/// query charged.
+/// quality, degradation stage/reason, shed reason, attempts, queue wait,
+/// execution latency, and the per-stage work counters the query charged.
 ///
 /// Emission policy (the wide-event discipline): anything unusual — a
 /// degraded, shed, errored, or slow query — is ALWAYS emitted; healthy
@@ -82,13 +81,13 @@ struct RequestLogEvent {
   std::string degradation_stage;
   std::string degradation_reason;
   std::string shed_reason;  // Non-empty only for shed outcomes.
+  /// Execution attempts: 1 when the query ran, 0 otherwise.
   int attempts = 0;
-  int retries = 0;
   double queue_seconds = 0.0;
   double latency_seconds = 0.0;
-  /// Wall seconds of each execution attempt, in order.
+  /// Wall seconds of the execution attempt (empty when it never ran).
   std::vector<double> attempt_seconds;
-  /// Total CPU milliseconds the query's attempts charged to its
+  /// Total CPU milliseconds the query's attempt charged to its
   /// ResourceMeter (0 for queries that never executed: sheds,
   /// validation rejections).
   double cpu_ms = 0.0;

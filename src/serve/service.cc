@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/faultpoint.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/resource_meter.h"
@@ -125,7 +124,7 @@ struct QueryService::DatasetState {
   /// Per-dataset blocking-index cache: every stage of every query on this
   /// dataset resolves its index here, so each (predicate, item-set) pair
   /// is built once — at registration for the full-corpus indexes — and
-  /// reused, memoized, across requests and retries.
+  /// reused, memoized, across requests.
   predicates::IndexCache index_cache;
 
   CircuitBreaker breaker;
@@ -190,11 +189,11 @@ struct QueryService::Pending {
   CircuitBreaker::Decision decision = CircuitBreaker::Decision::kProceed;
   Clock::time_point admitted_at{};
   double queue_seconds = 0.0;
-  /// Wall seconds of each execution attempt, in submission order; feeds
-  /// the wide-event request-log line.
+  /// Wall seconds of the execution attempt (empty when the request never
+  /// executed); feeds the wide-event request-log line.
   std::vector<double> attempt_seconds;
   /// Per-query resource attribution: attached to the executing thread
-  /// for each attempt, delegated into pool workers by parallel-region
+  /// for the attempt, delegated into pool workers by parallel-region
   /// launch, read out once in FinishResponse.
   resource::ResourceMeter meter;
   /// For predicted-miss sheds: what the model predicted and the unit
@@ -211,7 +210,6 @@ QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)) {
   auto& registry = metrics::Registry::Global();
   admitted_counter_ = registry.GetCounter("serve.admitted");
-  retries_counter_ = registry.GetCounter("serve.retries");
   completed_counter_ = registry.GetCounter("serve.completed");
   errors_counter_ = registry.GetCounter("serve.errors");
   breaker_degraded_counter_ = registry.GetCounter("serve.breaker_degraded");
@@ -510,9 +508,9 @@ Status QueryService::Ingest(std::string_view dataset, record::Record mention) {
   }
   if (!status.ok()) {
     // Feed the dataset's breaker: sustained WAL failures (disk full,
-    // injected faults) trip it just like query failures, shifting reads
-    // to degraded answers while writes are broken.
-    ds->breaker.OnFailure(CircuitBreaker::Decision::kProceed);
+    // injected faults) trip it just like sheds do, shifting reads to
+    // degraded answers while writes are broken.
+    ds->breaker.OnFailure();
     UpdateBreakerGauge(*ds);
     return status;
   }
@@ -548,6 +546,15 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
     QueryResponse response;
     response.status =
         Status::InvalidArgument("Submit: k and r must be >= 1");
+    FinishResponse(*pending, std::move(response));
+    return future;
+  }
+  // TopKCountQuery would reject a larger r only after the request took a
+  // queue slot and a worker; rank queries ignore r.
+  if (req.kind == QueryKind::kTopKCount && req.r > topk::kMaxAnswers) {
+    QueryResponse response;
+    response.status = Status::InvalidArgument(
+        StrFormat("Submit: r must be <= %d", topk::kMaxAnswers));
     FinishResponse(*pending, std::move(response));
     return future;
   }
@@ -828,93 +835,74 @@ void QueryService::Process(Pending& pending) {
 void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
                                CircuitBreaker::Decision decision,
                                QueryResponse* response) {
+  // One attempt under whatever budget the queue wait left: the pipeline
+  // is deterministic in (snapshot, request), so a failed attempt would
+  // fail again.
   const Clock::time_point deadline_at =
       pending.admitted_at + std::chrono::milliseconds(pending.budget_ms);
-  Status last_error;
-  int attempts_run = 0;
-  for (int attempt = 0;; ++attempt) {
-    // Each attempt runs under a fresh slice of whatever budget is left, so
-    // the retry loop can never exceed the caller's original deadline.
-    const int64_t remaining = MillisUntil(deadline_at);
-    if (attempt > 0 && remaining <= 0) break;
-    Deadline deadline =
-        pending.request.work_budget > 0
-            ? Deadline::WithWorkBudget(pending.request.work_budget)
-            : Deadline::AfterMillis(std::max<int64_t>(1, remaining));
-    if (pending.request.cancel != nullptr) {
-      deadline.set_cancel_token(pending.request.cancel);
-    }
-    const double cpu_before = pending.meter.CpuSeconds();
-    const Clock::time_point start = Clock::now();
-    StatusOr<QueryResponse> attempt_or = Status::Internal("attempt not run");
-    {
-      // Attribute this attempt's CPU — on this worker and on every pool
-      // worker its regions fan out to — to the request's meter.
-      resource::ScopedMeterAttach meter_attach(&pending.meter);
-      attempt_or = RunOnce(ds, pending.request, deadline, pending.id);
-    }
-    const double exec_seconds = SecondsSince(start);
-    const double attempt_cpu = pending.meter.CpuSeconds() - cpu_before;
-    pending.attempt_seconds.push_back(exec_seconds);
-    attempts_run = attempt + 1;
-    if (attempt_or.ok()) {
-      *response = std::move(attempt_or).value();
-      response->attempts = attempt + 1;
-      // Fold the attempt into the dataset's cost model: attributed CPU,
-      // wall time, and the work units its result metrics carried.
-      const metrics::MetricsSnapshot* attempt_work =
-          pending.request.kind == QueryKind::kTopKRank
-              ? (response->rank.has_value() ? &response->rank->pruning.metrics
-                                            : nullptr)
-              : &response->result.metrics;
-      CostModel::Observation cost;
-      cost.cpu_seconds = attempt_cpu;
-      cost.wall_seconds = exec_seconds;
-      if (attempt_work != nullptr) {
-        cost.candidate_pairs =
-            attempt_work->CounterValue("predicates.blocked_index.candidates");
-        cost.postings_decoded = attempt_work->CounterValue(
-            "predicates.blocked_index.postings_decoded");
-        pending.meter.ChargeWork("candidate_pairs", cost.candidate_pairs);
-        pending.meter.ChargeWork("postings_decoded", cost.postings_decoded);
-      }
-      ds.cost_model.Observe(cost);
-      ds.RecordSample(exec_seconds);
-      ds.served.fetch_add(1, std::memory_order_relaxed);
-      ds.breaker.OnSuccess(decision);
-      UpdateBreakerGauge(ds);
-      completed_counter_->Increment();
-      completed_total_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    last_error = attempt_or.status();
-    if (!RetryPolicy::IsRetryable(last_error.code()) ||
-        attempt >= options_.retry.max_retries) {
-      break;
-    }
-    const int64_t backoff =
-        options_.retry.BackoffMillis(pending.id, attempt + 1);
-    if (backoff >= MillisUntil(deadline_at)) break;  // Cannot afford it.
-    retries_counter_->Increment();
-    retries_total_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+  Deadline deadline =
+      pending.request.work_budget > 0
+          ? Deadline::WithWorkBudget(pending.request.work_budget)
+          : Deadline::AfterMillis(
+                std::max<int64_t>(1, MillisUntil(deadline_at)));
+  if (pending.request.cancel != nullptr) {
+    deadline.set_cancel_token(pending.request.cancel);
   }
-  response->status = std::move(last_error);
-  response->outcome = ServedOutcome::kError;
-  // Error responses previously reported attempts == 0; the wide-event
-  // retries field made that visible, so report the attempts actually run.
-  response->attempts = attempts_run;
-  ds.errors.fetch_add(1, std::memory_order_relaxed);
-  errors_counter_->Increment();
-  ds.breaker.OnFailure(decision);
+  const Clock::time_point start = Clock::now();
+  StatusOr<QueryResponse> attempt_or = Status::Internal("attempt not run");
+  {
+    // Attribute the attempt's CPU — on this worker and on every pool
+    // worker its regions fan out to — to the request's meter.
+    resource::ScopedMeterAttach meter_attach(&pending.meter);
+    attempt_or = RunOnce(ds, pending.request, deadline, pending.id);
+  }
+  const double exec_seconds = SecondsSince(start);
+  pending.attempt_seconds.push_back(exec_seconds);
+  if (!attempt_or.ok()) {
+    response->status = attempt_or.status();
+    response->outcome = ServedOutcome::kError;
+    response->attempts = 1;
+    ds.errors.fetch_add(1, std::memory_order_relaxed);
+    errors_counter_->Increment();
+    // Every error RunOnce can return is deterministic in the request and
+    // the snapshot (an empty stream, fewer candidate groups than k), so it
+    // says nothing about the dataset's health: release the decision.
+    ds.breaker.OnAbandon(decision);
+    return;
+  }
+  *response = std::move(attempt_or).value();
+  response->attempts = 1;
+  // Fold the attempt into the dataset's cost model: attributed CPU, wall
+  // time, and the work units its result metrics carried.
+  const metrics::MetricsSnapshot* attempt_work =
+      pending.request.kind == QueryKind::kTopKRank
+          ? (response->rank.has_value() ? &response->rank->pruning.metrics
+                                        : nullptr)
+          : &response->result.metrics;
+  CostModel::Observation cost;
+  cost.cpu_seconds = pending.meter.CpuSeconds();
+  cost.wall_seconds = exec_seconds;
+  if (attempt_work != nullptr) {
+    cost.candidate_pairs =
+        attempt_work->CounterValue("predicates.blocked_index.candidates");
+    cost.postings_decoded = attempt_work->CounterValue(
+        "predicates.blocked_index.postings_decoded");
+    pending.meter.ChargeWork("candidate_pairs", cost.candidate_pairs);
+    pending.meter.ChargeWork("postings_decoded", cost.postings_decoded);
+  }
+  ds.cost_model.Observe(cost);
+  ds.RecordSample(exec_seconds);
+  ds.served.fetch_add(1, std::memory_order_relaxed);
+  ds.breaker.OnSuccess(decision);
   UpdateBreakerGauge(ds);
+  completed_counter_->Increment();
+  completed_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
 StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
                                               const QueryRequest& request,
                                               const Deadline& deadline,
                                               uint64_t query_id) {
-  TOPKDUP_FAULT_RETURN_IF("serve.query");
   // The query_id arg on this span is the join key back to the request-log
   // line and any captured explain report for this query.
   trace::Span span("serve.query");
@@ -1197,7 +1185,6 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
     event.staleness_weight = response.staleness_weight;
     event.shed_reason = response.shed_reason;
     event.attempts = response.attempts;
-    event.retries = std::max(0, response.attempts - 1);
     event.queue_seconds = response.queue_seconds;
     event.latency_seconds = response.latency_seconds;
     event.attempt_seconds = pending.attempt_seconds;
@@ -1336,7 +1323,6 @@ HealthSnapshot QueryService::Health() const {
   health.workers = options_.workers;
   health.admitted = admitted_total_.load(std::memory_order_relaxed);
   health.shed = shed_total_.load(std::memory_order_relaxed);
-  health.retries = retries_total_.load(std::memory_order_relaxed);
   health.completed = completed_total_.load(std::memory_order_relaxed);
   bool any_serving = false;
   {

@@ -27,7 +27,6 @@
 #include "serve/breaker.h"
 #include "serve/cost_model.h"
 #include "serve/request_log.h"
-#include "serve/retry.h"
 #include "serve/wal.h"
 #include "topk/online.h"
 #include "topk/rank_query.h"
@@ -50,13 +49,12 @@ struct QueryRequest {
   int r = 1;
   /// Caller's wall-clock budget. 0 uses the service default; any value is
   /// clamped to ServiceOptions::max_deadline_ms. The budget covers queue
-  /// wait, every execution attempt, and every retry backoff — a retried
-  /// request never exceeds it.
+  /// wait and execution: the one execution attempt runs under whatever
+  /// the queue wait left of it.
   int64_t deadline_ms = 0;
-  /// When nonzero, each execution attempt runs under this deterministic
-  /// work-unit budget instead of a wall-clock slice (tests and
-  /// reproducible benches; the wall budget still governs queueing and
-  /// retries).
+  /// When nonzero, execution runs under this deterministic work-unit
+  /// budget instead of the remaining wall-clock budget (tests and
+  /// reproducible benches; the wall budget still governs queueing).
   uint64_t work_budget = 0;
   /// Optional cooperative cancellation (not owned; must outlive the
   /// response future).
@@ -77,17 +75,17 @@ enum class ServedOutcome : int {
   kDegraded = 1,         // Deadline-degraded answer with sound intervals.
   kBreakerDegraded = 2,  // Bounds-only cached answer; breaker open.
   kShed = 3,             // Load-shed before execution (ResourceExhausted).
-  kError = 4,            // Typed error (breaker, validation, or exhausted
-                         // retries of a transient failure).
+  kError = 4,            // Typed error (validation, breaker strict, or a
+                         // request the pipeline rejected).
 };
 
 const char* ServedOutcomeName(ServedOutcome outcome);
 
 struct QueryResponse {
-  /// OK for kExact / kDegraded / kBreakerDegraded; the typed rejection or
-  /// failure otherwise (ResourceExhausted = shed, FailedPrecondition =
-  /// breaker open with no cached answer, Internal = transient failure
-  /// surviving every retry).
+  /// OK for kExact / kDegraded / kBreakerDegraded; the typed rejection
+  /// otherwise (ResourceExhausted = shed, FailedPrecondition = breaker open
+  /// with no cached answer or a dataset the query cannot run on yet,
+  /// InvalidArgument / NotFound = a request that failed validation).
   Status status;
   /// Count-query answer (kind == kTopKCount and status.ok()).
   topk::TopKCountResult result;
@@ -102,14 +100,14 @@ struct QueryResponse {
   /// Shed reason ("queue_full", "predicted_miss", "expired_in_queue",
   /// "shutdown") when outcome == kShed; empty otherwise.
   std::string shed_reason;
-  /// Execution attempts made (0 when shed before execution; retries make
-  /// this > 1).
+  /// Execution attempts made: 1 when the query ran, 0 when it was answered
+  /// or rejected before execution.
   int attempts = 0;
   /// Seconds spent queued before execution began.
   double queue_seconds = 0.0;
-  /// Admission-to-response wall seconds (queue + attempts + backoffs).
+  /// Admission-to-response wall seconds (queue + execution).
   double latency_seconds = 0.0;
-  /// CPU seconds the query's execution attempts charged to its
+  /// CPU seconds the query's execution attempt charged to its
   /// ResourceMeter, across every pool worker the work fanned out to (0
   /// for requests that never executed). Identically the sum of
   /// stage_cpu_seconds.
@@ -172,8 +170,6 @@ struct ServiceOptions {
   /// decoded); until the model has a sample the observed wall p50 is the
   /// fallback. The refusal message cites the measured unit costs used.
   bool shed_on_predicted_miss = true;
-  /// Retry/backoff schedule for transient (Internal) failures.
-  RetryPolicy retry;
   /// Per-dataset circuit breaker configuration.
   BreakerOptions breaker;
   /// Run one calibration query at registration to seed the dataset's cost
@@ -264,7 +260,6 @@ struct HealthSnapshot {
   int workers = 0;
   uint64_t admitted = 0;
   uint64_t shed = 0;
-  uint64_t retries = 0;
   uint64_t completed = 0;
   std::vector<DatasetHealth> datasets;
 };
@@ -272,7 +267,8 @@ struct HealthSnapshot {
 /// A thread-safe resident query service over registered datasets.
 ///
 /// Admission path for Submit():
-///   1. Validation (dataset exists, k/r sane) — immediate typed error.
+///   1. Validation (dataset exists, k >= 1, 1 <= r <= topk::kMaxAnswers
+///      for count queries) — immediate typed error.
 ///   2. Budget derivation: caller deadline_ms or the service default,
 ///      clamped to max_deadline_ms. The budget covers everything.
 ///   3. Circuit breaker: an open breaker short-circuits to a bounds-only
@@ -286,14 +282,12 @@ struct HealthSnapshot {
 ///      budgets are served and stale ones absorb the shedding.
 ///
 /// Execution (worker threads): re-shed if the budget expired in queue,
-/// then run attempts under a fresh Deadline slice per attempt — wall
-/// budget = remaining request budget, so a retried request can never
-/// exceed its original budget. Transient (Internal) failures retry with
-/// jittered exponential backoff; degraded-but-OK answers are answers and
-/// are never retried. Every decision lands in the metrics registry
-/// (serve.admitted, serve.shed.<reason>, serve.retries,
-/// serve.breaker_state.<dataset>, serve.queue_depth, per-outcome latency
-/// histograms).
+/// then run the query once under a Deadline of whatever budget remains.
+/// The pipeline is a deterministic function of (snapshot, request), so a
+/// query error is the request's own and is returned as is; degraded-but-OK
+/// answers are answers. Every decision lands in the metrics registry
+/// (serve.admitted, serve.shed.<reason>, serve.breaker_state.<dataset>,
+/// serve.queue_depth, per-outcome latency histograms).
 ///
 /// Ingestion: online datasets take a writer lock per mention; after a
 /// successful apply the ingest publishes (or batches, see epoch_batch_ms)
@@ -334,8 +328,8 @@ class QueryService {
   /// WAL the mention is appended and (per the fsync policy) synced
   /// *before* it is applied in memory; OK therefore means the mention
   /// survives kill -9. Failures are real and typed — IOError/Internal
-  /// from the WAL layer (retryable; they feed the dataset's circuit
-  /// breaker), InvalidArgument for a schema-mismatched mention — and
+  /// from the WAL layer (the caller may retry; they feed the dataset's
+  /// circuit breaker), InvalidArgument for a schema-mismatched mention — and
   /// always leave the log and the in-memory stream consistent with each
   /// other: a failed ingest is rolled back from the WAL, never half
   /// applied. Callers must check the Status, not TOPKDUP_CHECK it.
@@ -382,13 +376,14 @@ class QueryService {
 
   void WorkerLoop();
   void Process(Pending& pending);
-  /// Runs the retry loop for one admitted request; fills the response.
+  /// Runs one admitted request once under its remaining budget; fills
+  /// the response and settles the request's breaker decision.
   void RunAttempts(DatasetState& ds, Pending& pending,
                    CircuitBreaker::Decision decision,
                    QueryResponse* response);
-  /// One execution attempt under a fresh deadline slice. `query_id` is
-  /// stamped on the attempt's spans and (for armed count queries) its
-  /// explain report; 0 for calibration runs.
+  /// One execution attempt under `deadline`. `query_id` is stamped on the
+  /// attempt's spans and (for armed count queries) its explain report; 0
+  /// for calibration runs.
   StatusOr<QueryResponse> RunOnce(DatasetState& ds,
                                   const QueryRequest& request,
                                   const Deadline& deadline,
@@ -452,12 +447,10 @@ class QueryService {
   std::atomic<uint64_t> next_request_id_{0};
   std::atomic<uint64_t> admitted_total_{0};
   std::atomic<uint64_t> shed_total_{0};
-  std::atomic<uint64_t> retries_total_{0};
   std::atomic<uint64_t> completed_total_{0};
 
   // Registry handles resolved once.
   metrics::Counter* admitted_counter_;
-  metrics::Counter* retries_counter_;
   metrics::Counter* completed_counter_;
   metrics::Counter* errors_counter_;
   metrics::Counter* breaker_degraded_counter_;

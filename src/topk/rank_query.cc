@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/deadline.h"
-#include "common/faultpoint.h"
 #include "dedup/collapse.h"
 #include "dedup/prune.h"
 #include "predicates/blocked_index.h"
@@ -44,10 +43,6 @@ StatusOr<TopKRankResult> TopKRankQuery(
     return Status::InvalidArgument(
         "TopKRankQuery: the last level must carry a necessary predicate");
   }
-  // Receives faults reported from parallel regions run under this query
-  // (PrunedDedup registers its own inner handler; this one backstops any
-  // region launched after it returns).
-  ScopedSoftFailHandler soft_fail;
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
@@ -64,8 +59,6 @@ StatusOr<TopKRankResult> TopKRankQuery(
   const size_t n = groups.size();
   const double M = pruning.levels.empty() ? 0.0 : pruning.levels.back().M;
   const predicates::PairPredicate& necessary = *levels.back().necessary;
-
-  TOPKDUP_FAULT_RETURN_IF("topk.rank_query");
 
   // A degraded prune cannot certify the cross-group bound comparisons the
   // §7.1 resolved-group rule relies on (its bounds may be missing, stale,
@@ -95,7 +88,6 @@ StatusOr<TopKRankResult> TopKRankQuery(
       }
       result.degradation = pruning.degradation;
       result.pruning = std::move(pruning);
-      if (soft_fail.triggered()) return soft_fail.status();
       return result;
     }
   }
@@ -162,18 +154,11 @@ StatusOr<TopKRankResult> TopKRankQuery(
     result.ranked.push_back(std::move(rg));
   }
   result.degradation = pruning.degradation;
-  if (!resolution_complete && !result.degradation.degraded) {
-    result.degradation.degraded = true;
-    result.degradation.stage = "rank_resolution";
-    result.degradation.reason = options.deadline->reason();
-    result.degradation.partial_stage = true;
-    result.degradation.work_done = options.deadline->work_charged();
-    result.degradation.work_budget =
-        options.deadline->has_work_budget() ? options.deadline->work_budget()
-                                            : 0;
+  if (!resolution_complete) {
+    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+                 /*partial_stage=*/true, &result.degradation);
   }
   result.pruning = std::move(pruning);
-  if (soft_fail.triggered()) return soft_fail.status();
   return result;
 }
 
@@ -192,10 +177,6 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
   }
   const double T = options.threshold;
 
-  // Collapse and PruneGroups run parallel regions directly under this
-  // query; their soft failures (the pool's fault site) need a sink here
-  // or the skipped regions would silently produce wrong rankings.
-  ScopedSoftFailHandler soft_fail;
   std::vector<dedup::Group> groups =
       dedup::MakeSingletonGroups(data);
   std::vector<double> ub(groups.size(), 0.0);
@@ -204,7 +185,6 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
       groups = dedup::Collapse(groups, *level.sufficient,
                                /*recorder=*/nullptr, /*deadline=*/nullptr,
                                options.index_cache);
-      if (soft_fail.triggered()) return soft_fail.status();
     }
     if (level.necessary != nullptr) {
       dedup::PruneOptions prune_options;
@@ -213,7 +193,6 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
       dedup::PruneResult pruned =
           dedup::PruneGroups(groups, *level.necessary, T, prune_options,
                              /*exact_bounds=*/true);
-      if (soft_fail.triggered()) return soft_fail.status();
       groups = std::move(pruned.groups);
       ub = std::move(pruned.upper_bounds);
     }

@@ -8,8 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/faultpoint.h"
-#include "common/log.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -38,27 +36,6 @@ AnswerGroup MergeSpan(const segment::Span& span,
     }
   }
   return out;
-}
-
-/// Query-level twin of PrunedDedup's MarkDegraded for the stages that run
-/// above the dedup pipeline (pair scoring, segmentation). First stop wins.
-void MarkQueryDegraded(const Deadline& deadline, const char* stage,
-                       bool partial_stage, DegradationInfo* info) {
-  if (info->degraded) return;
-  info->degraded = true;
-  info->stage = stage;
-  info->level = 0;
-  info->reason = deadline.reason();
-  info->work_done = deadline.work_charged();
-  info->work_budget = deadline.work_budget();
-  info->partial_stage = partial_stage;
-  auto& registry = metrics::Registry::Global();
-  registry.GetCounter("deadline.degraded_queries")->Increment();
-  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
-      ->Increment();
-  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
-                    << ") in stage " << stage
-                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
 }
 
 /// Synthesizes the best bound-carrying answer available once the pipeline
@@ -152,9 +129,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
   if (options.r < 1) {
     return Status::InvalidArgument("TopKCountQuery: r must be >= 1");
   }
-  // The DP is asked for 3·r segmentations and ranks at most 255.
-  if (options.r > 85) {
-    return Status::InvalidArgument("TopKCountQuery: r must be <= 85");
+  if (options.r > kMaxAnswers) {
+    return Status::InvalidArgument(StrFormat(
+        "TopKCountQuery: r must be <= %d", kMaxAnswers));
   }
   if (!(options.embedding_alpha > 0.0 && options.embedding_alpha <= 1.0)) {
     return Status::InvalidArgument(
@@ -189,9 +166,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
   }
   ScopedParallelism parallelism(options.threads);
   const Deadline* deadline = options.deadline;
-  // Receives faults reported from inside parallel regions (no Status
-  // channel there); checked after each stage above the dedup pipeline.
-  ScopedSoftFailHandler soft_fail;
   const metrics::MetricsSnapshot snapshot_before =
       metrics::Registry::Global().Snapshot();
   trace::Span query_span("topk.query");
@@ -246,7 +220,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
     result.answers.push_back(SynthesizeBoundedAnswer(
         pruning, necessary, options.k, deadline, recorder.get(),
         options.index_cache));
-    if (soft_fail.triggered()) return soft_fail.status();
     result.pruning = std::move(pruning);
     finish_metrics(&result);
     finish_explain(&result);
@@ -289,16 +262,14 @@ StatusOr<TopKCountResult> TopKCountQuery(
   }
 
   // Step 9 of Algorithm 2: score pairs passing N_L.
-  TOPKDUP_FAULT_RETURN_IF("topk.pair_scoring");
   PairScoringOptions scoring_options = options.scoring;
   scoring_options.deadline = deadline;
   scoring_options.index_cache = options.index_cache;
   cluster::PairScores scores =
       BuildGroupPairScores(groups, necessary, scorer, scoring_options);
-  if (soft_fail.triggered()) return soft_fail.status();
   if (deadline != nullptr && deadline->Expired()) {
-    MarkQueryDegraded(*deadline, "pair_scoring", /*partial_stage=*/true,
-                      &result.degradation);
+    MarkDegraded(*deadline, "pair_scoring", /*level=*/0,
+                 /*partial_stage=*/true, &result.degradation);
     result.quality = AnswerQuality::kBoundsOnly;
     if (recorder != nullptr) {
       recorder->RecordDegradation(result.degradation);
@@ -306,7 +277,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
     result.answers.push_back(SynthesizeBoundedAnswer(
         pruning, necessary, options.k, deadline, recorder.get(),
         options.index_cache));
-    if (soft_fail.triggered()) return soft_fail.status();
     result.pruning = std::move(pruning);
     finish_metrics(&result);
     finish_explain(&result);
@@ -324,11 +294,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
     return embed::GreedyEmbedding(scores, weights, embed_options);
   }();
 
-  TOPKDUP_FAULT_RETURN_IF("topk.segment_dp");
   segment::SegmentScorer seg_scorer(
       scores, order, options.band,
       segment::SegmentScorer::Objective::kSumPositive, deadline);
-  if (soft_fail.triggered()) return soft_fail.status();
   trace::Span dp_span("segment.topk_dp");
   segment::TopKDpOptions dp_options;
   dp_options.k = options.k;
@@ -343,10 +311,10 @@ StatusOr<TopKCountResult> TopKCountQuery(
       segment::TopKSegmentation(seg_scorer, order, weights, dp_options));
   dp_span.AddArg("answers", static_cast<int64_t>(dp_answers.size()));
   if (deadline != nullptr && (deadline->expired() || seg_scorer.degraded())) {
-    MarkQueryDegraded(*deadline, "segment_dp",
-                      /*partial_stage=*/seg_scorer.degraded() ||
-                          dp_answers.empty(),
-                      &result.degradation);
+    MarkDegraded(*deadline, "segment_dp", /*level=*/0,
+                 /*partial_stage=*/seg_scorer.degraded() ||
+                     dp_answers.empty(),
+                 &result.degradation);
     if (recorder != nullptr) {
       recorder->RecordDegradation(result.degradation);
     }
@@ -358,7 +326,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
       result.answers.push_back(SynthesizeBoundedAnswer(
           pruning, necessary, options.k, deadline, recorder.get(),
         options.index_cache));
-      if (soft_fail.triggered()) return soft_fail.status();
       result.pruning = std::move(pruning);
       finish_metrics(&result);
       finish_explain(&result);
@@ -462,10 +429,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
     }
   }
   result.pruning = std::move(pruning);
-  // Final sweep: a soft failure reported from any parallel region after
-  // the last stage checkpoint must still fail the query, not leak an OK
-  // result past a fault-injection run.
-  if (soft_fail.triggered()) return soft_fail.status();
   finish_metrics(&result);
   finish_explain(&result);
   return result;

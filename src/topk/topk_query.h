@@ -80,9 +80,15 @@ struct TopKCountResult {
   DegradationInfo degradation;
 };
 
+/// Most answers (the paper's R) one count query may ask for. The DP is
+/// asked for 3·r segmentations, because distinct segmentations can induce
+/// the same answer, and it ranks at most 255 of them: r <= ⌊255/3⌋.
+inline constexpr int kMaxAnswers = 85;
+
 struct TopKCountOptions {
   int k = 10;
-  /// Number of plausible answers to return (the paper's R), in [1, 85].
+  /// Number of plausible answers to return (the paper's R), in
+  /// [1, kMaxAnswers].
   int r = 1;
   /// Owning service query id (serve::QueryResponse::query_id), stamped on
   /// the query's trace spans and explain report so live introspection

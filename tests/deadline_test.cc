@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -10,7 +9,6 @@
 #include <optional>
 #include <thread>
 
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "datagen/citation_gen.h"
 #include "dedup/pruned_dedup.h"
@@ -75,58 +73,6 @@ TEST(DeadlineTest, ReasonNames) {
   EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kWorkBudget),
                "work_budget");
   EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kCancelled), "cancelled");
-}
-
-TEST(SoftFailHandlerTest, InnermostHandlerReceivesFirstStatus) {
-  ScopedSoftFailHandler outer;
-  {
-    ScopedSoftFailHandler inner;
-    EXPECT_TRUE(
-        ScopedSoftFailHandler::Report(Status::Internal("first fault")));
-    EXPECT_TRUE(
-        ScopedSoftFailHandler::Report(Status::Internal("second fault")));
-    EXPECT_TRUE(inner.triggered());
-    EXPECT_EQ(inner.status().message(), "first fault");
-    EXPECT_FALSE(outer.triggered());
-  }
-  EXPECT_TRUE(ScopedSoftFailHandler::Report(Status::Internal("to outer")));
-  EXPECT_TRUE(outer.triggered());
-  EXPECT_EQ(outer.status().message(), "to outer");
-}
-
-TEST(SoftFailHandlerTest, NoHandlerReturnsFalse) {
-  EXPECT_FALSE(ScopedSoftFailHandler::Report(Status::Internal("dropped")));
-}
-
-TEST(SoftFailHandlerTest, HandlersAreThreadScoped) {
-  ScopedSoftFailHandler handler;
-  bool delivered = true;
-  std::thread other([&] {
-    // A bare thread has no handler: the report must not cross into this
-    // thread's handler (concurrent queries would corrupt each other).
-    delivered =
-        ScopedSoftFailHandler::Report(Status::Internal("other thread"));
-  });
-  other.join();
-  EXPECT_FALSE(delivered);
-  EXPECT_FALSE(handler.triggered());
-}
-
-TEST(SoftFailHandlerTest, ParallelWorkersInheritLaunchingThreadsHandler) {
-  ScopedParallelism parallelism(4);
-  ScopedSoftFailHandler handler;
-  std::atomic<int> delivered{0};
-  // Many single-element shards so pool workers (not just the caller) run
-  // some of them; every report must land in this thread's handler.
-  ParallelFor(0, 256, 1, [&](size_t i) {
-    if (i % 64 == 0 &&
-        ScopedSoftFailHandler::Report(Status::Internal("from shard"))) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(delivered.load(), 4);
-  EXPECT_TRUE(handler.triggered());
-  EXPECT_EQ(handler.status().message(), "from shard");
 }
 
 /// Shared pipeline fixture over certified citation data: the generator

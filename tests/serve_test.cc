@@ -148,20 +148,17 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override { fault::DisarmAllForTest(); }
 
-  /// Test-friendly defaults: tiny backoffs, a breaker that will not trip
-  /// unless a test configures it to, and generous budgets. The answer
-  /// cache is *populated* but not served from (cache.enabled=false), so
-  /// tests that rely on repeated identical queries actually executing —
-  /// fault injection, breaker trips, latency shaping — keep their
-  /// semantics; cache-path tests opt back in explicitly.
+  /// Test-friendly defaults: a breaker that will not trip unless a test
+  /// configures it to, and generous budgets. The answer cache is
+  /// *populated* but not served from (cache.enabled=false), so tests that
+  /// rely on repeated identical queries actually executing — breaker
+  /// trips, latency shaping — keep their semantics; cache-path tests opt
+  /// back in explicitly.
   ServiceOptions QuietOptions() {
     ServiceOptions options;
     options.workers = 2;
     options.default_deadline_ms = 3000;
     options.max_deadline_ms = 10000;
-    options.retry.max_retries = 2;
-    options.retry.base_backoff_ms = 1;
-    options.retry.max_backoff_ms = 4;
     options.breaker.window = 64;
     options.breaker.min_samples = 10000;  // Effectively never trips.
     options.cache.enabled = false;
@@ -328,59 +325,17 @@ TEST_F(ServeTest, WorkBudgetYieldsSoundDegradedAnswer) {
   }
 }
 
-TEST_F(ServeTest, TransientFaultsAreRetriedWithinBudget) {
-  ScopedDisarm disarm;
-  Watchdog watchdog(120);
-  ServiceOptions options = QuietOptions();
-  options.retry.max_retries = 3;
-  QueryService service(options);
-  // Register (and calibrate) before arming so only served queries fault.
-  ASSERT_TRUE(
-      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
-
-  const uint64_t retries_before = service.Health().retries;
-  fault::ArmForTest("serve.query", 0.45, 7);
-  int ok_count = 0;
-  int retried_responses = 0;
-  for (int i = 0; i < 12; ++i) {
-    QueryResponse response = service.Execute(CountRequest("cites"));
-    if (response.status.ok()) {
-      ++ok_count;
-      EXPECT_TRUE(response.outcome == ServedOutcome::kExact ||
-                  response.outcome == ServedOutcome::kDegraded)
-          << ServedOutcomeName(response.outcome);
-    } else {
-      // Only the injected transient failure may surface, and only after
-      // the retry schedule is exhausted.
-      EXPECT_EQ(response.status.code(), StatusCode::kInternal);
-      EXPECT_EQ(response.attempts, options.retry.max_retries + 1);
-    }
-    if (response.attempts > 1) ++retried_responses;
-  }
-  // At p=0.45 with 3 retries, the vast majority of queries succeed and
-  // some needed more than one attempt. (Read the fire count before
-  // disarming — DisarmAllForTest resets it.)
-  EXPECT_GE(fault::FireCount("serve.query"), 1u);
-  fault::DisarmAllForTest();
-  EXPECT_GT(ok_count, 6);
-  EXPECT_GE(retried_responses, 1);
-  EXPECT_GT(service.Health().retries, retries_before);
-
-  // Degraded-but-OK answers are answers: a work-budget query under faults
-  // disarmed never reports attempts > 1 from degradation alone.
-  QueryRequest starved = CountRequest("cites");
-  starved.work_budget = 1;
-  QueryResponse degraded = service.Execute(starved);
-  ASSERT_TRUE(degraded.status.ok());
-  EXPECT_EQ(degraded.attempts, 1);
-}
-
 TEST_F(ServeTest, BreakerTripsServesCachedBoundsAndRecovers) {
   ScopedDisarm disarm;
   Watchdog watchdog(120);
+  const std::string dir = ::testing::TempDir() + "/serve_breaker_" +
+                          std::to_string(::getpid());
+  std::string cmd = "rm -rf '" + dir + "'";
+  (void)std::system(cmd.c_str());
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
   auto clock_ms = std::make_shared<std::atomic<int64_t>>(0);
   ServiceOptions options = QuietOptions();
-  options.retry.max_retries = 0;  // Each failure costs one attempt.
+  options.wal_dir = dir;
   options.breaker.window = 8;
   options.breaker.min_samples = 4;
   options.breaker.trip_ratio = 0.5;
@@ -388,71 +343,108 @@ TEST_F(ServeTest, BreakerTripsServesCachedBoundsAndRecovers) {
   options.breaker.probe_quota = 1;
   options.breaker.now_ms = [clock_ms] { return clock_ms->load(); };
   QueryService service(options);
-  // Calibration runs clean and seeds the bounds cache the open breaker
-  // will serve from.
-  ASSERT_TRUE(
-      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
-  QueryResponse baseline = service.Execute(CountRequest("cites"));
-  ASSERT_TRUE(baseline.status.ok());
+  ASSERT_TRUE(service.RegisterOnline("stream", MakeExactKeyStream()).ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        service.Ingest("stream", KeyMention("k" + std::to_string(i % 2)))
+            .ok());
+  }
+  // The exact answer seeds the bounds cache the open breaker will serve
+  // from.
+  QueryResponse baseline = service.Execute(CountRequest("stream", 2));
+  ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
   const double exact_top = baseline.result.answers[0].groups[0].weight;
 
-  // Trip the breaker with forced failures. The calibration/baseline
-  // successes already sit in the window, so the exact trip point varies;
-  // every pre-trip response must still be the typed transient error.
-  fault::ArmForTest("serve.query", 1.0, 21);
+  // Trip the breaker with failed durable ingests, each the typed WAL
+  // error. The baseline success already sits in the window, so the
+  // breaker opens on the third failure.
+  fault::ArmForTest("wal.append", 1.0, 21);
   int failures_seen = 0;
   for (int i = 0; i < 16; ++i) {
-    QueryResponse failed = service.Execute(CountRequest("cites"));
-    if (service.Health().datasets[0].breaker == BreakerState::kOpen) break;
-    ASSERT_FALSE(failed.status.ok());
-    EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
-    EXPECT_EQ(failed.outcome, ServedOutcome::kError);
+    Status failed = service.Ingest("stream", KeyMention("k0"));
+    EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
     ++failures_seen;
+    if (service.Health().datasets[0].breaker == BreakerState::kOpen) break;
   }
+  fault::DisarmAllForTest();
   HealthSnapshot tripped = service.Health();
   ASSERT_EQ(tripped.datasets.size(), 1u);
   EXPECT_EQ(tripped.datasets[0].breaker, BreakerState::kOpen);
-  EXPECT_GE(failures_seen, 1);
+  EXPECT_EQ(failures_seen, 3);
   EXPECT_EQ(metrics::Registry::Global()
-                .GetGauge("serve.breaker_state.cites")
+                .GetGauge("serve.breaker_state.stream")
                 ->Value(),
             static_cast<double>(BreakerState::kOpen));
 
-  // Open breaker: bounds-only cached answer, no execution (faults still
-  // armed yet the answer is OK and the fire count does not grow).
-  const uint64_t fires_while_open = fault::FireCount("serve.query");
-  QueryResponse degraded = service.Execute(CountRequest("cites"));
+  // Open breaker: bounds-only cached answer, no execution. The failed
+  // ingests were rolled back, so nothing was published since the cached
+  // epoch and the interval is not widened.
+  const uint64_t served_while_open = tripped.datasets[0].served;
+  QueryResponse degraded = service.Execute(CountRequest("stream", 2));
   ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
   EXPECT_EQ(degraded.outcome, ServedOutcome::kBreakerDegraded);
   EXPECT_EQ(degraded.result.quality, topk::AnswerQuality::kBoundsOnly);
   EXPECT_EQ(degraded.attempts, 0);
+  EXPECT_DOUBLE_EQ(degraded.staleness_weight, 0.0);
   ASSERT_FALSE(degraded.result.answers.empty());
   ASSERT_FALSE(degraded.result.answers[0].groups.empty());
   const auto& top = degraded.result.answers[0].groups[0];
-  // The cached interval still brackets the true (static) top count.
+  // The cached interval still brackets the true top count.
   EXPECT_LE(top.count_lower, exact_top + 1e-9);
   EXPECT_GE(top.count_upper, exact_top - 1e-9);
-  EXPECT_EQ(fault::FireCount("serve.query"), fires_while_open);
+  EXPECT_EQ(service.Health().datasets[0].served, served_while_open);
 
   // Callers that refuse degraded answers get the typed rejection.
-  QueryRequest strict = CountRequest("cites");
+  QueryRequest strict = CountRequest("stream", 2);
   strict.allow_degraded = false;
   EXPECT_EQ(service.Execute(strict).status.code(),
             StatusCode::kFailedPrecondition);
 
   // Cooldown elapses on the injected clock; the clean probe closes it.
-  fault::DisarmAllForTest();
   clock_ms->store(options.breaker.cooldown_ms + 1);
-  QueryResponse probe = service.Execute(CountRequest("cites"));
+  QueryResponse probe = service.Execute(CountRequest("stream", 2));
   ASSERT_TRUE(probe.status.ok()) << probe.status.ToString();
   EXPECT_EQ(probe.outcome, ServedOutcome::kExact);
   HealthSnapshot recovered = service.Health();
   EXPECT_EQ(recovered.datasets[0].breaker, BreakerState::kClosed);
   EXPECT_TRUE(recovered.ready);
   EXPECT_EQ(metrics::Registry::Global()
-                .GetGauge("serve.breaker_state.cites")
+                .GetGauge("serve.breaker_state.stream")
                 ->Value(),
             static_cast<double>(BreakerState::kClosed));
+}
+
+/// A count request with r above topk::kMaxAnswers is the caller's error:
+/// it is rejected at Submit, before it takes a queue slot or a worker, and
+/// never counts against the dataset's breaker.
+TEST_F(ServeTest, CountRequestAboveMaxAnswersIsRejectedAtSubmit) {
+  Watchdog watchdog(120);
+  ServiceOptions options = QuietOptions();
+  options.breaker = BreakerOptions{};
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+
+  QueryRequest too_many = CountRequest("cites");
+  too_many.r = 100;
+  for (int i = 0; i < 16; ++i) {
+    QueryResponse rejected = service.Execute(too_many);
+    EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+        << rejected.status.ToString();
+    EXPECT_EQ(rejected.outcome, ServedOutcome::kError);
+    EXPECT_EQ(rejected.attempts, 0);
+  }
+  EXPECT_EQ(service.Health().datasets[0].breaker, BreakerState::kClosed);
+
+  QueryResponse valid = service.Execute(CountRequest("cites"));
+  ASSERT_TRUE(valid.status.ok()) << valid.status.ToString();
+  EXPECT_EQ(valid.outcome, ServedOutcome::kExact);
+
+  // Rank queries ignore r.
+  QueryRequest rank = CountRequest("cites");
+  rank.kind = QueryKind::kTopKRank;
+  rank.r = 100;
+  EXPECT_TRUE(service.Execute(rank).status.ok());
 }
 
 TEST_F(ServeTest, QueueOverflowShedsTypedAndEveryFutureResolves) {
@@ -502,11 +494,11 @@ TEST_F(ServeTest, QueueOverflowShedsTypedAndEveryFutureResolves) {
   EXPECT_EQ(service.Health().queue_depth, 0u);
 }
 
-/// The ISSUE acceptance scenario: fault probability 0.3 at the service
-/// site, concurrent mixed queries (static count, starved count, rank,
-/// online count) racing online ingestion. Every request must come back as
-/// an exact answer, a sound degraded answer, or a typed rejection — no
-/// aborts, no hangs (watchdog), nothing silently lost.
+/// Acceptance scenario: concurrent mixed queries (static count, starved
+/// count, rank, online count) racing online ingestion that fails with
+/// probability 0.3. Every request must come back as an exact answer, a
+/// sound degraded answer, or a typed rejection — no aborts, no hangs
+/// (watchdog), nothing silently lost.
 TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
   ScopedDisarm disarm;
   Watchdog watchdog(120);
@@ -514,7 +506,6 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
   options.workers = 4;
   options.queue_capacity = 64;
   options.default_deadline_ms = 5000;
-  options.retry.max_retries = 2;
   options.breaker.window = 16;
   options.breaker.min_samples = 8;
   options.breaker.trip_ratio = 0.6;
@@ -530,7 +521,7 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
             .ok());
   }
 
-  fault::ArmForTest("serve.query", 0.3, 99);
+  fault::ArmForTest("online.ingest", 0.3, 99);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 6;
   std::mutex results_mu;
@@ -557,7 +548,8 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
             break;
         }
         QueryResponse response = service.Execute(request);
-        // Keep the ingest side racing the queries.
+        // Keep the ingest side racing the queries; a failed ingest is
+        // rolled back and leaves the stream as it was.
         (void)service.Ingest("stream",
                              KeyMention("t" + std::to_string(t)));
         std::lock_guard<std::mutex> lock(results_mu);
@@ -568,7 +560,7 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
   for (auto& thread : threads) thread.join();
   service.Drain();
   // Read before disarming — DisarmAllForTest resets the counter.
-  const uint64_t fires = fault::FireCount("serve.query");
+  const uint64_t fires = fault::FireCount("online.ingest");
   fault::DisarmAllForTest();
 
   ASSERT_EQ(results.size(),
@@ -584,18 +576,16 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
                   topk::AnswerQuality::kBoundsOnly);
       }
     } else {
-      // Typed rejections only: transient failure surviving retries,
-      // load shed, or breaker-open with no degradable answer.
+      // Typed rejections only: load shed, or breaker-open with no
+      // degradable answer.
       const StatusCode code = response.status.code();
-      EXPECT_TRUE(code == StatusCode::kInternal ||
-                  code == StatusCode::kResourceExhausted ||
+      EXPECT_TRUE(code == StatusCode::kResourceExhausted ||
                   code == StatusCode::kFailedPrecondition)
           << response.status.ToString();
     }
   }
-  // The fault mix actually exercised the retry path.
+  // The fault mix actually failed some ingests.
   EXPECT_GE(fires, 1u);
-  EXPECT_GE(service.Health().retries, 1u);
   EXPECT_GE(service.Health().admitted, 1u);
 }
 
@@ -741,7 +731,6 @@ TEST_F(ServeTest, SaturatingLoadAnsweredWithinBudgetShedAbsorbsRest) {
 }
 
 TEST_F(ServeTest, RequestLogEmitsExactlyOneLinePerUnusualQuery) {
-  ScopedDisarm disarm;
   Watchdog watchdog(120);
   ServiceOptions options = QuietOptions();
   options.request_log.ok_sample_every = 0;  // Suppress all healthy lines.
@@ -771,21 +760,19 @@ TEST_F(ServeTest, RequestLogEmitsExactlyOneLinePerUnusualQuery) {
   EXPECT_NE(lines[0].find("\"degraded\":true"), std::string::npos);
   EXPECT_NE(lines[0].find("\"degradation_stage\""), std::string::npos);
 
-  // Errored query (fault fires every attempt): one line, non-ok status,
-  // retries consistent with attempts.
-  fault::ArmForTest("serve.query", 1.0, 11);
-  QueryResponse errored = service.Execute(CountRequest("cites"));
-  fault::DisarmAllForTest();
-  ASSERT_FALSE(errored.status.ok());
+  // Errored query (r above the limit, rejected at Submit): one line,
+  // non-ok status, no attempt.
+  QueryRequest too_many = CountRequest("cites");
+  too_many.r = 100;
+  QueryResponse errored = service.Execute(too_many);
+  ASSERT_EQ(errored.status.code(), StatusCode::kInvalidArgument);
   lines = service.request_log().RecentLines();
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("\"query_id\":" +
                           std::to_string(errored.query_id)),
             std::string::npos);
   EXPECT_NE(lines[1].find("\"outcome\":\"error\""), std::string::npos);
-  EXPECT_NE(
-      lines[1].find("\"retries\":" + std::to_string(errored.attempts - 1)),
-      std::string::npos);
+  EXPECT_NE(lines[1].find("\"attempts\":0"), std::string::npos);
 
   // Rejected-at-submit (unknown dataset): still exactly one line.
   QueryResponse rejected = service.Execute(CountRequest("nope"));
@@ -1163,7 +1150,6 @@ TEST_F(ServeTest, StaleWideningIsEpochBasedAndSurvivesRestart) {
   options.calibrate_on_register = false;
   options.wal_dir = dir;
   options.epoch_batch_ms = 3600 * 1000;  // Publication only via Drain.
-  options.retry.max_retries = 0;
   options.breaker.window = 8;
   options.breaker.min_samples = 2;
   options.breaker.trip_ratio = 0.5;
@@ -1184,13 +1170,12 @@ TEST_F(ServeTest, StaleWideningIsEpochBasedAndSurvivesRestart) {
     // m4 is ingested but NOT published: it must not widen anything.
     ASSERT_TRUE(service.Ingest("stream", WeightedMention("b", 8.0)).ok());
 
-    // Trip the breaker with forced failures (the entry is stale and the
-    // queries do not allow_stale, so they execute and fault).
-    fault::ArmForTest("serve.query", 1.0, 5);
+    // Trip the breaker with failed durable ingests. Each one is rolled
+    // back, so it neither publishes nor widens anything.
+    fault::ArmForTest("wal.append", 1.0, 5);
     for (int i = 0; i < 6; ++i) {
-      QueryResponse failed = service.Execute(CountRequest("stream", 2));
+      EXPECT_FALSE(service.Ingest("stream", WeightedMention("c", 64.0)).ok());
       if (service.Health().datasets[0].breaker == BreakerState::kOpen) break;
-      EXPECT_FALSE(failed.status.ok());
     }
     ASSERT_EQ(service.Health().datasets[0].breaker, BreakerState::kOpen);
     fault::DisarmAllForTest();
@@ -1218,11 +1203,10 @@ TEST_F(ServeTest, StaleWideningIsEpochBasedAndSurvivesRestart) {
   service.Drain();
   ASSERT_TRUE(service.Ingest("stream", WeightedMention("b", 32.0)).ok());
 
-  fault::ArmForTest("serve.query", 1.0, 6);
+  fault::ArmForTest("wal.append", 1.0, 6);
   for (int i = 0; i < 6; ++i) {
-    QueryResponse failed = service.Execute(CountRequest("stream", 2));
+    EXPECT_FALSE(service.Ingest("stream", WeightedMention("c", 64.0)).ok());
     if (service.Health().datasets[0].breaker == BreakerState::kOpen) break;
-    EXPECT_FALSE(failed.status.ok());
   }
   ASSERT_EQ(service.Health().datasets[0].breaker, BreakerState::kOpen);
   fault::DisarmAllForTest();

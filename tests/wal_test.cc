@@ -562,9 +562,6 @@ TEST(CheckpointTest, RestoreDemandsEmptyStreamAndValidImage) {
 ServiceOptions DurableOptions(const std::string& wal_dir) {
   ServiceOptions options;
   options.workers = 1;
-  options.retry.max_retries = 1;
-  options.retry.base_backoff_ms = 1;
-  options.retry.max_backoff_ms = 2;
   options.breaker.window = 64;
   options.breaker.min_samples = 10000;
   options.calibrate_on_register = false;

@@ -19,9 +19,8 @@ status 1 with a readable report — when the fresh run regresses:
     passes a much looser bound; the default suits same-machine use.
   * Scalars listed in --exact-scalars (comma-separated keys) must match
     the baseline EXACTLY. The serve load generator's closed-loop counters
-    (answered / errors / retries under a fixed fault seed) are
-    deterministic replays, so any drift means the admission or retry
-    logic changed.
+    (answered / errors) are deterministic replays, so any drift means the
+    admission logic changed.
 
 Improvements (fewer seconds, less work) never fail the gate.
 
@@ -30,7 +29,7 @@ Usage:
       --baseline=tools/baselines/BENCH_fig2_ci.json [--time-threshold=3.0]
   check_bench_regression.py --fresh=BENCH_serve.json \
       --baseline=tools/baselines/BENCH_serve_ci.json \
-      --exact-scalars=closed.answered,closed.errors,closed.retries
+      --exact-scalars=closed.answered,closed.errors
   check_bench_regression.py --baseline=... --self-test
 
 --self-test ignores --fresh: it synthesizes a 20% wall-time regression
