@@ -36,6 +36,33 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
+// Strings over 64 bytes take Jaro's scalar path instead of the
+// bit-parallel one.
+void BM_JaroWinklerLong(benchmark::State& state) {
+  auto names = MakeNames(256, 6);
+  for (size_t i = 0; i < names.size(); ++i) {
+    while (names[i].size() <= 64) names[i] += ' ' + names[(i + 1) % 256];
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::JaroWinkler(names[i % 256], names[(i + 7) % 256]));
+    ++i;
+  }
+}
+BENCHMARK(BM_JaroWinklerLong);
+
+void BM_NormalizeText(benchmark::State& state) {
+  auto names = MakeNames(256, 7);
+  for (std::string& name : names) name = "  " + name + "\t ";
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(text::NormalizeText(names[i % 256]));
+    ++i;
+  }
+}
+BENCHMARK(BM_NormalizeText);
+
 void BM_Levenshtein(benchmark::State& state) {
   const auto names = MakeNames(256, 2);
   size_t i = 0;

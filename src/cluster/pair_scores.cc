@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -60,7 +61,10 @@ PairScores::PairScores(size_t n, double default_score,
     }
   }
 
-  entries_.resize(row_start_[n]);
+  // The cursors partition [0, 2 * pair_count_): each slot is written
+  // exactly once below, so the array skips the fill and the scatter's
+  // writes are its first touch.
+  entries_ = std::make_unique_for_overwrite<Neighbor[]>(row_start_[n]);
   ParallelFor(0, lists, list_grain, [&](size_t l) {
     size_t* at = cursor.data() + l * n;
     for (const ScoredPair& p : pair_lists[l]) {

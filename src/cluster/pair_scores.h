@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace topkdup::cluster {
@@ -32,7 +32,14 @@ struct ScoredPair {
 /// floating-point results.
 class PairScores {
  public:
-  using Neighbor = std::pair<uint32_t, double>;
+  /// One stored entry of a row: the other item and the pair's score. A
+  /// trivial type, so the entry array can be allocated without a fill and
+  /// first touched by the parallel scatter.
+  struct Neighbor {
+    uint32_t first;
+    double second;
+    friend bool operator==(const Neighbor&, const Neighbor&) = default;
+  };
 
   /// Builds the matrix from pair lists (typically one per parallel scoring
   /// shard; they are counted and scattered into rows in parallel). Each
@@ -58,8 +65,7 @@ class PairScores {
   /// Stored neighbors of item i as (other, score) pairs, in row order
   /// (see the class comment).
   std::span<const Neighbor> Neighbors(size_t i) const {
-    return {entries_.data() + row_start_[i],
-            entries_.data() + row_start_[i + 1]};
+    return {entries_.get() + row_start_[i], entries_.get() + row_start_[i + 1]};
   }
 
   /// Number of stored (unordered) pairs.
@@ -78,7 +84,7 @@ class PairScores {
   double default_score_;
   size_t pair_count_ = 0;
   std::vector<size_t> row_start_;  // n + 1 offsets into entries_.
-  std::vector<Neighbor> entries_;
+  std::unique_ptr<Neighbor[]> entries_;  // row_start_[n] entries.
   std::vector<double> neg_incident_;
 };
 

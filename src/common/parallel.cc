@@ -59,6 +59,12 @@ int HardwareDefault() {
 
 std::atomic<int> g_override{0};  // <= 0: use HardwareDefault().
 
+// The innermost ScopedParallelism on this thread (0: none). Thread-local,
+// so one query's `threads` option never reaches a concurrent query's
+// regions; only the launching thread reads the level (nested regions run
+// inline), so a scope covers all of its own thread's regions.
+thread_local int t_scoped_override = 0;
+
 // True while this thread executes inside a parallel region; nested
 // regions then run serially inline (also keeps the pool's region mutex
 // from self-deadlocking).
@@ -173,6 +179,7 @@ class Pool {
 }  // namespace
 
 int ParallelismLevel() {
+  if (t_scoped_override > 0) return t_scoped_override;
   const int v = g_override.load(std::memory_order_relaxed);
   if (v > 0) return std::min(v, kMaxThreads);
   return HardwareDefault();
@@ -184,13 +191,12 @@ void SetParallelism(int threads) {
 }
 
 ScopedParallelism::ScopedParallelism(int threads)
-    : previous_(g_override.load(std::memory_order_relaxed)),
-      active_(threads > 0) {
-  if (active_) SetParallelism(threads);
+    : previous_(t_scoped_override), active_(threads > 0) {
+  if (active_) t_scoped_override = std::min(threads, kMaxThreads);
 }
 
 ScopedParallelism::~ScopedParallelism() {
-  if (active_) g_override.store(previous_, std::memory_order_relaxed);
+  if (active_) t_scoped_override = previous_;
 }
 
 ShardLayout MakeShards(size_t begin, size_t end, size_t grain) {

@@ -8,7 +8,8 @@
 
 namespace topkdup {
 
-/// Number of threads parallel regions use right now: the last
+/// Number of threads the calling thread's parallel regions use right now:
+/// the innermost ScopedParallelism on this thread, else the last
 /// SetParallelism value, else the TOPKDUP_THREADS environment variable,
 /// else std::thread::hardware_concurrency(). Always >= 1.
 int ParallelismLevel();
@@ -20,9 +21,10 @@ int ParallelismLevel();
 /// up front, not concurrently with running queries.
 void SetParallelism(int threads);
 
-/// RAII parallelism override: sets `threads` (0 = leave unchanged) and
-/// restores the previous level on destruction. Used by the query drivers
-/// to honor a per-call `threads` option.
+/// RAII parallelism override for the calling thread only: sets `threads`
+/// (0 = leave unchanged) and restores the thread's previous level on
+/// destruction. Used by the query drivers to honor a per-call `threads`
+/// option; concurrent queries on other threads keep their own levels.
 class ScopedParallelism {
  public:
   explicit ScopedParallelism(int threads);

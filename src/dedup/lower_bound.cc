@@ -31,6 +31,7 @@ class PrefixCpn {
             const Deadline* deadline, predicates::IndexCache* index_cache)
       : groups_(groups),
         necessary_(necessary),
+        exact_blocking_(necessary.BlockingIsExact()),
         deadline_(deadline),
         reps_(groups.size()) {
     for (size_t i = 0; i < groups.size(); ++i) reps_[i] = groups[i].rep;
@@ -68,6 +69,7 @@ class PrefixCpn {
   }
 
   size_t edges_examined() const { return edges_examined_; }
+  size_t pair_evals() const { return pair_evals_; }
   size_t cpn_evaluations() const { return cpn_evaluations_; }
 
  private:
@@ -83,13 +85,14 @@ class PrefixCpn {
         return false;
       }
       index_->get().ForEachCandidate(grown_, &scratch_, [&](size_t j) {
-        if (j < grown_) {
-          ++edges_examined_;
-          if (necessary_.Evaluate(reps_[grown_], reps_[j])) {
-            edges_.emplace_back(static_cast<uint32_t>(j),
-                                static_cast<uint32_t>(grown_));
-          }
+        if (j >= grown_) return true;
+        ++edges_examined_;
+        if (!exact_blocking_) {
+          ++pair_evals_;
+          if (!necessary_.Evaluate(reps_[grown_], reps_[j])) return true;
         }
+        edges_.emplace_back(static_cast<uint32_t>(j),
+                            static_cast<uint32_t>(grown_));
         return true;
       });
     }
@@ -98,6 +101,7 @@ class PrefixCpn {
 
   const std::vector<Group>& groups_;
   const predicates::PairPredicate& necessary_;
+  const bool exact_blocking_;  // Candidates are edges without Evaluate.
   const Deadline* deadline_;
   std::vector<size_t> reps_;
   std::optional<predicates::IndexHandle> index_;
@@ -105,6 +109,7 @@ class PrefixCpn {
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   size_t grown_ = 0;
   size_t edges_examined_ = 0;
+  size_t pair_evals_ = 0;
   size_t cpn_evaluations_ = 0;
 };
 
@@ -125,9 +130,8 @@ void RecordLowerBoundMetrics(const LowerBoundResult& result) {
   static metrics::Gauge* m_gauge = registry.GetGauge("dedup.lower_bound.m");
   static metrics::Gauge* big_m_gauge =
       registry.GetGauge("dedup.lower_bound.M");
-  // Every enumerated prefix edge evaluates the necessary predicate once.
   edges->Add(result.edges_examined);
-  pair_evals->Add(result.edges_examined);
+  pair_evals->Add(result.pair_evals);
   cpn_evals->Add(result.cpn_evaluations);
   m_gauge->Set(static_cast<double>(result.m));
   big_m_gauge->Set(result.M);
@@ -249,6 +253,7 @@ LowerBoundResult EstimateLowerBound(
   }
   result.degraded = degraded;
   result.edges_examined = cpn.edges_examined();
+  result.pair_evals = cpn.pair_evals();
   result.cpn_evaluations = cpn.cpn_evaluations();
   span.AddArg("m", static_cast<int64_t>(result.m));
   RecordLowerBoundMetrics(result);

@@ -31,6 +31,9 @@ struct LowerBoundResult {
   /// Necessary-predicate edges enumerated while growing the prefix
   /// (diagnostic).
   size_t edges_examined = 0;
+  /// Necessary-predicate evaluations among them: edges_examined, or 0
+  /// when the predicate's blocking is exact.
+  size_t pair_evals = 0;
   /// CPN bound evaluations performed while locating m (growth iterations:
   /// the galloping probes plus the binary-search refinement, or every
   /// single-vertex step in the non-galloping scheme).

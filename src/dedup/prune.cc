@@ -56,6 +56,8 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
 
+  // Exact blocking: every candidate satisfies N, so none is re-evaluated.
+  const bool exact_blocking = necessary.BlockingIsExact();
   const Deadline* deadline = options.deadline;
   PruneResult result;
   result.unconditional_bounds = exact_bounds && options.passes == 1;
@@ -97,6 +99,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
       }
       predicates::BlockedIndex::QueryScratch scratch;
       size_t examined = 0;
+      size_t live_candidates = 0;  // The deadline's work unit.
       size_t evals = 0;
       size_t exits = 0;
       for (size_t i = shard_begin; i < shard_end; ++i) {
@@ -115,17 +118,18 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
         index.ForEachCandidate(i, &scratch, [&](size_t j) {
           // In pass p only neighbors whose previous-pass bound exceeded M
           // (i.e. still alive) can be co-members of a group larger than M.
-          if (alive[j]) {
+          if (!alive[j]) return true;
+          ++live_candidates;
+          if (!exact_blocking) {
             ++evals;
-            if (necessary.Evaluate(reps[i], reps[j])) {
-              sum += groups[j].weight;
-              if (sampled) ++contributing;
-              if (!exact_bounds && sum > M) {
-                ++exits;
-                early_exit = true;
-                return false;  // Early exit.
-              }
-            }
+            if (!necessary.Evaluate(reps[i], reps[j])) return true;
+          }
+          sum += groups[j].weight;
+          if (sampled) ++contributing;
+          if (!exact_bounds && sum > M) {
+            ++exits;
+            early_exit = true;
+            return false;  // Early exit.
           }
           return true;
         });
@@ -158,7 +162,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
       counters.groups_examined->Add(examined);
       counters.pair_evals->Add(evals);
       counters.early_exits->Add(exits);
-      if (deadline != nullptr) deadline->ChargeWork(evals);
+      if (deadline != nullptr) deadline->ChargeWork(live_candidates);
     });
     alive.swap(next_alive);
     if (pass_skipped.load(std::memory_order_relaxed)) {
@@ -193,6 +197,7 @@ std::vector<double> ComputeGroupUpperBounds(
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
   const predicates::IndexHandle index_handle(index_cache, necessary, reps);
   const predicates::BlockedIndex& index = index_handle.get();
+  const bool exact_blocking = necessary.BlockingIsExact();
 
   std::vector<double> bounds(indices.size(),
                              std::numeric_limits<double>::infinity());
@@ -204,7 +209,8 @@ std::vector<double> ComputeGroupUpperBounds(
       const size_t i = indices[s];
       double sum = groups[i].weight;
       index.ForEachCandidate(i, &scratch, [&](size_t j) {
-        if (j != i && necessary.Evaluate(reps[i], reps[j])) {
+        if (j != i &&
+            (exact_blocking || necessary.Evaluate(reps[i], reps[j]))) {
           sum += groups[j].weight;
         }
         return true;

@@ -28,8 +28,9 @@ struct PruneOptions {
   /// deterministic) and at shard starts within a pass (urgent wall-clock/
   /// cancel check). A skipped shard keeps its groups alive with their
   /// previous valid upper bound (+inf in pass 1), so a degraded prune only
-  /// under-prunes — never discards a potential answer group. Necessary-
-  /// predicate evaluations are charged as work units.
+  /// under-prunes — never discards a potential answer group. Each examined
+  /// candidate of a live neighbour is charged one work unit, whether or
+  /// not the predicate's exact blocking spares its evaluation.
   const Deadline* deadline = nullptr;
   /// When non-null, shares the blocking index over the group
   /// representatives across calls (resident serving); null builds a

@@ -53,6 +53,7 @@ class AddressN1 : public PairPredicate {
   int MinCommon(size_t size_a, size_t size_b) const override {
     return min_common_;
   }
+  bool BlockingIsExact() const override { return true; }
 
  private:
   int min_common_;

@@ -21,6 +21,8 @@ class ExactFieldsPredicate : public PairPredicate {
   const std::vector<text::TokenId>& Signature(size_t rec) const override {
     return signatures_[rec];
   }
+  /// The one signature token is the whole key: equal tokens, equal keys.
+  bool BlockingIsExact() const override { return true; }
 
  private:
   const Corpus* corpus_;
@@ -42,6 +44,9 @@ class QGramOverlapPredicate : public PairPredicate {
   bool Evaluate(size_t a, size_t b) const override;
   const std::vector<text::TokenId>& Signature(size_t rec) const override;
   int MinCommon(size_t size_a, size_t size_b) const override;
+  /// The overlap test is exactly "at least MinCommon shared q-grams"; the
+  /// initial rule is a second test the signatures do not see.
+  bool BlockingIsExact() const override { return !require_common_initial_; }
 
  private:
   const Corpus* corpus_;
@@ -67,6 +72,7 @@ class CommonWordsPredicate : public PairPredicate {
   int MinCommon(size_t size_a, size_t size_b) const override {
     return min_common_;
   }
+  bool BlockingIsExact() const override { return true; }
 
  private:
   const Corpus* corpus_;

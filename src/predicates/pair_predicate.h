@@ -27,6 +27,12 @@ namespace topkdup::predicates {
 ///
 ///   Evaluate(a, b) == true  implies
 ///   |Signature(a) ∩ Signature(b)| >= MinCommon(|Signature(a)|, |Signature(b)|)
+///
+/// A predicate whose BlockingIsExact() is true promises the converse as
+/// well, so the two sides are equivalent and a blocked-index candidate
+/// satisfies the predicate without an Evaluate call. The index counts only
+/// valid tokens (kInvalidToken never matches), so such a predicate's
+/// signatures must hold none, or its Evaluate must not count them either.
 class PairPredicate {
  public:
   virtual ~PairPredicate() = default;
@@ -44,6 +50,11 @@ class PairPredicate {
   /// predicate, given the two signature sizes. Must be >= 1 (a pair with
   /// disjoint signatures is never a candidate).
   virtual int MinCommon(size_t size_a, size_t size_b) const { return 1; }
+
+  /// True when every pair sharing at least MinCommon signature tokens
+  /// satisfies the predicate (see the class comment). Callers then skip
+  /// Evaluate on the index's candidates.
+  virtual bool BlockingIsExact() const { return false; }
 };
 
 /// MinCommon of a predicate that accepts a pair iff common / smaller >=

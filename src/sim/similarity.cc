@@ -1,7 +1,9 @@
 #include "sim/similarity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace topkdup::sim {
 
@@ -54,23 +56,72 @@ double CosineTfIdf(const std::vector<text::TokenId>& a,
   return denom == 0.0 ? 0.0 : dot / denom;
 }
 
-double Jaro(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
+namespace {
+
+/// Jaro's formula from the match and transposition counts.
+double JaroScore(int matches, int transpositions, int la, int lb) {
+  const double m = matches;
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+/// Bit-parallel Jaro for |a|, |b| <= 64. pm[c] holds the positions of byte
+/// c in b; for a[i] the candidates are pm[a[i]] within the match window and
+/// not yet matched, and the lowest of them is the scalar loop's choice (the
+/// first unmatched equal j in the window). Matches, transpositions and the
+/// formula are therefore the scalar ones, and so is every result bit.
+double JaroShort(std::string_view a, std::string_view b, int window) {
   const int la = static_cast<int>(a.size());
   const int lb = static_cast<int>(b.size());
-  const int match_window = std::max(0, std::max(la, lb) / 2 - 1);
+  // Only the entries of bytes in a or b are read, so only those are
+  // cleared: a full 2 KB clear per pair is a visible share of a query that
+  // scores millions of pairs.
+  uint64_t pm[256];
+  for (const char c : a) pm[static_cast<unsigned char>(c)] = 0;
+  for (const char c : b) pm[static_cast<unsigned char>(c)] = 0;
+  for (int j = 0; j < lb; ++j) {
+    pm[static_cast<unsigned char>(b[j])] |= uint64_t{1} << j;
+  }
+  uint64_t a_matched = 0;
+  uint64_t b_matched = 0;
+  for (int i = 0; i < la; ++i) {
+    const int lo = std::max(0, i - window);
+    const int hi = std::min(lb - 1, i + window);
+    if (lo > hi) break;  // Windows only move right; b is exhausted.
+    const int width = hi - lo + 1;
+    const uint64_t in_window =
+        (width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1) << lo;
+    const uint64_t cand =
+        pm[static_cast<unsigned char>(a[i])] & in_window & ~b_matched;
+    if (cand == 0) continue;
+    b_matched |= cand & (~cand + 1);  // Lowest set bit.
+    a_matched |= uint64_t{1} << i;
+  }
+  const int matches = std::popcount(a_matched);
+  if (matches == 0) return 0.0;
 
-  std::vector<bool> a_matched(a.size(), false);
-  std::vector<bool> b_matched(b.size(), false);
+  // The k-th matched character of a pairs with the k-th matched one of b.
+  int transpositions = 0;
+  for (uint64_t am = a_matched, bm = b_matched; am != 0;
+       am &= am - 1, bm &= bm - 1) {
+    if (a[std::countr_zero(am)] != b[std::countr_zero(bm)]) ++transpositions;
+  }
+  return JaroScore(matches, transpositions, la, lb);
+}
+
+/// The scalar Jaro loop, the only path for strings longer than 64 bytes.
+double JaroLong(std::string_view a, std::string_view b, int window) {
+  const int la = static_cast<int>(a.size());
+  const int lb = static_cast<int>(b.size());
+  std::vector<uint8_t> a_matched(a.size(), 0);
+  std::vector<uint8_t> b_matched(b.size(), 0);
   int matches = 0;
   for (int i = 0; i < la; ++i) {
-    const int lo = std::max(0, i - match_window);
-    const int hi = std::min(lb - 1, i + match_window);
+    const int lo = std::max(0, i - window);
+    const int hi = std::min(lb - 1, i + window);
     for (int j = lo; j <= hi; ++j) {
       if (!b_matched[j] && a[i] == b[j]) {
-        a_matched[i] = true;
-        b_matched[j] = true;
+        a_matched[i] = 1;
+        b_matched[j] = 1;
         ++matches;
         break;
       }
@@ -87,8 +138,19 @@ double Jaro(std::string_view a, std::string_view b) {
     if (a[i] != b[j]) ++transpositions;
     ++j;
   }
-  const double m = matches;
-  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+  return JaroScore(matches, transpositions, la, lb);
+}
+
+}  // namespace
+
+double Jaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const int la = static_cast<int>(a.size());
+  const int lb = static_cast<int>(b.size());
+  const int window = std::max(0, std::max(la, lb) / 2 - 1);
+  return la <= 64 && lb <= 64 ? JaroShort(a, b, window)
+                              : JaroLong(a, b, window);
 }
 
 double JaroWinkler(std::string_view a, std::string_view b) {

@@ -25,7 +25,9 @@ double CosineTfIdf(const std::vector<text::TokenId>& a,
                    const std::vector<text::TokenId>& b,
                    const text::IdfTable& idf);
 
-/// Classic Jaro similarity in [0, 1].
+/// Classic Jaro similarity in [0, 1], over bytes. Strings of at most 64
+/// bytes each take a bit-parallel kernel, longer ones the scalar loop; both
+/// pick the same matches, so the result does not depend on the path.
 double Jaro(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler similarity with the standard prefix scale 0.1 and prefix

@@ -1,7 +1,6 @@
 #include "text/tokenize.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/check.h"
 
@@ -9,12 +8,19 @@ namespace topkdup::text {
 
 namespace {
 
+// The character classes of the C locale, tested directly: the <cctype>
+// calls would consult the process locale, which an embedding application
+// may set, and cost a call per byte.
+
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
 }
 
 char LowerChar(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 }  // namespace
@@ -65,20 +71,23 @@ std::string SortedInitials(std::string_view s) {
 }
 
 std::string NormalizeText(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+  // The output is never longer than the input: each kept byte and each
+  // collapsed space run before one emits one byte.
+  std::string out(s.size(), '\0');
+  size_t n = 0;
   bool pending_space = false;
   for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!out.empty()) pending_space = true;
+    if (IsSpace(c)) {
+      if (n > 0) pending_space = true;
     } else {
       if (pending_space) {
-        out.push_back(' ');
+        out[n++] = ' ';
         pending_space = false;
       }
-      out.push_back(LowerChar(c));
+      out[n++] = LowerChar(c);
     }
   }
+  out.resize(n);
   return out;
 }
 

@@ -7,6 +7,10 @@
 
 namespace topkdup::text {
 
+/// The functions below use the C locale's character classes whatever the
+/// process locale: whitespace is ' ' and '\t'..'\r', upper case 'A'..'Z',
+/// alphanumerics the ASCII digits and letters. Other bytes pass unchanged.
+
 /// Lowercases and splits `s` into maximal runs of ASCII alphanumerics.
 /// "M. Stonebraker-Jr" -> {"m", "stonebraker", "jr"}.
 std::vector<std::string> WordTokens(std::string_view s);

@@ -32,6 +32,8 @@ cluster::PairScores BuildGroupPairScores(
   const predicates::IndexHandle index_handle(options.index_cache, necessary,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
+  // Exact blocking: every enumerated pair satisfies N_L as it stands.
+  const bool exact_blocking = necessary.BlockingIsExact();
   // Predicate evaluation + scoring dominate; fan them out into one pair
   // list per shard, which the PairScores constructor scatters into rows in
   // parallel. The shard layout is thread-count independent, so every row's
@@ -47,11 +49,15 @@ cluster::PairScores BuildGroupPairScores(
     std::vector<cluster::ScoredPair>& out = shard_pairs[shard];
     predicates::BlockedIndex::QueryScratch scratch;
     size_t enumerated = 0;
+    size_t evals = 0;
     size_t scored = 0;
     index.ForEachCandidatePairInRange(b, e, &scratch,
                                       [&](size_t p, size_t q) {
       ++enumerated;
-      if (!necessary.Evaluate(reps[p], reps[q])) return;
+      if (!exact_blocking) {
+        ++evals;
+        if (!necessary.Evaluate(reps[p], reps[q])) return;
+      }
       ++scored;
       double s = scorer(reps[p], reps[q]);
       if (options.aggregate ==
@@ -61,7 +67,7 @@ cluster::PairScores BuildGroupPairScores(
       out.push_back({static_cast<uint32_t>(p), static_cast<uint32_t>(q), s});
     });
     pairs_enumerated->Add(enumerated);
-    pair_evals->Add(enumerated);  // Every enumerated pair runs N_L.
+    pair_evals->Add(evals);
     pairs_scored->Add(scored);
     if (options.deadline != nullptr) {
       options.deadline->ChargeWork(enumerated);

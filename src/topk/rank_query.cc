@@ -23,9 +23,10 @@ std::vector<std::vector<uint32_t>> NeighborLists(
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
   const predicates::IndexHandle index_handle(index_cache, necessary, reps);
   const predicates::BlockedIndex& index = index_handle.get();
+  const bool exact_blocking = necessary.BlockingIsExact();
   std::vector<std::vector<uint32_t>> adj(n);
   index.ForEachCandidatePair([&](size_t p, size_t q) {
-    if (necessary.Evaluate(reps[p], reps[q])) {
+    if (exact_blocking || necessary.Evaluate(reps[p], reps[q])) {
       adj[p].push_back(static_cast<uint32_t>(q));
       adj[q].push_back(static_cast<uint32_t>(p));
     }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,11 +15,16 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/pair_scores.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "datagen/address_gen.h"
 #include "datagen/citation_gen.h"
 #include "datagen/lexicon.h"
 #include "datagen/student_gen.h"
+#include "dedup/collapse.h"
+#include "dedup/group.h"
+#include "dedup/prune.h"
 #include "predicates/address.h"
 #include "predicates/blocked_index.h"
 #include "predicates/citation.h"
@@ -26,6 +32,7 @@
 #include "predicates/generic.h"
 #include "predicates/student.h"
 #include "predicates/tfidf_canopy.h"
+#include "topk/pair_scoring.h"
 
 namespace topkdup::predicates {
 namespace {
@@ -170,10 +177,24 @@ std::vector<size_t> IndexCandidates(const BlockedIndex& index,
   return out;
 }
 
+/// Every other item the predicate accepts with item p, as a sorted set.
+std::vector<size_t> AcceptedPartners(const PairPredicate& pred, size_t p,
+                                     size_t n) {
+  std::vector<size_t> out;
+  for (size_t q = 0; q < n; ++q) {
+    if (q != p && pred.Evaluate(p, q)) out.push_back(q);
+  }
+  return out;
+}
+
 /// Checks the index `pred` builds over items 0..n-1, and the same index
 /// after a Serialize -> Deserialize round trip, against the reference scan
-/// for every item.
-void ExpectIndexMatchesReference(const PairPredicate& pred, size_t n) {
+/// for every item. When the predicate claims exact blocking, the
+/// candidates must also be exactly the accepted partners. `rejected`, when
+/// given, receives the number of (item, candidate) pairs the predicate
+/// rejects on the built index.
+void ExpectIndexMatchesReference(const PairPredicate& pred, size_t n,
+                                 size_t* rejected = nullptr) {
   std::vector<size_t> items(n);
   for (size_t i = 0; i < n; ++i) items[i] = i;
   const BlockedIndex built(pred, items);
@@ -181,12 +202,24 @@ void ExpectIndexMatchesReference(const PairPredicate& pred, size_t n) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const BlockedIndex& reloaded = loaded.value();
   BlockedIndex::QueryScratch scratch;
+  if (rejected != nullptr) *rejected = 0;
   for (const BlockedIndex* index : {&built, &reloaded}) {
     const char* kind = index == &built ? "built" : "loaded";
     for (size_t p = 0; p < n; ++p) {
-      EXPECT_EQ(IndexCandidates(*index, &scratch, p),
-                ReferenceCandidates(pred, p, n))
+      const std::vector<size_t> candidates =
+          IndexCandidates(*index, &scratch, p);
+      EXPECT_EQ(candidates, ReferenceCandidates(pred, p, n))
           << pred.name() << " (" << kind << ") item " << p;
+      if (pred.BlockingIsExact()) {
+        EXPECT_EQ(candidates, AcceptedPartners(pred, p, n))
+            << pred.name() << " (" << kind << ") item " << p
+            << ": exact blocking, yet candidates != accepted pairs";
+      }
+      if (rejected != nullptr && index == &built) {
+        for (const size_t q : candidates) {
+          if (!pred.Evaluate(p, q)) ++*rejected;
+        }
+      }
     }
   }
 }
@@ -211,15 +244,32 @@ TEST_P(IndexEquivalenceSweep, MatchesUncompressedScan) {
   ASSERT_TRUE(corpus_or.ok());
   const Corpus& corpus = corpus_or.value();
   // min_common == 1 exercises the fractional-overlap thresholds (the
-  // serve predicate); 2 and 3 pin the fixed-count regime.
-  std::unique_ptr<PairPredicate> pred;
+  // serve predicate) and the single-token key; 2 and 3 pin the
+  // fixed-count regime. Each of these predicates claims exact blocking.
+  std::vector<std::unique_ptr<PairPredicate>> preds;
   if (min_common == 1) {
-    pred = std::make_unique<QGramOverlapPredicate>(&corpus, 0, 0.6);
+    preds.push_back(std::make_unique<QGramOverlapPredicate>(&corpus, 0, 0.6));
+    preds.push_back(std::make_unique<ExactFieldsPredicate>(
+        &corpus, std::vector<int>{0}));
   } else {
-    pred = std::make_unique<CommonWordsPredicate>(
-        &corpus, std::vector<int>{0}, min_common);
+    preds.push_back(std::make_unique<CommonWordsPredicate>(
+        &corpus, std::vector<int>{0}, min_common));
   }
-  ExpectIndexMatchesReference(*pred, data.size());
+  for (const auto& pred : preds) {
+    EXPECT_TRUE(pred->BlockingIsExact()) << pred->name();
+    ExpectIndexMatchesReference(*pred, data.size());
+  }
+  if (min_common == 1) {
+    // The initial rule is invisible to the signatures, so the flag is off,
+    // and the sweep sees candidates the predicate rejects: the exactness
+    // check above is one the data can fail.
+    const QGramOverlapPredicate with_initial(&corpus, 0, 0.1,
+                                             /*require_common_initial=*/true);
+    EXPECT_FALSE(with_initial.BlockingIsExact());
+    size_t rejected = 0;
+    ExpectIndexMatchesReference(with_initial, data.size(), &rejected);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -245,8 +295,12 @@ TEST_P(AddressIndexEquivalenceSweep, MatchesUncompressedScan) {
   ASSERT_TRUE(corpus_or.ok());
   const Corpus& corpus = corpus_or.value();
   AddressFields fields;
-  ExpectIndexMatchesReference(AddressS1(&corpus, fields), data.size());
-  ExpectIndexMatchesReference(AddressN1(&corpus, fields), data.size());
+  const AddressS1 s1(&corpus, fields);
+  const AddressN1 n1(&corpus, fields);
+  EXPECT_FALSE(s1.BlockingIsExact());
+  EXPECT_TRUE(n1.BlockingIsExact());
+  ExpectIndexMatchesReference(s1, data.size());
+  ExpectIndexMatchesReference(n1, data.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AddressIndexEquivalenceSweep,
@@ -476,6 +530,105 @@ TEST(PairEnumerationTest, LaterCandidatesOncePerPairInItemOrder) {
   ASSERT_TRUE(address_corpus_or.ok());
   ExpectPairContract(AddressS1(&address_corpus_or.value(), AddressFields{}),
                      addresses.size());
+}
+
+/// Forwards everything to `inner` but keeps the default BlockingIsExact()
+/// of false, so the pipelines evaluate every candidate.
+class EvaluatingWrapper : public PairPredicate {
+ public:
+  explicit EvaluatingWrapper(const PairPredicate& inner) : inner_(inner) {}
+  std::string_view name() const override { return inner_.name(); }
+  bool Evaluate(size_t a, size_t b) const override {
+    return inner_.Evaluate(a, b);
+  }
+  const std::vector<text::TokenId>& Signature(size_t rec) const override {
+    return inner_.Signature(rec);
+  }
+  int MinCommon(size_t size_a, size_t size_b) const override {
+    return inner_.MinCommon(size_a, size_b);
+  }
+
+ private:
+  const PairPredicate& inner_;
+};
+
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Global().GetCounter(name)->Value();
+}
+
+/// Skipping Evaluate on an exact predicate's candidates changes nothing a
+/// caller sees: prune's survivors and bounds are bit-identical, and so are
+/// the pair-score rows. Only the evaluation counters differ.
+TEST(ExactBlockingTest, SkippingEvaluateKeepsPruneAndPairScores) {
+  datagen::CitationGenOptions gen;
+  gen.num_records = 1500;
+  gen.num_authors = 300;
+  gen.seed = 12005;
+  auto data_or = datagen::GenerateCitations(gen);
+  ASSERT_TRUE(data_or.ok());
+  const record::Dataset& data = data_or.value();
+  auto corpus_or = Corpus::Build(&data, {});
+  ASSERT_TRUE(corpus_or.ok());
+  const Corpus& corpus = corpus_or.value();
+  const QGramOverlapPredicate exact(&corpus, 0, 0.6);
+  ASSERT_TRUE(exact.BlockingIsExact());
+  const EvaluatingWrapper evaluating(exact);
+  // Groups of varied weight: records with the same normalized name merge.
+  const ExactFieldsPredicate same_name(&corpus, std::vector<int>{0});
+  const std::vector<dedup::Group> groups =
+      dedup::Collapse(dedup::MakeSingletonGroups(data), same_name);
+  ASSERT_GT(groups.size(), 20u);
+  const double M = groups[10].weight;
+  const topk::PairScoreFn scorer = [](size_t a, size_t b) {
+    return static_cast<double>((a * 31 + b * 17) % 9) - 4.5;
+  };
+
+  for (const int threads : {1, 4}) {
+    ScopedParallelism scoped(threads);
+    for (const bool exact_bounds : {false, true}) {
+      const uint64_t evals = CounterValue("dedup.prune.pair_evals");
+      const dedup::PruneResult flagged =
+          dedup::PruneGroups(groups, exact, M, {}, exact_bounds);
+      EXPECT_EQ(CounterValue("dedup.prune.pair_evals"), evals);
+      const dedup::PruneResult evaluated =
+          dedup::PruneGroups(groups, evaluating, M, {}, exact_bounds);
+      EXPECT_GT(CounterValue("dedup.prune.pair_evals"), evals);
+
+      ASSERT_GT(flagged.groups.size(), 0u);
+      ASSERT_LT(flagged.groups.size(), groups.size());
+      ASSERT_EQ(flagged.groups.size(), evaluated.groups.size());
+      for (size_t i = 0; i < flagged.groups.size(); ++i) {
+        EXPECT_EQ(flagged.groups[i].rep, evaluated.groups[i].rep);
+        EXPECT_TRUE(std::memcmp(&flagged.upper_bounds[i],
+                                &evaluated.upper_bounds[i],
+                                sizeof(double)) == 0)
+            << "threads=" << threads << " exact_bounds=" << exact_bounds
+            << " survivor " << i;
+      }
+    }
+
+    const uint64_t evals = CounterValue("topk.pair_scores.pair_evals");
+    const uint64_t enumerated =
+        CounterValue("topk.pair_scores.pairs_enumerated");
+    const cluster::PairScores flagged =
+        topk::BuildGroupPairScores(groups, exact, scorer, {});
+    EXPECT_EQ(CounterValue("topk.pair_scores.pair_evals"), evals);
+    const uint64_t flagged_pairs =
+        CounterValue("topk.pair_scores.pairs_enumerated") - enumerated;
+    const cluster::PairScores evaluated =
+        topk::BuildGroupPairScores(groups, evaluating, scorer, {});
+    EXPECT_EQ(CounterValue("topk.pair_scores.pair_evals") - evals,
+              flagged_pairs);
+
+    ASSERT_GT(flagged.stored_pair_count(), 0u);
+    ASSERT_EQ(flagged.stored_pair_count(), evaluated.stored_pair_count());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      const auto a = flagged.Neighbors(i);
+      const auto b = evaluated.Neighbors(i);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "threads=" << threads << " row " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "datagen/citation_gen.h"
@@ -47,6 +49,48 @@ TEST(ParallelismLevelTest, OverrideAndReset) {
   EXPECT_EQ(ParallelismLevel(), 3);
   SetParallelism(0);
   EXPECT_GE(ParallelismLevel(), 1);
+}
+
+// Two threads' scopes overlap: A opens 2, B opens 8 while A's is open, A
+// closes first. Each thread must see only its own scope, and both must
+// fall back to the process-wide level, not to a snapshot of the other's.
+TEST(ParallelismLevelTest, ScopesAreThreadLocal) {
+  SetParallelism(3);
+  std::latch a_opened(1);
+  std::latch b_opened(1);
+  std::latch a_closed(1);
+  int a_inside = 0;
+  int a_after = 0;
+  int b_inside = 0;
+  int b_after = 0;
+  std::thread a([&] {
+    {
+      ScopedParallelism scoped(2);
+      a_opened.count_down();
+      b_opened.wait();
+      a_inside = ParallelismLevel();
+    }
+    a_after = ParallelismLevel();
+    a_closed.count_down();
+  });
+  std::thread b([&] {
+    a_opened.wait();
+    {
+      ScopedParallelism scoped(8);
+      b_opened.count_down();
+      a_closed.wait();
+      b_inside = ParallelismLevel();
+    }
+    b_after = ParallelismLevel();
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(a_inside, 2);
+  EXPECT_EQ(a_after, 3);
+  EXPECT_EQ(b_inside, 8);
+  EXPECT_EQ(b_after, 3);
+  EXPECT_EQ(ParallelismLevel(), 3);
+  SetParallelism(0);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexOnce) {

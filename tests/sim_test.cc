@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/name_similarity.h"
@@ -88,6 +93,127 @@ TEST(JaroWinklerTest, SymmetricAndBounded) {
       EXPECT_LE(ab, 1.0);
     }
   }
+}
+
+/// The original scalar Jaro with std::vector<bool> flags: the oracle that
+/// both of Jaro's length paths must reproduce bit for bit.
+double ReferenceJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const int la = static_cast<int>(a.size());
+  const int lb = static_cast<int>(b.size());
+  const int match_window = std::max(0, std::max(la, lb) / 2 - 1);
+  std::vector<bool> a_matched(a.size(), false);
+  std::vector<bool> b_matched(b.size(), false);
+  int matches = 0;
+  for (int i = 0; i < la; ++i) {
+    const int lo = std::max(0, i - match_window);
+    const int hi = std::min(lb - 1, i + match_window);
+    for (int j = lo; j <= hi; ++j) {
+      if (!b_matched[j] && a[i] == b[j]) {
+        a_matched[i] = true;
+        b_matched[j] = true;
+        ++matches;
+        break;
+      }
+    }
+  }
+  if (matches == 0) return 0.0;
+  int transpositions = 0;
+  int j = 0;
+  for (int i = 0; i < la; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = matches;
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+double ReferenceJaroWinkler(std::string_view a, std::string_view b) {
+  const double jaro = ReferenceJaro(a, b);
+  int prefix = 0;
+  const size_t limit = std::min({a.size(), b.size(), size_t{4}});
+  while (static_cast<size_t>(prefix) < limit && a[prefix] == b[prefix]) {
+    ++prefix;
+  }
+  return jaro + prefix * 0.1 * (1.0 - jaro);
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// `length` bytes over the first `alphabet` lowercase letters, or over all
+/// 256 byte values when `alphabet` is 0.
+std::string RandomBytes(Rng* rng, size_t length, int alphabet) {
+  std::string s(length, '\0');
+  for (char& c : s) {
+    c = alphabet == 0 ? static_cast<char>(rng->Uniform(256))
+                      : static_cast<char>('a' + rng->Uniform(alphabet));
+  }
+  return s;
+}
+
+/// Copies `s` with a few random substitutions, deletions, insertions and
+/// adjacent swaps, so pairs also land near the match-window edges.
+std::string Mutate(Rng* rng, std::string s, int alphabet) {
+  const int edits = static_cast<int>(rng->Uniform(4));
+  for (int e = 0; e < edits && !s.empty(); ++e) {
+    const size_t at = rng->Uniform(s.size());
+    const char c = RandomBytes(rng, 1, alphabet)[0];
+    switch (rng->Uniform(4)) {
+      case 0: s[at] = c; break;
+      case 1: s.erase(at, 1); break;
+      case 2: s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+      default:
+        if (at + 1 < s.size()) std::swap(s[at], s[at + 1]);
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(JaroOracleTest, MatchesScalarReferenceBitForBit) {
+  Rng rng(2009);
+  const size_t edges[] = {0, 1, 2, 31, 32, 33, 62, 63, 64, 65, 66, 127, 130};
+  const int alphabets[] = {1, 2, 3, 4, 5, 6, 0};
+  size_t short_pairs = 0;
+  size_t long_pairs = 0;
+  auto check = [&](const std::string& a, const std::string& b) {
+    const double jaro = Jaro(a, b);
+    const double jw = JaroWinkler(a, b);
+    ASSERT_TRUE(SameBits(jaro, ReferenceJaro(a, b)))
+        << "Jaro |a|=" << a.size() << " |b|=" << b.size() << ": " << jaro
+        << " vs " << ReferenceJaro(a, b);
+    ASSERT_TRUE(SameBits(jw, ReferenceJaroWinkler(a, b)))
+        << "JaroWinkler |a|=" << a.size() << " |b|=" << b.size();
+    ++(a.size() <= 64 && b.size() <= 64 ? short_pairs : long_pairs);
+  };
+  // Every pair of boundary lengths, on every alphabet.
+  for (const int alphabet : alphabets) {
+    for (const size_t la : edges) {
+      for (const size_t lb : edges) {
+        for (int rep = 0; rep < 8; ++rep) {
+          check(RandomBytes(&rng, la, alphabet),
+                RandomBytes(&rng, lb, alphabet));
+        }
+      }
+    }
+  }
+  // Random lengths 0..130, independent and near-duplicate pairs.
+  for (int iter = 0; iter < 60000; ++iter) {
+    const int alphabet = alphabets[rng.Uniform(std::size(alphabets))];
+    const std::string a = RandomBytes(&rng, rng.Uniform(131), alphabet);
+    const std::string b = rng.Bernoulli(0.5)
+                              ? Mutate(&rng, a, alphabet)
+                              : RandomBytes(&rng, rng.Uniform(131), alphabet);
+    check(a, b);
+  }
+  // Both paths are exercised, including pairs with one long side.
+  EXPECT_GT(short_pairs, 10000u);
+  EXPECT_GT(long_pairs, 10000u);
 }
 
 TEST(LevenshteinTest, KnownValues) {

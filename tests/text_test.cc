@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "text/inverted_index.h"
 #include "text/tokenize.h"
@@ -62,6 +68,70 @@ TEST(TokenizeTest, SortedInitials) {
 TEST(TokenizeTest, NormalizeText) {
   EXPECT_EQ(NormalizeText("  A  b\tC "), "a b c");
   EXPECT_EQ(NormalizeText(""), "");
+}
+
+/// The <cctype> versions the locale-free kernels replace; the test binary
+/// never calls setlocale, so these use the C locale's classes.
+std::string ReferenceNormalizeText(std::string_view s) {
+  std::string out;
+  bool pending_space = false;
+  for (char c : s) {
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      if (!out.empty()) pending_space = true;
+    } else {
+      if (pending_space) {
+        out.push_back(' ');
+        pending_space = false;
+      }
+      out.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> ReferenceWordTokens(std::string_view s) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (char c : s) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      cur.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    } else if (!cur.empty()) {
+      out.push_back(std::move(cur));
+      cur.clear();
+    }
+  }
+  if (!cur.empty()) out.push_back(std::move(cur));
+  return out;
+}
+
+TEST(TokenizeOracleTest, EveryByteMatchesCctype) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    // Alone, and between word characters and spaces.
+    for (const std::string& s :
+         {std::string(1, c), "Ab" + std::string(1, c) + "cD",
+          " x" + std::string(1, c) + std::string(1, c) + "Y "}) {
+      EXPECT_EQ(NormalizeText(s), ReferenceNormalizeText(s)) << "byte " << v;
+      EXPECT_EQ(WordTokens(s), ReferenceWordTokens(s)) << "byte " << v;
+    }
+  }
+}
+
+TEST(TokenizeOracleTest, RandomMixedWhitespaceMatchesCctype) {
+  // Mostly whitespace runs, case, digits and punctuation, plus any byte.
+  const std::string pool = " \t\n\v\f\r  AbZz09-.'";
+  Rng rng(77);
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string s(rng.Uniform(40), '\0');
+    for (char& c : s) {
+      c = rng.Bernoulli(0.9) ? pool[rng.Uniform(pool.size())]
+                             : static_cast<char>(rng.Uniform(256));
+    }
+    ASSERT_EQ(NormalizeText(s), ReferenceNormalizeText(s));
+    ASSERT_EQ(WordTokens(s), ReferenceWordTokens(s));
+  }
 }
 
 TEST(VocabTest, InternAssignsStableIds) {
