@@ -79,12 +79,13 @@ int Run(int argc, char** argv) {
     options.explain = obs.explain_enabled();
     options.explain_sample_rate = obs.explain_sample_rate;
     std::optional<Deadline> run_deadline;
+    QueryContext context;
     if (budget.active()) {
       run_deadline.emplace(budget.Make());
-      options.deadline = &*run_deadline;
+      context.deadline = &*run_deadline;
     }
     Timer run_timer;
-    auto result_or = dedup::PrunedDedup(data, {{&s1, &n1}}, options);
+    auto result_or = dedup::PrunedDedup(data, {{&s1, &n1}}, options, context);
     if (!result_or.ok()) {
       std::fprintf(stderr, "K=%d: %s\n", k,
                    result_or.status().ToString().c_str());

@@ -206,12 +206,13 @@ int Run(int argc, char** argv) {
     dedup::PrunedDedupOptions options;
     options.k = k;
     std::optional<Deadline> run_deadline;
+    QueryContext context;
     if (budget.active()) {
       run_deadline.emplace(budget.Make());
-      options.deadline = &*run_deadline;
+      context.deadline = &*run_deadline;
     }
     auto pruned_or =
-        dedup::PrunedDedup(data, {{&s1, &n1}, {&s2, &n2}}, options);
+        dedup::PrunedDedup(data, {{&s1, &n1}, {&s2, &n2}}, options, context);
     double time_pruned = -1.0;
     if (pruned_or.ok()) {
       bench::PrintDegradation(k, pruned_or.value().degradation);

@@ -134,7 +134,7 @@ void BM_CollapseDeadline(benchmark::State& state) {
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
   for (auto _ : state) {
     std::vector<dedup::Group> out =
-        dedup::Collapse(w.singletons, *w.s1, /*recorder=*/nullptr, &deadline);
+        dedup::Collapse(w.singletons, *w.s1, {.deadline = &deadline});
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -152,10 +152,9 @@ void BM_PruneDeadline(benchmark::State& state) {
   const Deadline deadline =
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
   for (auto _ : state) {
-    dedup::PruneOptions options;
-    options.deadline = &deadline;
     dedup::PruneResult out =
-        dedup::PruneGroups(w.collapsed, *w.n1, w.M, options);
+        dedup::PruneGroups(w.collapsed, *w.n1, w.M, {},
+                           /*exact_bounds=*/false, {.deadline = &deadline});
     benchmark::DoNotOptimize(out.groups.size());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -18,6 +18,8 @@ size_t StripeIndex() {
 
 namespace internal {
 
+constinit thread_local CounterBlock* t_counter_block = nullptr;
+
 void AtomicAddDouble(std::atomic<uint64_t>* bits, double delta) {
   uint64_t observed = bits->load(std::memory_order_relaxed);
   for (;;) {
@@ -146,11 +148,69 @@ double ScopedTimer::Stop() {
   return seconds;
 }
 
-uint64_t MetricsSnapshot::CounterValue(std::string_view name) const {
-  for (const CounterSample& sample : counters) {
+template <typename Fn>
+void CounterBlock::ForEachTotal(Fn fn) const {
+  Registry& registry = Registry::Global();
+  std::lock_guard<std::mutex> lock(registry.mu_);
+  const size_t slots = std::min(registry.counters_by_id_.size(), kBlockSlots);
+  for (size_t id = 0; id < slots; ++id) {
+    const uint64_t total = SlotTotal(id);
+    if (total != 0) fn(registry.counters_by_id_[id], total);
+  }
+}
+
+uint64_t CounterBlock::SlotTotal(size_t id) const {
+  uint64_t total = 0;
+  for (size_t s = 0; s < kStripes; ++s) {
+    total += stripes_[s].cells[id].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+CounterBlock::CounterBlock()
+    : stripes_(std::make_unique<Stripe[]>(kStripes)),
+      parent_(internal::t_counter_block) {
+  internal::t_counter_block = this;
+}
+
+CounterBlock::~CounterBlock() {
+  internal::t_counter_block = parent_;
+  // Counter::Add now routes to the parent block, or to the registry.
+  ForEachTotal([](Counter* counter, uint64_t total) { counter->Add(total); });
+}
+
+uint64_t CounterBlock::Value(std::string_view name) const {
+  Registry& registry = Registry::Global();
+  std::lock_guard<std::mutex> lock(registry.mu_);
+  const auto it = registry.counters_.find(name);
+  if (it == registry.counters_.end() || it->second->id_ >= kBlockSlots) {
+    return 0;
+  }
+  return SlotTotal(it->second->id_);
+}
+
+std::vector<CounterSample> CounterBlock::Samples() const {
+  std::vector<CounterSample> samples;
+  ForEachTotal([&](const Counter* counter, uint64_t total) {
+    samples.push_back({counter->name(), total});
+  });
+  std::sort(samples.begin(), samples.end(),
+            [](const CounterSample& a, const CounterSample& b) {
+              return a.name < b.name;
+            });
+  return samples;
+}
+
+uint64_t CounterValue(const std::vector<CounterSample>& samples,
+                      std::string_view name) {
+  for (const CounterSample& sample : samples) {
     if (sample.name == name) return sample.value;
   }
   return 0;
+}
+
+uint64_t MetricsSnapshot::CounterValue(std::string_view name) const {
+  return metrics::CounterValue(counters, name);
 }
 
 double MetricsSnapshot::GaugeValue(std::string_view name) const {
@@ -268,8 +328,10 @@ Counter* Registry::GetCounter(std::string_view name) {
   if (it == counters_.end()) {
     it = counters_
              .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(std::string(name))))
+                      std::unique_ptr<Counter>(new Counter(
+                          std::string(name), counters_by_id_.size())))
              .first;
+    counters_by_id_.push_back(it->second.get());
   }
   return it->second.get();
 }

@@ -23,7 +23,17 @@ inline constexpr size_t kStripes = 16;
 /// Shard index of the calling thread (stable per thread).
 size_t StripeIndex();
 
+/// Counter slots of a CounterBlock: the first kBlockSlots counters the
+/// process registers (the library registers about 80). A later one still
+/// counts in the registry, but its per-query totals read 0.
+inline constexpr size_t kBlockSlots = 256;
+
+class CounterBlock;
+
 namespace internal {
+
+/// The calling thread's innermost open (or delegated) CounterBlock.
+extern constinit thread_local CounterBlock* t_counter_block;
 
 /// Relaxed-CAS add on a double stored as its bit pattern (portable
 /// atomic<double>::fetch_add).
@@ -37,27 +47,92 @@ struct alignas(64) CounterCell {
 }  // namespace internal
 
 /// Monotonically increasing counter. Add() is a relaxed atomic add on the
-/// calling thread's stripe (lock-free, no false sharing); Value() sums the
-/// stripes. Handles returned by the Registry are valid for the process
-/// lifetime — cache them outside hot loops and batch increments where a
-/// loop-local accumulator is available.
+/// calling thread's stripe (lock-free, no false sharing) of its innermost
+/// CounterBlock, or of the counter when there is none; Value() sums the
+/// counter's stripes, so it excludes open blocks. Handles returned by the
+/// Registry are valid for the process lifetime — cache them outside hot
+/// loops and batch increments where a loop-local accumulator is available.
 class Counter {
  public:
-  void Add(uint64_t delta) {
-    cells_[StripeIndex()].value.fetch_add(delta, std::memory_order_relaxed);
-  }
+  inline void Add(uint64_t delta);
   void Increment() { Add(1); }
   uint64_t Value() const;
   const std::string& name() const { return name_; }
 
  private:
   friend class Registry;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
+  friend class CounterBlock;
+  Counter(std::string name, size_t id) : name_(std::move(name)), id_(id) {}
   void Reset();
 
   std::string name_;
+  size_t id_;  // Registration order: the counter's CounterBlock slot.
   std::array<internal::CounterCell, kStripes> cells_;
 };
+
+struct CounterSample;
+
+/// The counter increments of one scope (a query, or one predicate level
+/// inside it), exact whatever runs concurrently. Constructing a block makes
+/// it the calling thread's innermost: every Counter::Add on this thread
+/// lands in it, and so does every Add on a pool worker running a shard of a
+/// region this thread launches (common/parallel delegates the block once
+/// per region). Destroying it restores the previous innermost block and
+/// folds this block's totals into it, or into the registry when there is
+/// none. A block opens and closes on one thread, nested like any scope.
+class CounterBlock {
+ public:
+  CounterBlock();
+  ~CounterBlock();
+  CounterBlock(const CounterBlock&) = delete;
+  CounterBlock& operator=(const CounterBlock&) = delete;
+
+  /// This block's total for the counter named `name` (0 when absent).
+  uint64_t Value(std::string_view name) const;
+  /// Every nonzero total, sorted by name.
+  std::vector<CounterSample> Samples() const;
+
+  /// Makes `block` the calling thread's innermost for the scope without
+  /// opening or folding it: how a pool worker runs a shard.
+  class Delegate {
+   public:
+    explicit Delegate(CounterBlock* block)
+        : saved_(internal::t_counter_block) {
+      internal::t_counter_block = block;
+    }
+    ~Delegate() { internal::t_counter_block = saved_; }
+    Delegate(const Delegate&) = delete;
+    Delegate& operator=(const Delegate&) = delete;
+
+   private:
+    CounterBlock* saved_;
+  };
+
+ private:
+  friend class Counter;
+
+  struct alignas(64) Stripe {
+    std::array<std::atomic<uint64_t>, kBlockSlots> cells;
+  };
+
+  /// fn(counter, total) for every nonzero slot, under the registry lock.
+  template <typename Fn>
+  void ForEachTotal(Fn fn) const;
+  uint64_t SlotTotal(size_t id) const;
+
+  std::unique_ptr<Stripe[]> stripes_;
+  CounterBlock* parent_;
+};
+
+inline void Counter::Add(uint64_t delta) {
+  CounterBlock* block = internal::t_counter_block;
+  if (block != nullptr && id_ < kBlockSlots) {
+    block->stripes_[StripeIndex()].cells[id_].fetch_add(
+        delta, std::memory_order_relaxed);
+  } else {
+    cells_[StripeIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+}
 
 /// Last-write-wins instantaneous value (double-valued so it can carry
 /// bound qualities like M as well as integral depths).
@@ -132,7 +207,13 @@ class ScopedTimer {
 struct CounterSample {
   std::string name;
   uint64_t value = 0;
+
+  bool operator==(const CounterSample&) const = default;
 };
+
+/// The value of the counter named `name` in `samples`; 0 when absent.
+uint64_t CounterValue(const std::vector<CounterSample>& samples,
+                      std::string_view name);
 
 struct GaugeSample {
   std::string name;
@@ -192,10 +273,12 @@ class Registry {
   void Reset();
 
  private:
+  friend class CounterBlock;
   Registry() = default;
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::vector<Counter*> counters_by_id_;  // Counter::id_ indexes this.
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };

@@ -248,14 +248,15 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& fn) {
   span.AddArg("threads", threads);
 
   // Shard CPU is charged to the launching thread's meter under the stage
-  // that was current at region launch, so fan-out doesn't lose per-query
-  // CPU accounting: a pool worker's own thread-local attribution belongs
-  // to whatever query last ran on it.
-  const resource::internal::Attribution meter_sink =
+  // that was current at region launch, and shard counter increments land
+  // in its innermost counter block, so fan-out loses no per-query
+  // accounting: a pool worker's own thread-local attachment belongs to
+  // whatever query last ran on it.
+  const resource::internal::Attribution sink =
       resource::internal::CurrentAttribution();
   const auto instrumented = [&](size_t s) {
-    resource::ScopedMeterAttach meter_attach(meter_sink.meter,
-                                             meter_sink.stage);
+    resource::ScopedMeterAttach meter_attach(sink.meter, sink.stage);
+    metrics::CounterBlock::Delegate counter_block(sink.counters);
     // `s` is claimed in increasing order, so num_shards - s approximates
     // the shards still queued when this task starts.
     queue_depth->Set(static_cast<double>(num_shards - 1 - s));

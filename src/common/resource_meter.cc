@@ -50,17 +50,6 @@ void ResourceMeter::Charge(std::string_view stage, double cpu_seconds) {
   }
 }
 
-void ResourceMeter::ChargeWork(std::string_view kind, uint64_t units) {
-  if (units == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = work_.find(kind);
-  if (it == work_.end()) {
-    work_.emplace(std::string(kind), units);
-  } else {
-    it->second += units;
-  }
-}
-
 double ResourceMeter::CpuSeconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   double total = 0.0;
@@ -74,22 +63,9 @@ std::vector<std::pair<std::string, double>> ResourceMeter::StageBreakdown()
   return {stage_cpu_.begin(), stage_cpu_.end()};
 }
 
-std::vector<std::pair<std::string, uint64_t>> ResourceMeter::WorkBreakdown()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {work_.begin(), work_.end()};
-}
-
-uint64_t ResourceMeter::WorkUnits(std::string_view kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = work_.find(kind);
-  return it == work_.end() ? 0 : it->second;
-}
-
 void ResourceMeter::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   stage_cpu_.clear();
-  work_.clear();
 }
 
 const char* StageForSpan(const char* span_name) {
@@ -208,7 +184,9 @@ std::vector<std::pair<std::string, double>> CpuWindow::TopAt(
 
 namespace internal {
 
-Attribution CurrentAttribution() { return {t_attr.meter, t_attr.stage}; }
+Attribution CurrentAttribution() {
+  return {t_attr.meter, t_attr.stage, metrics::internal::t_counter_block};
+}
 
 SpanToken OnSpanBegin(const char* span_name) {
   SpanToken token;

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace topkdup::resource {
 
 /// Per-query resource attribution: how much CPU time a query consumed,
@@ -30,9 +32,10 @@ namespace topkdup::resource {
 ///     invisible to the meter, so orchestration spans never steal
 ///     attribution from the stage they run under.
 ///  3. common/parallel's region launch captures the launching thread's
-///     attachment (meter + current stage) and installs it on each worker
-///     for the duration of a shard, so CPU burned on pool workers is
-///     charged to the stage whose region fanned out.
+///     attachment (meter + current stage + counter block) once and
+///     installs it on each worker for the duration of a shard, so CPU
+///     burned on pool workers is charged to the stage whose region fanned
+///     out, and counts land in the query's metrics::CounterBlock.
 ///
 /// Because every charged interval is exclusive (a thread is in exactly one
 /// stage at a time, and each thread's clock is read once per boundary),
@@ -55,11 +58,6 @@ class ResourceMeter {
   /// across CPU migrations on some kernels). Thread-safe.
   void Charge(std::string_view stage, double cpu_seconds);
 
-  /// Adds `units` of work of kind `kind` (e.g. candidate pairs evaluated,
-  /// postings decoded) — the denominators the serve cost model divides CPU
-  /// by. Thread-safe.
-  void ChargeWork(std::string_view kind, uint64_t units);
-
   /// Total CPU seconds charged — identically the sum of StageBreakdown()
   /// values. Thread-safe.
   double CpuSeconds() const;
@@ -68,18 +66,11 @@ class ResourceMeter {
   /// order). Thread-safe.
   std::vector<std::pair<std::string, double>> StageBreakdown() const;
 
-  /// Per-kind work units, sorted by kind name. Thread-safe.
-  std::vector<std::pair<std::string, uint64_t>> WorkBreakdown() const;
-
-  /// Total work units of one kind (0 when never charged).
-  uint64_t WorkUnits(std::string_view kind) const;
-
   void Reset();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, double, std::less<>> stage_cpu_;
-  std::map<std::string, uint64_t, std::less<>> work_;
 };
 
 /// The catch-all stage charged for attributed CPU spent outside any
@@ -155,11 +146,12 @@ class CpuWindow {
 namespace internal {
 
 /// The calling thread's live attachment, for delegation into pool
-/// workers: parallel region launch captures this, each shard installs it
-/// via ScopedMeterAttach(meter, stage).
+/// workers: parallel region launch captures this once, and each shard
+/// installs it via ScopedMeterAttach and CounterBlock::Delegate.
 struct Attribution {
   ResourceMeter* meter = nullptr;
   const char* stage = nullptr;
+  metrics::CounterBlock* counters = nullptr;
 };
 Attribution CurrentAttribution();
 

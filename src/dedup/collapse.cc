@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "dedup/union_find.h"
+#include "obs/explain.h"
 #include "predicates/blocked_index.h"
 #include "predicates/index_cache.h"
 
@@ -59,16 +61,17 @@ void CollectEdges(const predicates::BlockedIndex& index,
 
 std::vector<Group> Collapse(const std::vector<Group>& groups,
                             const predicates::PairPredicate& sufficient,
-                            obs::ExplainRecorder* recorder,
-                            const Deadline* deadline,
-                            predicates::IndexCache* index_cache) {
+                            const QueryContext& context) {
+  const Deadline* deadline = context.deadline;
+  obs::ExplainRecorder* recorder = context.recorder;
   const size_t n = groups.size();
   trace::Span span("dedup.collapse");
   span.AddArg("groups_in", static_cast<int64_t>(n));
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
 
-  const predicates::IndexHandle index_handle(index_cache, sufficient, reps);
+  const predicates::IndexHandle index_handle(context.index_cache, sufficient,
+                                             reps);
   const predicates::BlockedIndex& index = index_handle.get();
   UnionFind uf(n);
   if (deadline == nullptr && ParallelismLevel() <= 1) {

@@ -3,14 +3,9 @@
 
 #include <vector>
 
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
-
-namespace topkdup::predicates {
-class IndexCache;
-}  // namespace topkdup::predicates
 
 namespace topkdup::dedup {
 
@@ -22,27 +17,22 @@ namespace topkdup::dedup {
 /// constituent; weights and member lists are unioned. The result is sorted
 /// by decreasing weight.
 ///
-/// When `recorder` is non-null it receives the collapse summary plus
+/// The context's recorder, when set, receives the collapse summary plus
 /// sampled merge events. Merges are reported from the final set partition
 /// (not edge discovery order), so the recorded events are identical
 /// whether the closure was computed serially or in parallel.
 ///
-/// When `deadline` is non-null it is polled at shard boundaries; on expiry
-/// the remaining shards contribute no edges and the function returns the
-/// partial closure. An under-collapsed partition is still a valid
-/// partition (entities are merely split, never wrongly merged), so every
-/// downstream bound stays sound. Predicate evaluations are charged to the
-/// deadline as work units; with a deadline present the closure always runs
-/// the shard-local edge-collection path (even single-threaded) so the
+/// The context's deadline, when set, is polled at shard boundaries; on
+/// expiry the remaining shards contribute no edges and the function
+/// returns the partial closure. An under-collapsed partition is still a
+/// valid partition (entities are merely split, never wrongly merged), so
+/// every downstream bound stays sound. Predicate evaluations are charged to
+/// the deadline as work units; with a deadline present the closure always
+/// runs the shard-local edge-collection path (even single-threaded) so the
 /// charged work is identical at any thread count.
-/// `index_cache`, when non-null, shares the blocking index for the group
-/// representatives across calls (resident serving); null builds a
-/// call-local index, exactly as before.
 std::vector<Group> Collapse(const std::vector<Group>& groups,
                             const predicates::PairPredicate& sufficient,
-                            obs::ExplainRecorder* recorder = nullptr,
-                            const Deadline* deadline = nullptr,
-                            predicates::IndexCache* index_cache = nullptr);
+                            const QueryContext& context = {});
 
 }  // namespace topkdup::dedup
 

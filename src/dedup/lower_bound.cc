@@ -6,10 +6,12 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "graph/clique_partition.h"
 #include "graph/graph.h"
+#include "obs/explain.h"
 #include "predicates/blocked_index.h"
 #include "predicates/index_cache.h"
 
@@ -118,7 +120,8 @@ class PrefixCpn {
 namespace {
 
 /// Publishes one estimation's work counters and bound quality to the
-/// registry (level-scoped readers diff these; gauges hold the last run).
+/// registry (counters land in the open level's block; gauges hold the last
+/// run).
 void RecordLowerBoundMetrics(const LowerBoundResult& result) {
   auto& registry = metrics::Registry::Global();
   static metrics::Counter* edges =
@@ -142,8 +145,9 @@ void RecordLowerBoundMetrics(const LowerBoundResult& result) {
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary, int k,
-    const LowerBoundOptions& options) {
+    const LowerBoundOptions& options, const QueryContext& context) {
   TOPKDUP_CHECK(k >= 1);
+  obs::ExplainRecorder* recorder = context.recorder;
   trace::Span span("dedup.lower_bound");
   span.AddArg("groups", static_cast<int64_t>(groups.size()));
   span.AddArg("k", k);
@@ -155,15 +159,14 @@ LowerBoundResult EstimateLowerBound(
     result.M = groups.back().weight;
     result.certified = false;
     RecordLowerBoundMetrics(result);
-    if (options.recorder != nullptr) {
-      options.recorder->RecordLowerBound(result.m, result.M,
-                                         result.certified, 0, 0);
+    if (recorder != nullptr) {
+      recorder->RecordLowerBound(result.m, result.M, result.certified, 0, 0);
     }
     return result;
   }
 
-  const Deadline* deadline = options.deadline;
-  PrefixCpn cpn(groups, necessary, deadline, options.index_cache);
+  const Deadline* deadline = context.deadline;
+  PrefixCpn cpn(groups, necessary, deadline, context.index_cache);
   bool degraded = false;
   size_t edges_charged = 0;
 
@@ -183,9 +186,7 @@ LowerBoundResult EstimateLowerBound(
       degraded = true;
       return PrefixCpn::kAbandoned;
     }
-    if (options.recorder != nullptr) {
-      options.recorder->RecordCpnProbe(m, bound, phase);
-    }
+    if (recorder != nullptr) recorder->RecordCpnProbe(m, bound, phase);
     return bound;
   };
   // Full (work-budget-aware) check at a probe boundary; deterministic.
@@ -257,10 +258,9 @@ LowerBoundResult EstimateLowerBound(
   result.cpn_evaluations = cpn.cpn_evaluations();
   span.AddArg("m", static_cast<int64_t>(result.m));
   RecordLowerBoundMetrics(result);
-  if (options.recorder != nullptr) {
-    options.recorder->RecordLowerBound(result.m, result.M, result.certified,
-                                       result.edges_examined,
-                                       result.cpn_evaluations);
+  if (recorder != nullptr) {
+    recorder->RecordLowerBound(result.m, result.M, result.certified,
+                               result.edges_examined, result.cpn_evaluations);
   }
   return result;
 }

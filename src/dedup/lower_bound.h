@@ -4,14 +4,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
-
-namespace topkdup::predicates {
-class IndexCache;
-}  // namespace topkdup::predicates
 
 namespace topkdup::dedup {
 
@@ -62,33 +57,25 @@ struct LowerBoundOptions {
     kAuto,      // Greedy IS first; fall back to min-fill when it fails.
   };
   Bound bound = Bound::kAuto;
-
-  /// When non-null, receives every CPN probe (prefix size, certified
-  /// bound, which search phase asked) plus the final m/M summary.
-  obs::ExplainRecorder* recorder = nullptr;
-
-  /// When non-null, polled between CPN probes (full check, deterministic
-  /// under a work budget) and during edge growth (urgent wall-clock/cancel
-  /// check). A probe interrupted mid-growth is abandoned whole — a CPN
-  /// bound over a partially grown edge set could falsely certify
-  /// distinctness, so partial probes never contribute. Necessary-predicate
-  /// edge enumerations are charged as work units.
-  const Deadline* deadline = nullptr;
-
-  /// When non-null, the blocking index over the group representatives is
-  /// shared through this cache (resident serving: the same weight-sorted
-  /// reps are probed on every request); null builds a call-local index.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// Estimates m and M for `groups` (sorted by decreasing weight) under the
 /// given necessary predicate, per paper §4.2: the CPN lower bound of the
 /// graph induced by N on a prefix certifies that many distinct entities,
 /// and any prefix with CPN >= k yields the bound M = weight(c_m).
+///
+/// The context's recorder, when set, receives every CPN probe (prefix
+/// size, certified bound, which search phase asked) plus the final m/M
+/// summary. Its deadline, when set, is polled between CPN probes (full
+/// check, deterministic under a work budget) and during edge growth
+/// (urgent wall-clock/cancel check). A probe interrupted mid-growth is
+/// abandoned whole — a CPN bound over a partially grown edge set could
+/// falsely certify distinctness, so partial probes never contribute.
+/// Necessary-predicate edge enumerations are charged as work units.
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary, int k,
-    const LowerBoundOptions& options = {});
+    const LowerBoundOptions& options = {}, const QueryContext& context = {});
 
 }  // namespace topkdup::dedup
 

@@ -5,9 +5,11 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "obs/explain.h"
 #include "predicates/blocked_index.h"
 #include "predicates/index_cache.h"
 
@@ -41,8 +43,10 @@ struct PruneCounters {
 
 PruneResult PruneGroups(const std::vector<Group>& groups,
                         const predicates::PairPredicate& necessary, double M,
-                        const PruneOptions& options, bool exact_bounds) {
+                        const PruneOptions& options, bool exact_bounds,
+                        const QueryContext& context) {
   TOPKDUP_CHECK(options.passes >= 1);
+  obs::ExplainRecorder* recorder = context.recorder;
   const size_t n = groups.size();
   trace::Span span("dedup.prune");
   span.AddArg("groups_in", static_cast<int64_t>(n));
@@ -52,13 +56,13 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
 
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
-  const predicates::IndexHandle index_handle(options.index_cache, necessary,
+  const predicates::IndexHandle index_handle(context.index_cache, necessary,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
 
   // Exact blocking: every candidate satisfies N, so none is re-evaluated.
   const bool exact_blocking = necessary.BlockingIsExact();
-  const Deadline* deadline = options.deadline;
+  const Deadline* deadline = context.deadline;
   PruneResult result;
   result.unconditional_bounds = exact_bounds && options.passes == 1;
 
@@ -110,8 +114,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
         ++examined;
         // Sampling keys off the weight-sorted group index, so the explain
         // event set is identical at any thread count.
-        const bool sampled = options.recorder != nullptr &&
-                             options.recorder->SampleKey(i);
+        const bool sampled = recorder != nullptr && recorder->SampleKey(i);
         size_t contributing = 0;
         bool early_exit = false;
         double sum = groups[i].weight;
@@ -156,7 +159,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
           } else {
             decision.verdict = obs::PruneVerdict::kPrunedBoundBelowM;
           }
-          options.recorder->RecordPruneDecision(decision);
+          recorder->RecordPruneDecision(decision);
         }
       }
       counters.groups_examined->Add(examined);
@@ -180,9 +183,8 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
   }
   counters.groups_pruned->Add(n - result.groups.size());
   span.AddArg("groups_out", static_cast<int64_t>(result.groups.size()));
-  if (options.recorder != nullptr) {
-    options.recorder->RecordPruneSummary(options.passes, M, n,
-                                         result.groups.size());
+  if (recorder != nullptr) {
+    recorder->RecordPruneSummary(options.passes, M, n, result.groups.size());
   }
   return result;
 }
@@ -190,12 +192,13 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
 std::vector<double> ComputeGroupUpperBounds(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary,
-    const std::vector<size_t>& indices, const Deadline* deadline,
-    predicates::IndexCache* index_cache) {
+    const std::vector<size_t>& indices, const QueryContext& context) {
+  const Deadline* deadline = context.deadline;
   const size_t n = groups.size();
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
-  const predicates::IndexHandle index_handle(index_cache, necessary, reps);
+  const predicates::IndexHandle index_handle(context.index_cache, necessary,
+                                             reps);
   const predicates::BlockedIndex& index = index_handle.get();
   const bool exact_blocking = necessary.BlockingIsExact();
 

@@ -3,14 +3,9 @@
 
 #include <vector>
 
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
-
-namespace topkdup::predicates {
-class IndexCache;
-}  // namespace topkdup::predicates
 
 namespace topkdup::dedup {
 
@@ -19,23 +14,6 @@ struct PruneOptions {
   /// The paper observed two passes give ~2x more pruning than one, with
   /// little gain beyond two.
   int passes = 2;
-  /// When non-null, receives the prune summary plus per-group decisions
-  /// (bound vs. M, decisive component) sampled deterministically by group
-  /// index — the same decisions are recorded at any thread count.
-  obs::ExplainRecorder* recorder = nullptr;
-  /// When non-null, polled between passes (full check — the only place
-  /// work-budget expiry is decided, keeping budget-limited runs
-  /// deterministic) and at shard starts within a pass (urgent wall-clock/
-  /// cancel check). A skipped shard keeps its groups alive with their
-  /// previous valid upper bound (+inf in pass 1), so a degraded prune only
-  /// under-prunes — never discards a potential answer group. Each examined
-  /// candidate of a live neighbour is charged one work unit, whether or
-  /// not the predicate's exact blocking spares its evaluation.
-  const Deadline* deadline = nullptr;
-  /// When non-null, shares the blocking index over the group
-  /// representatives across calls (resident serving); null builds a
-  /// call-local index.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 struct PruneResult {
@@ -74,23 +52,36 @@ struct PruneResult {
 /// w_i >= M are never pruned. The scan over a group's candidates stops
 /// early once its bound provably exceeds M, unless `exact_bounds` — needed
 /// by the rank queries that compare bounds across groups — is requested.
+///
+/// The context's recorder, when set, receives the prune summary plus
+/// per-group decisions (bound vs. M, decisive component) sampled
+/// deterministically by group index — the same decisions are recorded at
+/// any thread count. Its deadline, when set, is polled between passes
+/// (full check — the only place work-budget expiry is decided, keeping
+/// budget-limited runs deterministic) and at shard starts within a pass
+/// (urgent wall-clock/cancel check). A skipped shard keeps its groups
+/// alive with their previous valid upper bound (+inf in pass 1), so a
+/// degraded prune only under-prunes — never discards a potential answer
+/// group. Each examined candidate of a live neighbour is charged one work
+/// unit, whether or not the predicate's exact blocking spares its
+/// evaluation.
 PruneResult PruneGroups(const std::vector<Group>& groups,
                         const predicates::PairPredicate& necessary, double M,
                         const PruneOptions& options = {},
-                        bool exact_bounds = false);
+                        bool exact_bounds = false,
+                        const QueryContext& context = {});
 
 /// First-pass §4.3 upper bounds u_i = w_i + sum of all N-neighbor weights
 /// for the groups at `indices` (neighbors range over ALL of `groups`, so
 /// the bound is valid regardless of which subset is asked about). Used to
 /// attach [lower, upper] count intervals to a degraded answer when the
-/// pruning stage never ran for the final partition. `deadline`, when
-/// non-null, is urgent-polled per shard; a skipped shard's bounds are +inf
-/// (still valid, merely uninformative). Never charges work.
+/// pruning stage never ran for the final partition. The context's
+/// deadline, when set, is urgent-polled per shard; a skipped shard's bounds
+/// are +inf (still valid, merely uninformative). Never charges work.
 std::vector<double> ComputeGroupUpperBounds(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary,
-    const std::vector<size_t>& indices, const Deadline* deadline = nullptr,
-    predicates::IndexCache* index_cache = nullptr);
+    const std::vector<size_t>& indices, const QueryContext& context = {});
 
 }  // namespace topkdup::dedup
 

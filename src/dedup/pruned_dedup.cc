@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -12,47 +13,9 @@
 
 namespace topkdup::dedup {
 
-namespace {
-
-/// Counters whose per-level deltas populate LevelStats. Reading a striped
-/// counter is a 16-load sum, so bracketing every stage is effectively
-/// free.
-struct StageCounters {
-  metrics::Counter* blocking_probes;
-  metrics::Counter* collapse_evals;
-  metrics::Counter* lower_bound_evals;
-  metrics::Counter* prune_evals;
-  metrics::Counter* postings_scanned;
-  metrics::Counter* postings_decoded;
-  metrics::Counter* blocks_decoded;
-  metrics::Counter* blocks_skipped;
-
-  static const StageCounters& Get() {
-    auto& registry = metrics::Registry::Global();
-    static const StageCounters counters = {
-        registry.GetCounter("predicates.blocked_index.candidates"),
-        registry.GetCounter("dedup.collapse.pair_evals"),
-        registry.GetCounter("dedup.lower_bound.pair_evals"),
-        registry.GetCounter("dedup.prune.pair_evals"),
-        registry.GetCounter("predicates.blocked_index.postings_scanned"),
-        registry.GetCounter("predicates.blocked_index.postings_decoded"),
-        registry.GetCounter("predicates.blocked_index.blocks_decoded"),
-        registry.GetCounter("predicates.blocked_index.blocks_skipped"),
-    };
-    return counters;
-  }
-
-  uint64_t TotalEvals() const {
-    return collapse_evals->Value() + lower_bound_evals->Value() +
-           prune_evals->Value();
-  }
-};
-
-}  // namespace
-
 StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options) {
+    const PrunedDedupOptions& options, const QueryContext& context) {
   if (options.k < 1) {
     return Status::InvalidArgument("PrunedDedup: k must be >= 1");
   }
@@ -63,31 +26,26 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     return Status::InvalidArgument("PrunedDedup: at least one level");
   }
   ScopedParallelism parallelism(options.threads);
-  const Deadline* deadline = options.deadline;
-  const StageCounters& counters = StageCounters::Get();
-  const metrics::MetricsSnapshot snapshot_before =
-      metrics::Registry::Global().Snapshot();
+  const Deadline* deadline = context.deadline;
   trace::Span pipeline_span("dedup.pruned_dedup");
   pipeline_span.AddArg("k", options.k);
   pipeline_span.AddArg("levels", static_cast<int64_t>(levels.size()));
   pipeline_span.AddArg("groups_in", static_cast<int64_t>(groups.size()));
-  if (options.query_id != 0) {
-    pipeline_span.AddArg("query_id",
-                         static_cast<int64_t>(options.query_id));
+  if (context.query_id != 0) {
+    pipeline_span.AddArg("query_id", static_cast<int64_t>(context.query_id));
   }
 
   // The recorder is owned here unless the caller (e.g. TopKCountQuery)
   // supplied one to compose a whole-query report.
+  QueryContext stage_context = context;
   std::unique_ptr<obs::ExplainRecorder> owned_recorder;
-  obs::ExplainRecorder* recorder = options.explain_recorder;
-  if (recorder == nullptr && options.explain) {
+  if (stage_context.recorder == nullptr && options.explain) {
     owned_recorder =
         std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    if (options.query_id != 0) {
-      owned_recorder->set_query_id(options.query_id);
-    }
-    recorder = owned_recorder.get();
+    owned_recorder->set_query_id(context.query_id);
+    stage_context.recorder = owned_recorder.get();
   }
+  obs::ExplainRecorder* recorder = stage_context.recorder;
 
   PrunedDedupResult result;
   result.upper_bounds.assign(groups.size(), 0.0);
@@ -103,14 +61,12 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
       break;
     }
     LevelStats stats;
+    // Tallies this level's counter increments, on this thread and on the
+    // pool workers its regions fan out to; folds into the enclosing block
+    // (or the registry) when the iteration ends.
+    const metrics::CounterBlock level_counters;
     trace::Span level_span("dedup.level");
     level_span.AddArg("level", static_cast<int64_t>(level_index));
-    const uint64_t probes_before = counters.blocking_probes->Value();
-    const uint64_t evals_before = counters.TotalEvals();
-    const uint64_t scanned_before = counters.postings_scanned->Value();
-    const uint64_t decoded_before = counters.postings_decoded->Value();
-    const uint64_t dblocks_before = counters.blocks_decoded->Value();
-    const uint64_t sblocks_before = counters.blocks_skipped->Value();
     const size_t groups_before = groups.size();
     if (recorder != nullptr) {
       recorder->BeginLevel(
@@ -124,8 +80,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     bool stopped = false;
 
     if (level.sufficient != nullptr) {
-      groups = Collapse(groups, *level.sufficient, recorder, deadline,
-                        options.index_cache);
+      groups = Collapse(groups, *level.sufficient, stage_context);
       if (deadline != nullptr && deadline->Expired()) {
         // The closure may be missing edges from skipped shards: a valid
         // but under-collapsed partition. Bounds from previous levels no
@@ -145,13 +100,9 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
 
     if (!stopped && level.necessary != nullptr) {
       timer.Reset();
-      LowerBoundOptions lb_options = options.lower_bound;
-      lb_options.recorder = recorder;
-      lb_options.deadline = deadline;
-      lb_options.index_cache = options.index_cache;
       const LowerBoundResult lb =
           EstimateLowerBound(groups, *level.necessary, options.k,
-                             lb_options);
+                             options.lower_bound, stage_context);
       stats.lower_bound_seconds = timer.ElapsedSeconds();
       stats.m = lb.m;
       stats.M = lb.M;
@@ -170,13 +121,9 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
 
       if (!stopped) {
         timer.Reset();
-        PruneOptions prune_options;
-        prune_options.passes = options.prune_passes;
-        prune_options.recorder = recorder;
-        prune_options.deadline = deadline;
-        prune_options.index_cache = options.index_cache;
-        PruneResult pruned = PruneGroups(groups, *level.necessary, lb.M,
-                                         prune_options, options.exact_bounds);
+        PruneResult pruned = PruneGroups(
+            groups, *level.necessary, lb.M, {.passes = options.prune_passes},
+            options.exact_bounds, stage_context);
         stats.prune_seconds = timer.ElapsedSeconds();
         stats.groups_pruned = groups.size() - pruned.groups.size();
         groups = std::move(pruned.groups);
@@ -202,14 +149,20 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
       result.upper_bounds_unconditional = false;
     }
     stats.n_after_prune = groups.size();
-    stats.blocking_probes = counters.blocking_probes->Value() - probes_before;
-    stats.predicate_evals = counters.TotalEvals() - evals_before;
+    stats.blocking_probes =
+        level_counters.Value("predicates.blocked_index.candidates");
+    stats.predicate_evals =
+        level_counters.Value("dedup.collapse.pair_evals") +
+        level_counters.Value("dedup.lower_bound.pair_evals") +
+        level_counters.Value("dedup.prune.pair_evals");
     stats.postings_scanned =
-        counters.postings_scanned->Value() - scanned_before;
+        level_counters.Value("predicates.blocked_index.postings_scanned");
     stats.postings_decoded =
-        counters.postings_decoded->Value() - decoded_before;
-    stats.blocks_decoded = counters.blocks_decoded->Value() - dblocks_before;
-    stats.blocks_skipped = counters.blocks_skipped->Value() - sblocks_before;
+        level_counters.Value("predicates.blocked_index.postings_decoded");
+    stats.blocks_decoded =
+        level_counters.Value("predicates.blocked_index.blocks_decoded");
+    stats.blocks_skipped =
+        level_counters.Value("predicates.blocked_index.blocks_skipped");
     TOPKDUP_LOG(Debug) << "PrunedDedup level " << level_index
                        << ": n=" << stats.n_after_collapse
                        << " m=" << stats.m << " M=" << stats.M
@@ -233,8 +186,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   }
   pipeline_span.AddArg("groups_out",
                        static_cast<int64_t>(result.groups.size()));
-  result.metrics = metrics::MetricsSnapshot::Delta(
-      snapshot_before, metrics::Registry::Global().Snapshot());
   if (owned_recorder != nullptr) {
     result.explain = std::make_shared<const obs::ExplainReport>(
         owned_recorder->Finish());
@@ -244,8 +195,9 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
 
 StatusOr<PrunedDedupResult> PrunedDedup(
     const record::Dataset& data, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options) {
-  return PrunedDedupFromGroups(MakeSingletonGroups(data), levels, options);
+    const PrunedDedupOptions& options, const QueryContext& context) {
+  return PrunedDedupFromGroups(MakeSingletonGroups(data), levels, options,
+                               context);
 }
 
 }  // namespace topkdup::dedup

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/metrics.h"
+#include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/group.h"
 #include "dedup/lower_bound.h"
@@ -14,10 +14,6 @@
 #include "obs/explain.h"
 #include "predicates/pair_predicate.h"
 #include "record/record.h"
-
-namespace topkdup::predicates {
-class IndexCache;
-}  // namespace topkdup::predicates
 
 namespace topkdup::dedup {
 
@@ -33,7 +29,8 @@ struct PredicateLevel {
 /// Per-level statistics matching the columns of the paper's Figures 2-4,
 /// plus the work counters behind them (how much each predicate level
 /// avoided: records collapsed away, groups pruned against M, predicate and
-/// blocking probes actually paid for).
+/// blocking probes actually paid for). The work counters are the level's
+/// metrics::CounterBlock totals: exact whatever runs concurrently.
 struct LevelStats {
   size_t n_after_collapse = 0;  // n:  groups after collapsing with S_l.
   size_t m = 0;                 // m:  prefix rank certifying K entities.
@@ -75,12 +72,8 @@ struct PrunedDedupResult {
   /// True when pruning reduced the data to exactly K groups, in which case
   /// `groups` *is* the TopK answer and no final clustering is needed.
   bool exact = false;
-  /// Registry delta covering this run: every counter/histogram increment
-  /// between entry and return (common/metrics.h), for exporters and
-  /// query-time budgeting.
-  metrics::MetricsSnapshot metrics;
   /// Per-query explain report (Options::explain); null when explain was
-  /// off or when events went to an external Options::explain_recorder.
+  /// off or when events went to the context's recorder.
   std::shared_ptr<const obs::ExplainReport> explain;
   /// How the deadline degraded this run (degradation.degraded == false
   /// when every level ran to completion). When degradation stopped the
@@ -93,11 +86,6 @@ struct PrunedDedupResult {
 struct PrunedDedupOptions {
   int k = 10;
   int prune_passes = 2;
-  /// Owning service query id (serve::QueryResponse::query_id), stamped on
-  /// the pipeline's trace spans and explain report so live introspection
-  /// joins them to the request-log line. 0 (the non-serve paths) adds
-  /// nothing to spans or reports.
-  uint64_t query_id = 0;
   /// Compute exact (no early-exit) upper bounds in the final prune pass;
   /// required by the rank queries.
   bool exact_bounds = false;
@@ -108,30 +96,14 @@ struct PrunedDedupOptions {
   int threads = 0;
   LowerBoundOptions lower_bound;
   /// Build a per-query explain report (src/obs/explain.h) carried on the
-  /// result. Off by default; the off path hands the hot loops a null
-  /// recorder, which costs one pointer test per potential event.
+  /// result, unless the context brings its own recorder. Off by default;
+  /// the off path hands the hot loops a null recorder, which costs one
+  /// pointer test per potential event.
   bool explain = false;
   /// Fraction of *detail* events (collapse merges, prune decisions) kept,
   /// sampled by a deterministic per-event hash. Section summaries and
   /// every CPN probe stay exact at any rate.
   double explain_sample_rate = 1.0;
-  /// When non-null, events go to this external recorder instead of a
-  /// fresh internal one and the result's `explain` stays null — the owner
-  /// calls Finish(). Used by TopKCountQuery to compose one whole-query
-  /// report spanning dedup, embedding, and segmentation.
-  obs::ExplainRecorder* explain_recorder = nullptr;
-  /// Query budget (not owned; null = unlimited). Polled cooperatively at
-  /// stage, shard, probe, and pass boundaries; on expiry the pipeline
-  /// stops at the next checkpoint and returns its best consistent state
-  /// with `PrunedDedupResult::degradation` filled. Never aborts. Under a
-  /// pure work budget the stopping point — and therefore every output —
-  /// is bit-identical at any thread count.
-  const Deadline* deadline = nullptr;
-  /// When non-null, every stage's blocking index resolves through this
-  /// cache (resident serving builds each index once per dataset and
-  /// reuses it — memoized — across requests); null keeps the historical
-  /// build-per-stage behavior.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// Algorithm 2 (PrunedDedup): for each predicate level, collapse with S_l,
@@ -139,15 +111,18 @@ struct PrunedDedupOptions {
 /// cannot reach M. Returns the reduced set of groups plus per-level stats.
 ///
 /// `levels` predicates must be bound to a Corpus built over `data`.
+/// On expiry of the context's deadline the pipeline stops at the next
+/// checkpoint and returns its best consistent state with `degradation`
+/// filled; under a pure work budget every output is bit-identical at any
+/// thread count.
 StatusOr<PrunedDedupResult> PrunedDedup(
     const record::Dataset& data, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options);
+    const PrunedDedupOptions& options, const QueryContext& context = {});
 
-/// Variant starting from pre-formed groups (used by the thresholded rank
-/// query and by tests that chain pipelines).
+/// Variant starting from pre-formed groups.
 StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options);
+    const PrunedDedupOptions& options, const QueryContext& context = {});
 
 }  // namespace topkdup::dedup
 

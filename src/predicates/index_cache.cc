@@ -81,17 +81,6 @@ std::shared_ptr<const BlockedIndex> IndexCache::Put(const PairPredicate& pred,
   return shared;
 }
 
-std::shared_ptr<const BlockedIndex> IndexCache::Lookup(
-    const PairPredicate& pred, const std::vector<size_t>& items) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* entry = Find(pred, items)) {
-    entry->tick = ++tick_;
-    CacheCounters::Get().hits->Increment();
-    return entry->index;
-  }
-  return nullptr;
-}
-
 size_t IndexCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

@@ -50,10 +50,6 @@ class IndexCache {
                                           std::vector<size_t> items,
                                           BlockedIndex index);
 
-  /// The cached index for (pred, items), or null without building.
-  std::shared_ptr<const BlockedIndex> Lookup(
-      const PairPredicate& pred, const std::vector<size_t>& items);
-
   size_t size() const;
 
   /// Sum of the cached indexes' serialized byte sizes — the "warmed-index

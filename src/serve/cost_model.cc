@@ -45,11 +45,6 @@ CostModel::Prediction CostModel::Predict() const {
   return prediction;
 }
 
-uint64_t CostModel::samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return samples_;
-}
-
 std::string CostModel::DebugJson() const {
   const Prediction p = Predict();
   uint64_t n;

@@ -53,8 +53,6 @@ class CostModel {
   /// The model's current typical-query estimate. Thread-safe.
   Prediction Predict() const;
 
-  uint64_t samples() const;
-
   /// One-line JSON for /statusz dataset entries.
   std::string DebugJson() const;
 

@@ -99,9 +99,8 @@ struct RequestLogEvent {
   /// measured unit cost it was built on, so the refusal is auditable.
   double shed_predicted_ms = 0.0;
   double shed_cpu_per_pair_ns = 0.0;
-  /// Per-stage work counters charged by this query (best-effort under
-  /// concurrency — the registry is process-global, so overlapping queries
-  /// can bleed into each other's deltas).
+  /// Per-stage work counters charged by this query: its counter block's
+  /// totals, exact under concurrency (metrics::CounterBlock).
   std::vector<std::pair<const char*, uint64_t>> work;
   /// Epoch the answer was computed at (0 = static dataset / unanswered);
   /// the same id appears on the response and any captured explain report,

@@ -74,6 +74,27 @@ metrics::Counter* CheckpointsCounter() {
   return metrics::Registry::Global().GetCounter("serve.wal.checkpoints");
 }
 
+/// The counter totals a response's result carries: the query's own block
+/// (topk::TopKCountResult::counters, topk::TopKRankResult::counters).
+const std::vector<metrics::CounterSample>& QueryCounters(
+    const QueryResponse& response) {
+  return response.rank.has_value() ? response.rank->counters
+                                   : response.result.counters;
+}
+
+CostModel::Observation CostObservation(
+    const resource::ResourceMeter& meter, double wall_seconds,
+    const std::vector<metrics::CounterSample>& counters) {
+  CostModel::Observation cost;
+  cost.cpu_seconds = meter.CpuSeconds();
+  cost.wall_seconds = wall_seconds;
+  cost.candidate_pairs =
+      metrics::CounterValue(counters, "predicates.blocked_index.candidates");
+  cost.postings_decoded = metrics::CounterValue(
+      counters, "predicates.blocked_index.postings_decoded");
+  return cost;
+}
+
 }  // namespace
 
 const char* ServedOutcomeName(ServedOutcome outcome) {
@@ -873,24 +894,9 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
   *response = std::move(attempt_or).value();
   response->attempts = 1;
   // Fold the attempt into the dataset's cost model: attributed CPU, wall
-  // time, and the work units its result metrics carried.
-  const metrics::MetricsSnapshot* attempt_work =
-      pending.request.kind == QueryKind::kTopKRank
-          ? (response->rank.has_value() ? &response->rank->pruning.metrics
-                                        : nullptr)
-          : &response->result.metrics;
-  CostModel::Observation cost;
-  cost.cpu_seconds = pending.meter.CpuSeconds();
-  cost.wall_seconds = exec_seconds;
-  if (attempt_work != nullptr) {
-    cost.candidate_pairs =
-        attempt_work->CounterValue("predicates.blocked_index.candidates");
-    cost.postings_decoded = attempt_work->CounterValue(
-        "predicates.blocked_index.postings_decoded");
-    pending.meter.ChargeWork("candidate_pairs", cost.candidate_pairs);
-    pending.meter.ChargeWork("postings_decoded", cost.postings_decoded);
-  }
-  ds.cost_model.Observe(cost);
+  // time, and the work units the query's counter block tallied.
+  ds.cost_model.Observe(
+      CostObservation(pending.meter, exec_seconds, QueryCounters(*response)));
   ds.RecordSample(exec_seconds);
   ds.served.fetch_add(1, std::memory_order_relaxed);
   ds.breaker.OnSuccess(decision);
@@ -911,17 +917,21 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
   }
   QueryResponse response;
   response.status = Status::OK();
+  // Static datasets resolve every stage's blocking index through the
+  // dataset cache warmed at registration; online snapshots change their
+  // item sets per snapshot and keep the per-query build.
+  const QueryContext context{
+      .deadline = &deadline,
+      .index_cache = ds.online ? nullptr : &ds.index_cache,
+      .query_id = query_id};
   if (request.kind == QueryKind::kTopKRank) {
     topk::TopKRankOptions rank_options;
     rank_options.k = request.k;
     rank_options.prune_passes = options_.rank_prune_passes;
-    rank_options.deadline = &deadline;
-    rank_options.index_cache = &ds.index_cache;
-    rank_options.query_id = query_id;
     TOPKDUP_ASSIGN_OR_RETURN(
         topk::TopKRankResult rank,
-        topk::TopKRankQuery(*ds.bundle.data, ds.bundle.levels,
-                            rank_options));
+        topk::TopKRankQuery(*ds.bundle.data, ds.bundle.levels, rank_options,
+                            context));
     response.outcome = rank.degradation.degraded
                            ? ServedOutcome::kDegraded
                            : ServedOutcome::kExact;
@@ -929,22 +939,15 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
     return response;
   }
 
-  topk::TopKCountOptions query_options = options_.count_defaults;
+  topk::TopKCountOptions query_options;
   query_options.r = request.r;
-  query_options.deadline = &deadline;
-  query_options.query_id = query_id;
   // Slow-query capture needs an explain report to snapshot, so arm one
-  // (sampled) whenever slow detection is on and the caller's defaults
-  // didn't already ask for it.
-  if (request_log_->slow_enabled() && !query_options.explain) {
+  // (sampled) whenever slow detection is on.
+  if (request_log_->slow_enabled()) {
     query_options.explain = true;
     query_options.explain_sample_rate =
         options_.request_log.slow_explain_sample_rate;
   }
-  // The parallel pool is process-wide and regions already serialize;
-  // per-query overrides from concurrent workers would race, so leave the
-  // global level alone.
-  query_options.threads = 0;
   double snapshot_weight = 0.0;
   uint64_t snapshot_epoch = 0;
   uint64_t snapshot_mentions = 0;
@@ -986,18 +989,14 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
         static_cast<size_t>(request.k), snapshot->reps.size()));
     TOPKDUP_ASSIGN_OR_RETURN(
         response.result,
-        ds.stream->QuerySnapshot(*snapshot, query_options));
+        ds.stream->QuerySnapshot(*snapshot, query_options, context));
   } else {
     query_options.k = static_cast<int>(std::min<size_t>(
         static_cast<size_t>(request.k), ds.bundle.data->size()));
-    // Static datasets resolve every stage's blocking index through the
-    // dataset cache warmed at registration; online snapshots change their
-    // item sets per snapshot and keep the per-query build.
-    query_options.index_cache = &ds.index_cache;
     TOPKDUP_ASSIGN_OR_RETURN(
         response.result,
         topk::TopKCountQuery(*ds.bundle.data, ds.bundle.levels,
-                             ds.bundle.scorer, query_options));
+                             ds.bundle.scorer, query_options, context));
   }
   response.outcome = response.result.quality == topk::AnswerQuality::kExact
                          ? ServedOutcome::kExact
@@ -1145,12 +1144,9 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
     event.status = response.status.ok() ? "ok"
                                         : StatusCodeName(response.status.code());
     event.outcome = ServedOutcomeName(response.outcome);
-    // Per-query work deltas travel inside the result; pick the snapshot
-    // matching the query kind.
-    const metrics::MetricsSnapshot* work = nullptr;
+    // The query's own counter totals travel inside the result.
     if (pending.request.kind == QueryKind::kTopKRank) {
       if (response.rank.has_value()) {
-        work = &response.rank->pruning.metrics;
         event.degraded = response.rank->degradation.degraded;
         event.quality = event.degraded ? "bounds_only" : "exact";
         if (event.degraded) {
@@ -1160,7 +1156,6 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
         }
       }
     } else if (response.status.ok()) {
-      work = &response.result.metrics;
       event.quality = topk::AnswerQualityName(response.result.quality);
       event.degraded = response.result.degradation.degraded;
       if (event.degraded) {
@@ -1169,16 +1164,16 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
             DeadlineReasonName(response.result.degradation.reason);
       }
     }
-    if (work != nullptr) {
-      for (const char* name :
-           {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
-            "dedup.lower_bound.cpn_evals",
-            "predicates.blocked_index.postings_decoded",
-            "predicates.blocked_index.candidates",
-            "segment.scorer.cells_filled"}) {
-        const uint64_t value = work->CounterValue(name);
-        if (value != 0) event.work.emplace_back(name, value);
-      }
+    const std::vector<metrics::CounterSample>& work =
+        QueryCounters(response);
+    for (const char* name :
+         {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
+          "dedup.lower_bound.cpn_evals",
+          "predicates.blocked_index.postings_decoded",
+          "predicates.blocked_index.candidates",
+          "segment.scorer.cells_filled"}) {
+      const uint64_t value = metrics::CounterValue(work, name);
+      if (value != 0) event.work.emplace_back(name, value);
     }
     event.epoch = response.epoch;
     event.cache = response.cache;
@@ -1292,15 +1287,8 @@ void QueryService::Calibrate(DatasetState& ds) {
     ds.RecordSample(wall);
     // Seed the cost model too, so the very first admission decision can
     // already cite a measured unit cost.
-    const metrics::MetricsSnapshot& work = response.value().result.metrics;
-    CostModel::Observation cost;
-    cost.cpu_seconds = meter.CpuSeconds();
-    cost.wall_seconds = wall;
-    cost.candidate_pairs =
-        work.CounterValue("predicates.blocked_index.candidates");
-    cost.postings_decoded =
-        work.CounterValue("predicates.blocked_index.postings_decoded");
-    ds.cost_model.Observe(cost);
+    ds.cost_model.Observe(
+        CostObservation(meter, wall, QueryCounters(response.value())));
   } else {
     TOPKDUP_LOG(Warning) << "calibration query for dataset '" << ds.name
                          << "' failed: "

@@ -175,10 +175,6 @@ struct ServiceOptions {
   /// Run one calibration query at registration to seed the dataset's cost
   /// estimate and the bounds cache the breaker serves while open.
   bool calibrate_on_register = true;
-  /// Defaults applied to every count query (k, r, and deadline are always
-  /// overridden per request; threads stays 0 — the service must not fight
-  /// over the process-wide parallelism).
-  topk::TopKCountOptions count_defaults;
   /// prune_passes applied to rank queries.
   int rank_prune_passes = 2;
   /// Wide-event request logging (serve/request_log.h): one JSON line per

@@ -314,7 +314,8 @@ OnlineTopK::Snapshot OnlineTopK::TakeSnapshot() {
 }
 
 StatusOr<TopKCountResult> OnlineTopK::QuerySnapshot(
-    const Snapshot& snapshot, const TopKCountOptions& options) const {
+    const Snapshot& snapshot, const TopKCountOptions& options,
+    const QueryContext& context) const {
   auto corpus_or = predicates::Corpus::Build(&snapshot.reps, {});
   TOPKDUP_RETURN_IF_ERROR(corpus_or.status());
   const predicates::Corpus& corpus = corpus_or.value();
@@ -327,7 +328,7 @@ StatusOr<TopKCountResult> OnlineTopK::QuerySnapshot(
   TOPKDUP_ASSIGN_OR_RETURN(
       TopKCountResult result,
       TopKCountQuery(snapshot.reps, {{nullptr, necessary.get()}}, scorer,
-                     options));
+                     options, context));
 
   // Translate representative-dataset member ids back to mention ids.
   for (TopKAnswerSet& answer : result.answers) {
@@ -353,8 +354,9 @@ StatusOr<TopKCountResult> OnlineTopK::QuerySnapshot(
   return result;
 }
 
-StatusOr<TopKCountResult> OnlineTopK::Query(const TopKCountOptions& options) {
-  return QuerySnapshot(TakeSnapshot(), options);
+StatusOr<TopKCountResult> OnlineTopK::Query(const TopKCountOptions& options,
+                                            const QueryContext& context) {
+  return QuerySnapshot(TakeSnapshot(), options, context);
 }
 
 }  // namespace topkdup::topk

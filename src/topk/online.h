@@ -132,11 +132,13 @@ class OnlineTopK {
   /// result refer to ingestion order at capture. Const and safe to run
   /// concurrently with ingestion — cost is a function of the snapshot's
   /// *group* count, not mentions.
-  StatusOr<TopKCountResult> QuerySnapshot(const Snapshot& snapshot,
-                                          const TopKCountOptions& options) const;
+  StatusOr<TopKCountResult> QuerySnapshot(
+      const Snapshot& snapshot, const TopKCountOptions& options,
+      const QueryContext& context = {}) const;
 
   /// TakeSnapshot + QuerySnapshot in one call (single-threaded use).
-  StatusOr<TopKCountResult> Query(const TopKCountOptions& options);
+  StatusOr<TopKCountResult> Query(const TopKCountOptions& options,
+                                  const QueryContext& context = {});
 
   /// Serializes the full ingested stream into a self-validating checkpoint
   /// image: a versioned, CRC-checked header (same conventions as the

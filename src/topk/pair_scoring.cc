@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -14,8 +15,9 @@ namespace topkdup::topk {
 cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary, const PairScoreFn& scorer,
-    const PairScoringOptions& options) {
+    const PairScoringOptions& options, const QueryContext& context) {
   TOPKDUP_CHECK(options.default_score <= 0.0);
+  const Deadline* deadline = context.deadline;
   const size_t n = groups.size();
   trace::Span span("topk.pair_scores");
   span.AddArg("groups", static_cast<int64_t>(n));
@@ -29,7 +31,7 @@ cluster::PairScores BuildGroupPairScores(
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
 
-  const predicates::IndexHandle index_handle(options.index_cache, necessary,
+  const predicates::IndexHandle index_handle(context.index_cache, necessary,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
   // Exact blocking: every enumerated pair satisfies N_L as it stands.
@@ -43,9 +45,7 @@ cluster::PairScores BuildGroupPairScores(
   std::vector<std::vector<cluster::ScoredPair>> shard_pairs(
       MakeShards(0, n, grain).shard_count());
   ParallelForShards(0, n, grain, [&](size_t b, size_t e, size_t shard) {
-    if (options.deadline != nullptr && options.deadline->ExpiredUrgent()) {
-      return;
-    }
+    if (deadline != nullptr && deadline->ExpiredUrgent()) return;
     std::vector<cluster::ScoredPair>& out = shard_pairs[shard];
     predicates::BlockedIndex::QueryScratch scratch;
     size_t enumerated = 0;
@@ -69,9 +69,7 @@ cluster::PairScores BuildGroupPairScores(
     pairs_enumerated->Add(enumerated);
     pair_evals->Add(evals);
     pairs_scored->Add(scored);
-    if (options.deadline != nullptr) {
-      options.deadline->ChargeWork(enumerated);
-    }
+    if (deadline != nullptr) deadline->ChargeWork(enumerated);
   });
   cluster::PairScores scores(n, options.default_score, shard_pairs);
   span.AddArg("scored", static_cast<int64_t>(scores.stored_pair_count()));

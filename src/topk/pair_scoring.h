@@ -5,13 +5,9 @@
 #include <vector>
 
 #include "cluster/pair_scores.h"
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
 #include "predicates/pair_predicate.h"
-
-namespace topkdup::predicates {
-class IndexCache;
-}  // namespace topkdup::predicates
 
 namespace topkdup::topk {
 
@@ -43,15 +39,6 @@ struct PairScoringOptions {
   /// keeping them in separate groups and stops the segmentation DP from
   /// absorbing unrelated neighbors into answer segments for free.
   double default_score = -0.25;
-  /// Query budget (not owned; null = unlimited). Polled urgently (wall
-  /// clock / cancel only) at shard boundaries; skipped shards leave their
-  /// pairs on the default score — a consistent, merely less informed,
-  /// score matrix. Enumerated pairs are charged as work.
-  const Deadline* deadline = nullptr;
-  /// When non-null, shares the blocking index over the group
-  /// representatives across calls (resident serving); null builds a
-  /// call-local index.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// Builds the sparse pairwise score matrix over `groups` (indexed by group
@@ -59,10 +46,15 @@ struct PairScoringOptions {
 /// get scorer(rep_a, rep_b) aggregated per the options; all other pairs take
 /// the default. This is "apply criteria P on pairs for which N_L is true"
 /// (Algorithm 2, step 9).
+///
+/// The context's deadline, when set, is polled urgently (wall clock /
+/// cancel only) at shard boundaries; skipped shards leave their pairs on
+/// the default score — a consistent, merely less informed, score matrix.
+/// Enumerated pairs are charged as work.
 cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary, const PairScoreFn& scorer,
-    const PairScoringOptions& options = {});
+    const PairScoringOptions& options = {}, const QueryContext& context = {});
 
 }  // namespace topkdup::topk
 

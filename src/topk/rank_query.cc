@@ -39,21 +39,21 @@ std::vector<std::vector<uint32_t>> NeighborLists(
 StatusOr<TopKRankResult> TopKRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const TopKRankOptions& options) {
+    const TopKRankOptions& options, const QueryContext& context) {
   if (levels.empty() || levels.back().necessary == nullptr) {
     return Status::InvalidArgument(
         "TopKRankQuery: the last level must carry a necessary predicate");
   }
+  // The whole query's counter increments; see TopKCountQuery.
+  const metrics::CounterBlock counters;
+  const Deadline* deadline = context.deadline;
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
-  prune_options.query_id = options.query_id;
   prune_options.exact_bounds = true;  // Bounds are compared across groups.
-  prune_options.deadline = options.deadline;
-  prune_options.index_cache = options.index_cache;
   TOPKDUP_ASSIGN_OR_RETURN(
       dedup::PrunedDedupResult pruning,
-      dedup::PrunedDedup(data, levels, prune_options));
+      dedup::PrunedDedup(data, levels, prune_options, context));
 
   TopKRankResult result;
   const std::vector<dedup::Group>& groups = pruning.groups;
@@ -69,33 +69,28 @@ StatusOr<TopKRankResult> TopKRankQuery(
   // the true counts. The recomputation is urgent-polled only (work-budget
   // expiry is already latched; metering it again would zero out every
   // interval to +inf).
-  if (pruning.degradation.degraded || options.deadline != nullptr) {
-    const bool expired = options.deadline != nullptr &&
-                         (pruning.degradation.degraded ||
-                          options.deadline->Expired());
-    if (expired) {
-      std::vector<size_t> all(n);
-      for (size_t i = 0; i < n; ++i) all[i] = i;
-      std::vector<double> bounds =
-          pruning.upper_bounds_unconditional &&
-                  pruning.upper_bounds.size() == n
-              ? pruning.upper_bounds
-              : dedup::ComputeGroupUpperBounds(groups, necessary, all,
-                                               /*deadline=*/nullptr,
-                                               options.index_cache);
-      result.ranked.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        result.ranked.push_back(RankedGroup{groups[i], bounds[i]});
-      }
-      result.degradation = pruning.degradation;
-      result.pruning = std::move(pruning);
-      return result;
+  if (deadline != nullptr &&
+      (pruning.degradation.degraded || deadline->Expired())) {
+    std::vector<size_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = i;
+    std::vector<double> bounds =
+        pruning.upper_bounds_unconditional && pruning.upper_bounds.size() == n
+            ? pruning.upper_bounds
+            : dedup::ComputeGroupUpperBounds(
+                  groups, necessary, all, {.index_cache = context.index_cache});
+    result.ranked.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      result.ranked.push_back(RankedGroup{groups[i], bounds[i]});
     }
+    result.degradation = pruning.degradation;
+    result.pruning = std::move(pruning);
+    result.counters = counters.Samples();
+    return result;
   }
 
   const std::vector<double>& ub = pruning.upper_bounds;
   const std::vector<std::vector<uint32_t>> adj =
-      NeighborLists(groups, necessary, options.index_cache);
+      NeighborLists(groups, necessary, context.index_cache);
 
   // §7.1: a group j is resolved when it has no ranking conflict with any
   // non-neighbor and none of its neighbors can outgrow M without it. The
@@ -106,7 +101,7 @@ StatusOr<TopKRankResult> TopKRankQuery(
   std::vector<bool> resolved(n, false);
   bool resolution_complete = true;
   for (size_t j = 0; j < n; ++j) {
-    if (options.deadline != nullptr && options.deadline->ExpiredUrgent()) {
+    if (deadline != nullptr && deadline->ExpiredUrgent()) {
       resolution_complete = false;
       break;
     }
@@ -156,17 +151,18 @@ StatusOr<TopKRankResult> TopKRankQuery(
   }
   result.degradation = pruning.degradation;
   if (!resolution_complete) {
-    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+    MarkDegraded(*deadline, "rank_resolution", /*level=*/0,
                  /*partial_stage=*/true, &result.degradation);
   }
   result.pruning = std::move(pruning);
+  result.counters = counters.Samples();
   return result;
 }
 
 StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const ThresholdedRankOptions& options) {
+    const ThresholdedRankOptions& options, const QueryContext& context) {
   if (levels.empty() || levels.back().necessary == nullptr) {
     return Status::InvalidArgument(
         "ThresholdedRankQuery: the last level must carry a necessary "
@@ -177,23 +173,19 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
         "ThresholdedRankQuery: threshold must be positive");
   }
   const double T = options.threshold;
+  const QueryContext stage_context{.index_cache = context.index_cache};
 
   std::vector<dedup::Group> groups =
       dedup::MakeSingletonGroups(data);
   std::vector<double> ub(groups.size(), 0.0);
   for (const dedup::PredicateLevel& level : levels) {
     if (level.sufficient != nullptr) {
-      groups = dedup::Collapse(groups, *level.sufficient,
-                               /*recorder=*/nullptr, /*deadline=*/nullptr,
-                               options.index_cache);
+      groups = dedup::Collapse(groups, *level.sufficient, stage_context);
     }
     if (level.necessary != nullptr) {
-      dedup::PruneOptions prune_options;
-      prune_options.passes = options.prune_passes;
-      prune_options.index_cache = options.index_cache;
-      dedup::PruneResult pruned =
-          dedup::PruneGroups(groups, *level.necessary, T, prune_options,
-                             /*exact_bounds=*/true);
+      dedup::PruneResult pruned = dedup::PruneGroups(
+          groups, *level.necessary, T, {.passes = options.prune_passes},
+          /*exact_bounds=*/true, stage_context);
       groups = std::move(pruned.groups);
       ub = std::move(pruned.upper_bounds);
     }
@@ -209,7 +201,7 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
   // certainly-ordered groups of weight >= T...
   const predicates::PairPredicate& necessary = *levels.back().necessary;
   const std::vector<std::vector<uint32_t>> adj =
-      NeighborLists(groups, necessary, options.index_cache);
+      NeighborLists(groups, necessary, context.index_cache);
   size_t k = 0;
   while (k < n && groups[k].weight >= T &&
          (k == 0 || groups[k - 1].weight >= ub[k])) {

@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
 #include "record/record.h"
@@ -31,33 +33,26 @@ struct TopKRankResult {
   /// Degradation verdict (mirrors pruning.degradation): degraded == false
   /// means the full §7.1 pipeline ran.
   DegradationInfo degradation;
+  /// The query's own counter totals; see TopKCountResult::counters.
+  std::vector<metrics::CounterSample> counters;
 };
 
 struct TopKRankOptions {
   int k = 10;
   int prune_passes = 2;
-  /// Owning service query id; see TopKCountOptions::query_id.
-  uint64_t query_id = 0;
-  /// Query budget (not owned; null = unlimited). On expiry the query
-  /// returns OK with its best partial ranking: surviving groups with
-  /// sound unconditional upper bounds and `degradation` filled. See
-  /// common/deadline.h.
-  const Deadline* deadline = nullptr;
-  /// When non-null, every stage's blocking index resolves through this
-  /// cache (predicates/index_cache.h); the serve path sets one per
-  /// dataset.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// The TopK *rank* query of §7.1: like the count query, but since only the
 /// ranked order (with a canonical member per group) is needed, groups whose
 /// rank is resolved enable extra pruning of their neighbors. Returns the
 /// surviving groups with their upper bounds; the first K are the answer
-/// candidates.
+/// candidates. On expiry of the context's deadline the query returns OK
+/// with its best partial ranking: surviving groups with sound
+/// unconditional upper bounds and `degradation` filled.
 StatusOr<TopKRankResult> TopKRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const TopKRankOptions& options);
+    const TopKRankOptions& options, const QueryContext& context = {});
 
 struct ThresholdedRankResult {
   /// All surviving groups by decreasing weight, with exact upper bounds.
@@ -72,19 +67,18 @@ struct ThresholdedRankResult {
 struct ThresholdedRankOptions {
   double threshold = 0.0;  // The user's T.
   int prune_passes = 2;
-  /// See TopKRankOptions::index_cache.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// The thresholded rank query of §7.2: M is fixed to the user threshold T
 /// instead of being estimated, and the pipeline terminates early when the
 /// leading groups provably are the answer. When `resolved` is false the
 /// caller must fall back to exact evaluation on the (already much smaller)
-/// surviving groups.
+/// surviving groups. Of the context it uses only the index cache: the
+/// query has no degraded mode and no explain report.
 StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const ThresholdedRankOptions& options);
+    const ThresholdedRankOptions& options, const QueryContext& context = {});
 
 }  // namespace topkdup::topk
 

@@ -50,8 +50,9 @@ AnswerGroup MergeSpan(const segment::Span& span,
 TopKAnswerSet SynthesizeBoundedAnswer(
     const dedup::PrunedDedupResult& pruning,
     const predicates::PairPredicate& necessary, int k,
-    const Deadline* deadline, obs::ExplainRecorder* recorder,
-    predicates::IndexCache* index_cache) {
+    const QueryContext& context) {
+  const Deadline* deadline = context.deadline;
+  obs::ExplainRecorder* recorder = context.recorder;
   const std::vector<dedup::Group>& groups = pruning.groups;
   const size_t count =
       std::min(groups.size(), static_cast<size_t>(std::max(k, 0)));
@@ -69,12 +70,13 @@ TopKAnswerSet SynthesizeBoundedAnswer(
     // and thread-count deterministic, so it runs unmetered. Wall-clock
     // and cancel expiry keep the deadline — the prompt-return guarantee
     // outranks bound tightness there.
-    const Deadline* recompute_deadline =
-        deadline != nullptr && deadline->reason() == DeadlineReason::kWorkBudget
-            ? nullptr
-            : deadline;
+    QueryContext recompute = context;
+    if (deadline != nullptr &&
+        deadline->reason() == DeadlineReason::kWorkBudget) {
+      recompute.deadline = nullptr;
+    }
     upper = dedup::ComputeGroupUpperBounds(groups, necessary, indices,
-                                           recompute_deadline, index_cache);
+                                           recompute);
   }
 
   TopKAnswerSet answer;
@@ -118,7 +120,8 @@ const char* AnswerQualityName(AnswerQuality quality) {
 StatusOr<TopKCountResult> TopKCountQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const PairScoreFn& scorer, const TopKCountOptions& options) {
+    const PairScoreFn& scorer, const TopKCountOptions& options,
+    const QueryContext& context) {
   if (levels.empty() || levels.back().necessary == nullptr) {
     return Status::InvalidArgument(
         "TopKCountQuery: the last level must carry a necessary predicate");
@@ -165,44 +168,42 @@ StatusOr<TopKCountResult> TopKCountQuery(
     }
   }
   ScopedParallelism parallelism(options.threads);
-  const Deadline* deadline = options.deadline;
-  const metrics::MetricsSnapshot snapshot_before =
-      metrics::Registry::Global().Snapshot();
+  // Tallies every counter increment of the query, on this thread and on
+  // the pool workers its regions fan out to; folds into the registry (or
+  // an enclosing block) when the query returns.
+  const metrics::CounterBlock counters;
+  const Deadline* deadline = context.deadline;
   trace::Span query_span("topk.query");
   query_span.AddArg("k", options.k);
   query_span.AddArg("r", options.r);
-  if (options.query_id != 0) {
-    query_span.AddArg("query_id", static_cast<int64_t>(options.query_id));
+  if (context.query_id != 0) {
+    query_span.AddArg("query_id", static_cast<int64_t>(context.query_id));
   }
-  const auto finish_metrics = [&](TopKCountResult* out) {
-    out->metrics = metrics::MetricsSnapshot::Delta(
-        snapshot_before, metrics::Registry::Global().Snapshot());
-  };
-  // One recorder spans the whole query: dedup levels feed it through
-  // PrunedDedupOptions::explain_recorder, then embedding/DP/answers append
-  // their sections before Finish().
-  std::unique_ptr<obs::ExplainRecorder> recorder;
-  if (options.explain) {
-    recorder =
+  // One recorder spans the whole query: the dedup levels feed it through
+  // the stage context, then embedding/DP/answers append their sections
+  // before Finish().
+  QueryContext stage_context = context;
+  std::unique_ptr<obs::ExplainRecorder> owned_recorder;
+  if (stage_context.recorder == nullptr && options.explain) {
+    owned_recorder =
         std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    if (options.query_id != 0) recorder->set_query_id(options.query_id);
+    owned_recorder->set_query_id(context.query_id);
+    stage_context.recorder = owned_recorder.get();
   }
-  const auto finish_explain = [&](TopKCountResult* out) {
-    if (recorder != nullptr) {
+  obs::ExplainRecorder* recorder = stage_context.recorder;
+  const auto finish = [&](TopKCountResult* out) {
+    out->counters = counters.Samples();
+    if (owned_recorder != nullptr) {
       out->explain =
-          std::make_shared<const obs::ExplainReport>(recorder->Finish());
+          std::make_shared<const obs::ExplainReport>(owned_recorder->Finish());
     }
   };
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
-  prune_options.query_id = options.query_id;
-  prune_options.explain_recorder = recorder.get();
-  prune_options.deadline = deadline;
-  prune_options.index_cache = options.index_cache;
   TOPKDUP_ASSIGN_OR_RETURN(
       dedup::PrunedDedupResult pruning,
-      dedup::PrunedDedup(data, levels, prune_options));
+      dedup::PrunedDedup(data, levels, prune_options, stage_context));
 
   TopKCountResult result;
   const predicates::PairPredicate& necessary = *levels.back().necessary;
@@ -218,11 +219,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
                          : AnswerQuality::kBoundsOnly;
     result.degradation = pruning.degradation;
     result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
+        pruning, necessary, options.k, stage_context));
     result.pruning = std::move(pruning);
-    finish_metrics(&result);
-    finish_explain(&result);
+    finish(&result);
     return result;
   }
   if (pruning.exact) {
@@ -250,8 +249,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
       answer_explain.rank = 1;
       recorder->RecordAnswer(std::move(answer_explain));
     }
-    finish_metrics(&result);
-    finish_explain(&result);
+    finish(&result);
     return result;
   }
 
@@ -262,11 +260,8 @@ StatusOr<TopKCountResult> TopKCountQuery(
   }
 
   // Step 9 of Algorithm 2: score pairs passing N_L.
-  PairScoringOptions scoring_options = options.scoring;
-  scoring_options.deadline = deadline;
-  scoring_options.index_cache = options.index_cache;
-  cluster::PairScores scores =
-      BuildGroupPairScores(groups, necessary, scorer, scoring_options);
+  cluster::PairScores scores = BuildGroupPairScores(
+      groups, necessary, scorer, options.scoring, stage_context);
   if (deadline != nullptr && deadline->Expired()) {
     MarkDegraded(*deadline, "pair_scoring", /*level=*/0,
                  /*partial_stage=*/true, &result.degradation);
@@ -275,11 +270,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
       recorder->RecordDegradation(result.degradation);
     }
     result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
+        pruning, necessary, options.k, stage_context));
     result.pruning = std::move(pruning);
-    finish_metrics(&result);
-    finish_explain(&result);
+    finish(&result);
     return result;
   }
 
@@ -288,7 +281,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
   for (size_t i = 0; i < groups.size(); ++i) weights[i] = groups[i].weight;
   embed::GreedyEmbeddingOptions embed_options;
   embed_options.alpha = options.embedding_alpha;
-  embed_options.recorder = recorder.get();
+  embed_options.recorder = recorder;
   const std::vector<size_t> order = [&] {
     TOPKDUP_TRACE_SPAN("embed.greedy");
     return embed::GreedyEmbedding(scores, weights, embed_options);
@@ -324,11 +317,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
       // bound-carrying dedup answer.
       result.quality = AnswerQuality::kBoundsOnly;
       result.answers.push_back(SynthesizeBoundedAnswer(
-          pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
+          pruning, necessary, options.k, stage_context));
       result.pruning = std::move(pruning);
-      finish_metrics(&result);
-      finish_explain(&result);
+      finish(&result);
       return result;
     }
     // Dedup and the score table are complete; only the DP's threshold
@@ -429,8 +420,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
     }
   }
   result.pruning = std::move(pruning);
-  finish_metrics(&result);
-  finish_explain(&result);
+  finish(&result);
   return result;
 }
 

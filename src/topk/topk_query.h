@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
 #include "obs/explain.h"
@@ -64,10 +65,9 @@ struct TopKCountResult {
   /// True when pruning alone reduced the data to exactly K groups, making
   /// the single returned answer exact without any clustering.
   bool exact_from_pruning = false;
-  /// Registry delta covering the whole query (pruning, pair scoring,
-  /// embedding, segmentation DP); `pruning.metrics` holds the
-  /// pruning-stage-only subset.
-  metrics::MetricsSnapshot metrics;
+  /// The query's own counter totals, sorted by name: its
+  /// metrics::CounterBlock, exact whatever runs concurrently.
+  std::vector<metrics::CounterSample> counters;
   /// Whole-query explain report spanning dedup levels, embedding,
   /// segmentation DP, and answer decomposition (TopKCountOptions::explain).
   /// Null when explain was off. `pruning.explain` stays null here — the
@@ -90,11 +90,6 @@ struct TopKCountOptions {
   /// Number of plausible answers to return (the paper's R), in
   /// [1, kMaxAnswers].
   int r = 1;
-  /// Owning service query id (serve::QueryResponse::query_id), stamped on
-  /// the query's trace spans and explain report so live introspection
-  /// joins them to the request-log line. 0 (the non-serve paths) adds
-  /// nothing anywhere.
-  uint64_t query_id = 0;
   int prune_passes = 2;
   /// Linear-embedding aging factor (Eq. 3).
   double embedding_alpha = 0.5;
@@ -112,29 +107,27 @@ struct TopKCountOptions {
   bool compute_posteriors = false;
   /// Gibbs temperature for the posteriors; must be > 0.
   double posterior_temperature = 1.0;
-  /// Build a whole-query explain report (src/obs/explain.h) on the result.
+  /// Build a whole-query explain report (src/obs/explain.h) on the
+  /// result, unless the context brings its own recorder.
   bool explain = false;
   /// Fraction of detail events kept in the report; summaries stay exact.
   double explain_sample_rate = 1.0;
-  /// Query budget (not owned; null = unlimited). On expiry the query
-  /// returns OK with its best partial answer — count intervals per group,
-  /// `quality != kExact`, and `degradation` naming the stopped stage.
-  /// Never an error, never an abort. See common/deadline.h.
-  const Deadline* deadline = nullptr;
-  /// When non-null, every stage's blocking index (dedup levels, pair
-  /// scoring, bound recomputation) resolves through this cache; see
-  /// predicates/index_cache.h. The serve path sets one per dataset.
-  predicates::IndexCache* index_cache = nullptr;
 };
 
 /// The paper's end-to-end TopK count query (Algorithm 2 + §5): prune and
 /// collapse with the predicate levels, score surviving group pairs with
 /// `scorer` on pairs passing the last necessary predicate, embed, and run
-/// the segmentation DP for the R highest-scoring TopK answers.
+/// the segmentation DP for the R highest-scoring TopK answers. The R
+/// answers are the distinct answers among the 3·R best segmentations over
+/// at most `max_thresholds` candidate weight thresholds (DESIGN.md §6b).
+/// On expiry of the context's deadline the query returns OK with its best
+/// partial answer — count intervals per group, `quality != kExact`, and
+/// `degradation` naming the stopped stage.
 StatusOr<TopKCountResult> TopKCountQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const PairScoreFn& scorer, const TopKCountOptions& options);
+    const PairScoreFn& scorer, const TopKCountOptions& options,
+    const QueryContext& context = {});
 
 }  // namespace topkdup::topk
 

@@ -117,8 +117,8 @@ class DeadlinePipelineTest : public ::testing::Test {
         std::numeric_limits<uint64_t>::max());
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.deadline = &probe;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    auto result_or = dedup::PrunedDedup(data_, Levels(), options,
+                                        {.deadline = &probe});
     EXPECT_TRUE(result_or.ok());
     EXPECT_FALSE(result_or.value().degradation.degraded);
     return probe.work_charged();
@@ -139,8 +139,8 @@ TEST_F(DeadlinePipelineTest, WorkBudgetDegradesButReturnsConsistentState) {
   Deadline deadline = Deadline::WithWorkBudget(full_work / 2);
   dedup::PrunedDedupOptions options;
   options.k = 10;
-  options.deadline = &deadline;
-  auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+  auto result_or = dedup::PrunedDedup(data_, Levels(), options,
+                                      {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const dedup::PrunedDedupResult& result = result_or.value();
   EXPECT_TRUE(result.degradation.degraded);
@@ -168,8 +168,8 @@ TEST_F(DeadlinePipelineTest, WorkBudgetStopIsIdenticalAcrossThreadCounts) {
     options.k = 10;
     options.threads = threads;
     options.explain = true;
-    options.deadline = &deadline;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    auto result_or = dedup::PrunedDedup(data_, Levels(), options,
+                                        {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
     explain_json.push_back(result_or.value().explain->ToJson());
     results.push_back(std::move(result_or).value());
@@ -213,8 +213,8 @@ TEST_F(DeadlinePipelineTest, SegmentDpBudgetStopIsIdenticalAcrossThreadCounts) {
   options.explain = true;
   Deadline probe =
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
-  options.deadline = &probe;
-  auto full_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  auto full_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                      {.deadline = &probe});
   ASSERT_TRUE(full_or.ok());
   ASSERT_EQ(full_or.value().quality, topk::AnswerQuality::kExact);
   // One unit short of the full run: the last DP threshold cannot run.
@@ -225,8 +225,8 @@ TEST_F(DeadlinePipelineTest, SegmentDpBudgetStopIsIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     options.threads = threads;
-    options.deadline = &deadline;
-    auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+    auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                          {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
     explain_json.push_back(result_or.value().explain->ToJson());
     results.push_back(std::move(result_or).value());
@@ -276,8 +276,8 @@ TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.deadline = &deadline;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    auto result_or = dedup::PrunedDedup(data_, Levels(), options,
+                                        {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok());
     const dedup::PrunedDedupResult& result = result_or.value();
     if (!result.degradation.degraded) continue;
@@ -315,9 +315,9 @@ TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {
     topk::TopKCountOptions options;
     options.k = 10;
     options.explain = true;
-    options.deadline = &deadline;
     auto result_or =
-        topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+        topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                             {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok());
     if (result_or.value().quality != topk::AnswerQuality::kExact) {
       result = std::move(result_or).value();
@@ -386,8 +386,8 @@ TEST_F(DeadlinePipelineTest, CancelledQueryReturnsPartialAnswer) {
   deadline.set_cancel_token(&token);
   topk::TopKCountOptions options;
   options.k = 10;
-  options.deadline = &deadline;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKCountResult& result = result_or.value();
   EXPECT_NE(result.quality, topk::AnswerQuality::kExact);
@@ -400,9 +400,9 @@ TEST_F(DeadlinePipelineTest, WallClockDeadlineReturnsPromptly) {
   Deadline deadline = Deadline::AfterMillis(kDeadlineMillis);
   topk::TopKCountOptions options;
   options.k = 10;
-  options.deadline = &deadline;
   Timer timer;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.deadline = &deadline});
   const double elapsed = timer.ElapsedSeconds();
   ASSERT_TRUE(result_or.ok());
   // Generous CI margin; the cooperative checks land far more often than
@@ -435,8 +435,8 @@ TEST_F(DeadlinePipelineTest, RankQueryDegradesSoundlyUnderWorkBudget) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     topk::TopKRankOptions options;
     options.k = 10;
-    options.deadline = &deadline;
-    auto result_or = topk::TopKRankQuery(data_, Levels(), options);
+    auto result_or = topk::TopKRankQuery(data_, Levels(), options,
+                                         {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "budget " << budget;
     const topk::TopKRankResult& result = result_or.value();
     if (!result.degradation.degraded) continue;
@@ -504,8 +504,7 @@ TEST_F(DeadlinePipelineTest, OnlineQueryDegradesSoundlyUnderWorkBudget) {
     topk::TopKCountOptions options;
     options.k = 5;
     options.r = 1;
-    options.deadline = &deadline;
-    auto result_or = stream.Query(options);
+    auto result_or = stream.Query(options, {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "budget " << budget;
     const topk::TopKCountResult& result = result_or.value();
     if (budget == std::numeric_limits<uint64_t>::max()) {

@@ -123,13 +123,13 @@ TEST(IndexCacheTest, GetOrBuildSharesOneMemoizedIndexPerKey) {
   TestCorpus tc = MakeCorpus(120, 34);
   IndexCache cache;
   const std::vector<size_t> items = IdentityItems(tc.data.size());
-  EXPECT_EQ(cache.Lookup(*tc.pred, items), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
   auto first = cache.GetOrBuild(*tc.pred, items);
   ASSERT_NE(first, nullptr);
   EXPECT_TRUE(first->candidate_memo_enabled());
   // A repeat resolve returns the same instance, not a rebuild.
   EXPECT_EQ(cache.GetOrBuild(*tc.pred, items).get(), first.get());
-  EXPECT_EQ(cache.Lookup(*tc.pred, items).get(), first.get());
+  EXPECT_EQ(cache.GetOrBuild(*tc.pred, items).get(), first.get());
   EXPECT_EQ(cache.size(), 1u);
   // A different item set is a different key (exact compare, no aliasing).
   std::vector<size_t> subset(items.begin(), items.begin() + 50);
@@ -144,14 +144,16 @@ TEST(IndexCacheTest, LruEvictionKeepsRecentlyUsedEntries) {
   const std::vector<size_t> a = IdentityItems(30);
   const std::vector<size_t> b = IdentityItems(60);
   const std::vector<size_t> c = IdentityItems(90);
-  cache.GetOrBuild(*tc.pred, a);
-  cache.GetOrBuild(*tc.pred, b);
+  const auto built_a = cache.GetOrBuild(*tc.pred, a);
+  const auto built_b = cache.GetOrBuild(*tc.pred, b);
   cache.GetOrBuild(*tc.pred, a);  // Touch a: b is now the LRU entry.
-  cache.GetOrBuild(*tc.pred, c);
+  const auto built_c = cache.GetOrBuild(*tc.pred, c);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Lookup(*tc.pred, a), nullptr);
-  EXPECT_EQ(cache.Lookup(*tc.pred, b), nullptr);
-  EXPECT_NE(cache.Lookup(*tc.pred, c), nullptr);
+  // a and c resolve to their cached instances; b was evicted, so it
+  // resolves to a fresh build.
+  EXPECT_EQ(cache.GetOrBuild(*tc.pred, a), built_a);
+  EXPECT_EQ(cache.GetOrBuild(*tc.pred, c), built_c);
+  EXPECT_NE(cache.GetOrBuild(*tc.pred, b), built_b);
 }
 
 TEST(IndexCacheTest, PutAdoptsLoadedIndexAndEnablesMemo) {
@@ -165,7 +167,7 @@ TEST(IndexCacheTest, PutAdoptsLoadedIndexAndEnablesMemo) {
   auto cached = cache.Put(*tc.pred, items, std::move(image_or).value());
   ASSERT_NE(cached, nullptr);
   EXPECT_TRUE(cached->candidate_memo_enabled());
-  EXPECT_EQ(cache.Lookup(*tc.pred, items).get(), cached.get());
+  EXPECT_EQ(cache.GetOrBuild(*tc.pred, items).get(), cached.get());
 }
 
 TEST(IndexCacheTest, IndexHandleFallsBackToLocalBuildWithoutCache) {
@@ -177,7 +179,7 @@ TEST(IndexCacheTest, IndexHandleFallsBackToLocalBuildWithoutCache) {
   IndexCache cache;
   IndexHandle shared(&cache, *tc.pred, items);
   EXPECT_TRUE(shared.get().candidate_memo_enabled());
-  EXPECT_EQ(&shared.get(), cache.Lookup(*tc.pred, items).get());
+  EXPECT_EQ(&shared.get(), cache.GetOrBuild(*tc.pred, items).get());
   // Both handles enumerate the same candidate set.
   std::vector<size_t> from_local, from_shared;
   local->ForEachCandidate(3, [&](size_t q) {

@@ -64,6 +64,85 @@ TEST(CounterTest, ConcurrentBatchedAddsFromThreads) {
   EXPECT_EQ(c->Value(), base + 8u * 1000u * 3u);
 }
 
+TEST(CounterBlockTest, TalliesItsScopeAndFoldsIntoTheRegistryOnClose) {
+  Counter* c = Registry::Global().GetCounter("test.block.fold");
+  const uint64_t base = c->Value();
+  {
+    const metrics::CounterBlock block;
+    c->Add(5);
+    c->Increment();
+    EXPECT_EQ(block.Value("test.block.fold"), 6u);
+    EXPECT_EQ(block.Value("test.block.never_registered"), 0u);
+    // Held in the block until it closes.
+    EXPECT_EQ(c->Value(), base);
+  }
+  EXPECT_EQ(c->Value(), base + 6);
+}
+
+TEST(CounterBlockTest, NestedBlocksFoldIntoTheirParent) {
+  Counter* c = Registry::Global().GetCounter("test.block.nested");
+  Counter* d = Registry::Global().GetCounter("test.block.nested_other");
+  const uint64_t base = c->Value();
+  {
+    const metrics::CounterBlock outer;
+    c->Add(1);
+    {
+      const metrics::CounterBlock inner;
+      c->Add(10);
+      d->Add(7);
+      EXPECT_EQ(inner.Value("test.block.nested"), 10u);
+      EXPECT_EQ(outer.Value("test.block.nested"), 1u);
+    }
+    EXPECT_EQ(outer.Value("test.block.nested"), 11u);
+    const std::vector<metrics::CounterSample> samples = outer.Samples();
+    ASSERT_EQ(samples.size(), 2u);  // Sorted by name, nonzero only.
+    EXPECT_EQ(samples[0], (metrics::CounterSample{"test.block.nested", 11}));
+    EXPECT_EQ(samples[1],
+              (metrics::CounterSample{"test.block.nested_other", 7}));
+    EXPECT_EQ(c->Value(), base);
+  }
+  EXPECT_EQ(c->Value(), base + 11);
+}
+
+TEST(CounterBlockTest, RegionWorkersAddIntoTheLaunchingThreadsBlock) {
+  ScopedParallelism parallelism(8);
+  Counter* c = Registry::Global().GetCounter("test.block.region");
+  const uint64_t base = c->Value();
+  constexpr size_t kItems = 100000;
+  {
+    const metrics::CounterBlock block;
+    ParallelFor(0, kItems, 128, [&](size_t) { c->Increment(); });
+    EXPECT_EQ(block.Value("test.block.region"), kItems);
+    EXPECT_EQ(c->Value(), base);
+  }
+  EXPECT_EQ(c->Value(), base + kItems);
+}
+
+TEST(CounterBlockTest, ConcurrentScopesOnOtherThreadsDoNotBleed) {
+  // Four threads each open a block and add a distinct amount, partly
+  // through parallel regions: every block sees exactly its own adds.
+  ScopedParallelism parallelism(4);
+  Counter* c = Registry::Global().GetCounter("test.block.isolated");
+  const uint64_t base = c->Value();
+  std::vector<uint64_t> seen(4, 0);
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const metrics::CounterBlock block;
+      for (int round = 0; round < 50; ++round) {
+        c->Add(t + 1);
+        ParallelFor(0, 64, 4, [&](size_t) { c->Add(t + 1); });
+      }
+      seen[t] = block.Value("test.block.isolated");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (uint64_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(seen[t], 50 * 65 * (t + 1)) << "thread " << t;
+  }
+  EXPECT_EQ(c->Value(), base + 50 * 65 * (1 + 2 + 3 + 4));
+}
+
 TEST(GaugeTest, SetIsLastWriteWins) {
   Gauge* g = Registry::Global().GetGauge("test.gauge.basic");
   g->Set(2.5);

@@ -58,19 +58,6 @@ TEST(ResourceMeterTest, ChargeAccumulatesAndClampsNegatives) {
   EXPECT_TRUE(meter.StageBreakdown().empty());
 }
 
-TEST(ResourceMeterTest, WorkUnitsAccumulatePerKind) {
-  ResourceMeter meter;
-  meter.ChargeWork("candidate_pairs", 100);
-  meter.ChargeWork("candidate_pairs", 50);
-  meter.ChargeWork("postings_decoded", 7);
-  EXPECT_EQ(meter.WorkUnits("candidate_pairs"), 150u);
-  EXPECT_EQ(meter.WorkUnits("postings_decoded"), 7u);
-  EXPECT_EQ(meter.WorkUnits("never_charged"), 0u);
-  const auto work = meter.WorkBreakdown();
-  ASSERT_EQ(work.size(), 2u);
-  EXPECT_EQ(work[0].first, "candidate_pairs");
-}
-
 TEST(ResourceMeterTest, StageForSpanIsAFixedAllowlist) {
   EXPECT_STREQ(StageForSpan("dedup.collapse"), "collapse");
   EXPECT_STREQ(StageForSpan("dedup.lower_bound"), "lower_bound");

@@ -942,6 +942,97 @@ TEST_F(ServeTest, CpuAttributionFlowsToResponseAndRequestLog) {
   EXPECT_GT(service.cpu_window_seconds(), 0.0);
 }
 
+/// The integral LevelStats fields and M: everything but the timings.
+auto LevelWork(const dedup::LevelStats& s) {
+  return std::make_tuple(s.n_after_collapse, s.m, s.M, s.n_after_prune,
+                         s.records_collapsed, s.groups_pruned,
+                         s.cpn_growth_iterations, s.cpn_edges_examined,
+                         s.blocking_probes, s.predicate_evals,
+                         s.postings_scanned, s.postings_decoded,
+                         s.blocks_decoded, s.blocks_skipped);
+}
+
+TEST_F(ServeTest, PerQueryCountersAreExactAtOneAndFourWorkers) {
+  Watchdog watchdog(240);
+  // Identical count requests: every response reports the same counters and
+  // level stats, whether the queries ran one at a time or overlapped on
+  // four workers.
+  std::vector<QueryResponse> responses;
+  for (int workers : {1, 4}) {
+    ServiceOptions options = QuietOptions();
+    options.workers = workers;
+    options.default_deadline_ms = 60000;
+    options.max_deadline_ms = 60000;
+    QueryService service(options);
+    ASSERT_TRUE(
+        service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+    // The warm-up fills the candidate memo of every cached index the
+    // requests touch; from then on each request replays the same lists.
+    ASSERT_TRUE(service.Execute(CountRequest("cites")).status.ok());
+    std::vector<std::future<QueryResponse>> futures;
+    for (int i = 0; i < 16; ++i) {
+      futures.push_back(service.Submit(CountRequest("cites")));
+    }
+    for (std::future<QueryResponse>& future : futures) {
+      QueryResponse response = future.get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_EQ(response.outcome, ServedOutcome::kExact);
+      responses.push_back(std::move(response));
+    }
+  }
+  const topk::TopKCountResult& reference = responses.front().result;
+  ASSERT_GT(metrics::CounterValue(reference.counters,
+                                  "predicates.blocked_index.candidates"),
+            0u);
+  for (const QueryResponse& response : responses) {
+    EXPECT_EQ(response.result.counters, reference.counters)
+        << "query " << response.query_id;
+    ASSERT_EQ(response.result.pruning.levels.size(),
+              reference.pruning.levels.size());
+    for (size_t l = 0; l < reference.pruning.levels.size(); ++l) {
+      EXPECT_EQ(LevelWork(response.result.pruning.levels[l]),
+                LevelWork(reference.pruning.levels[l]))
+          << "query " << response.query_id << " level " << l;
+    }
+  }
+}
+
+TEST_F(ServeTest, RankQueryLogsTheWholeQuerysWork) {
+  Watchdog watchdog(120);
+  ServiceOptions options = QuietOptions();
+  options.request_log.ok_sample_every = 1;
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+  QueryRequest request;
+  request.dataset = "cites";
+  request.kind = QueryKind::kTopKRank;
+  request.k = 5;
+  const metrics::MetricsSnapshot before =
+      metrics::Registry::Global().Snapshot();
+  const QueryResponse response = service.Execute(request);
+  const metrics::MetricsSnapshot ran = metrics::MetricsSnapshot::Delta(
+      before, metrics::Registry::Global().Snapshot());
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  ASSERT_EQ(response.outcome, ServedOutcome::kExact);
+  // Run alone, the query is the only source of candidates in the delta —
+  // including those its §7.1 neighbour lists enumerate after pruning.
+  const uint64_t candidates =
+      ran.CounterValue("predicates.blocked_index.candidates");
+  ASSERT_GT(candidates, 0u);
+  std::string line;
+  for (const std::string& candidate : service.request_log().RecentLines()) {
+    if (candidate.find("\"query_id\":" +
+                       std::to_string(response.query_id)) !=
+        std::string::npos) {
+      line = candidate;
+    }
+  }
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(JsonNumber(line, "predicates.blocked_index.candidates"),
+            static_cast<double>(candidates));
+}
+
 TEST_F(ServeTest, PredictedMissShedCitesMeasuredUnitCost) {
   Watchdog watchdog(120);
   ServiceOptions options = QuietOptions();
