@@ -96,9 +96,9 @@ struct BenchRun {
 ///   --explain-sample-rate=R  detail-event sampling rate (default 1.0)
 /// ApplyObservabilityFlags starts trace recording when a trace path is
 /// given; ExportBenchArtifacts writes the requested files after the
-/// workload. Harnesses should enable explain on their query options
-/// whenever `explain_enabled()` and hand the collected reports to
-/// WriteExplainJson / WriteExplainText.
+/// workload. Whenever `explain_enabled()`, harnesses hand each query an
+/// obs::ExplainRecorder at `explain_sample_rate` in its QueryContext and
+/// the finished reports to WriteExplainJson / WriteExplainText.
 struct Observability {
   std::string metrics_path;
   std::string prom_path;
@@ -115,7 +115,7 @@ struct Observability {
 Observability ApplyObservabilityFlags(const Flags& flags);
 
 /// One explain-enabled query in a fig harness: the query K and the report
-/// carried back on the result.
+/// its recorder finished.
 struct ExplainRun {
   int k = 0;
   std::shared_ptr<const obs::ExplainReport> report;

@@ -76,13 +76,16 @@ int Run(int argc, char** argv) {
     dedup::PrunedDedupOptions options;
     options.k = k;
     options.prune_passes = passes;
-    options.explain = obs.explain_enabled();
-    options.explain_sample_rate = obs.explain_sample_rate;
     std::optional<Deadline> run_deadline;
     QueryContext context;
     if (budget.active()) {
       run_deadline.emplace(budget.Make());
       context.deadline = &*run_deadline;
+    }
+    std::optional<obs::ExplainRecorder> recorder;
+    if (obs.explain_enabled()) {
+      recorder.emplace(obs.explain_sample_rate);
+      context.recorder = &*recorder;
     }
     Timer run_timer;
     auto result_or = dedup::PrunedDedup(data, {{&s1, &n1}}, options, context);
@@ -94,8 +97,9 @@ int Run(int argc, char** argv) {
     bench::PrintDegradation(k, result_or.value().degradation);
     runs.push_back(
         {k, run_timer.ElapsedSeconds(), result_or.value().levels});
-    if (options.explain) {
-      explain_runs.push_back({k, result_or.value().explain});
+    if (recorder.has_value()) {
+      explain_runs.push_back(
+          {k, std::make_shared<const obs::ExplainReport>(recorder->Finish())});
     }
     const auto& level = result_or.value().levels[0];
     table.PrintRow({std::to_string(k),

@@ -1,7 +1,8 @@
 // Micro benchmark + ablation: the two clique-partition-number lower
 // bounds (Algorithm-1 min-fill vs direct greedy independent set) on random
 // graphs of varying size and density — cost and tightness drive the
-// lower-bound estimator's kAuto policy.
+// lower-bound estimator's policy (greedy first; min-fill only on prefixes
+// of at most 1024 groups).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"

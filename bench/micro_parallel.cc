@@ -73,8 +73,8 @@ struct Workload {
       {
         ScopedParallelism serial(1);
         out->collapsed = dedup::Collapse(out->singletons, *out->s1);
-        const dedup::LowerBoundResult lb = dedup::EstimateLowerBound(
-            out->collapsed, *out->n1, /*k=*/100, {});
+        const dedup::LowerBoundResult lb =
+            dedup::EstimateLowerBound(out->collapsed, *out->n1, /*k=*/100);
         out->M = lb.M;
       }
       return out;

@@ -7,6 +7,8 @@
 #include <mutex>
 
 #include "common/log.h"
+#include "common/rng.h"
+#include "common/strings.h"
 
 namespace topkdup::fault {
 namespace {
@@ -29,22 +31,6 @@ std::map<std::string, std::unique_ptr<Site>, std::less<>>& Sites() {
   static auto* sites =
       new std::map<std::string, std::unique_ptr<Site>, std::less<>>;
   return *sites;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 void ArmLocked(std::string_view site, double probability, uint64_t seed) {
@@ -126,7 +112,7 @@ bool Fires(std::string_view site) {
   }
   if (s->probability <= 0.0) return false;
   uint64_t visit = s->visits.fetch_add(1, std::memory_order_relaxed);
-  uint64_t draw = SplitMix64(s->seed ^ SplitMix64(HashString(site) + visit));
+  uint64_t draw = SplitMix64(s->seed ^ SplitMix64(Fnv1a64(site) + visit));
   // Map to [0,1); fire when below the configured probability.
   double unit = static_cast<double>(draw >> 11) * 0x1.0p-53;
   if (unit >= s->probability) return false;

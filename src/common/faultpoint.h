@@ -13,14 +13,13 @@ namespace topkdup::fault {
 /// Named, deterministically-seeded fault-injection sites.
 ///
 /// Production code plants sites with TOPKDUP_FAULT_RETURN_IF only where a
-/// real failure can happen: reading a CSV file (`csv.read`), ingesting a
-/// streaming mention (`online.ingest`), and the durability layer
-/// (`wal.append` fires before a WAL frame is written, `wal.fsync` wherever
-/// a sync would be issued), so chaos runs exercise the ingest rollback and
-/// breaker paths. The query pipeline is a deterministic function of its
-/// input and has no sites. A fired site returns an Internal Status naming
-/// the site, so tests and CI can prove the error path propagates instead
-/// of crashing or hanging.
+/// real failure can happen: reading a CSV file (`csv.read`) and the
+/// durability layer (`wal.append` fires before a WAL frame is written,
+/// `wal.fsync` wherever a sync would be issued), so chaos runs exercise
+/// the ingest rollback and breaker paths. The query pipeline is a
+/// deterministic function of its input and has no sites. A fired site
+/// returns an Internal Status naming the site, so tests and CI can prove
+/// the error path propagates instead of crashing or hanging.
 ///
 /// Disabled (the default) the whole machinery compiles down to one relaxed
 /// atomic load per site visit. Enable with the environment variable

@@ -261,44 +261,28 @@ std::string JsonNumber(double v) {
   return StrFormat("%.9g", v);
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"";
-    AppendEscaped(&out, counters[i].name);
-    out += StrFormat("\":%llu",
+    AppendJsonString(&out, counters[i].name);
+    out += StrFormat(":%llu",
                      static_cast<unsigned long long>(counters[i].value));
   }
   out += "},\"gauges\":{";
   for (size_t i = 0; i < gauges.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"";
-    AppendEscaped(&out, gauges[i].name);
-    out += "\":" + JsonNumber(gauges[i].value);
+    AppendJsonString(&out, gauges[i].name);
+    out += ":" + JsonNumber(gauges[i].value);
   }
   out += "},\"histograms\":{";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& h = histograms[i];
     if (i > 0) out += ",";
-    out += "\"";
-    AppendEscaped(&out, h.name);
-    out += "\":{\"bounds\":[";
+    AppendJsonString(&out, h.name);
+    out += ":{\"bounds\":[";
     for (size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out += ",";
       out += JsonNumber(h.bounds[b]);
@@ -391,20 +375,6 @@ void Registry::Reset() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-bool WriteSnapshotJson(const MetricsSnapshot& snapshot,
-                       const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    TOPKDUP_LOG(Error) << "metrics: cannot write " << path;
-    return false;
-  }
-  const std::string json = snapshot.ToJson();
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
-  return true;
 }
 
 namespace {

@@ -283,11 +283,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Writes `snapshot.ToJson()` to `path`; returns false (and logs an
-/// error) when the file cannot be written.
-bool WriteSnapshotJson(const MetricsSnapshot& snapshot,
-                       const std::string& path);
-
 /// A dynamic metric family whose registry names embed an open-ended value
 /// as their trailing segment — "serve.shed.<reason>",
 /// "serve.breaker_state.<dataset>". Flattening such names through the

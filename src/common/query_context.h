@@ -18,17 +18,19 @@ class IndexCache;
 /// OnlineTopK::QuerySnapshot) takes it once and hands it to each stage
 /// that uses two or more of its values; a leaf stage that uses one takes
 /// only that value. Every field is optional: the default context runs a
-/// one-shot query. The thread budget (`threads` options), the CPU meter
-/// and the counter block are not here: they are thread-local attachments
-/// that common/parallel hands to pool workers once per region.
+/// one-shot query. The thread budget (ScopedParallelism, or
+/// TopKCountOptions::threads), the CPU meter and the counter block are not
+/// here: they are thread-local attachments that common/parallel hands to
+/// pool workers once per region.
 struct QueryContext {
   /// Query budget, polled cooperatively (not owned; null = unlimited). On
   /// expiry stages stop with a consistent partial state; see
   /// common/deadline.h.
   const Deadline* deadline = nullptr;
-  /// Receives the query's explain events (not owned; null = none). An
-  /// entry point given one leaves its result's `explain` null; the owner
-  /// calls Finish().
+  /// Receives the query's explain events (not owned; null = none): the
+  /// only way to get an explain report. The caller builds the
+  /// obs::ExplainRecorder (its sample rate, and the query id to stamp),
+  /// passes it here and calls Finish() after the query returns.
   obs::ExplainRecorder* recorder = nullptr;
   /// Shares every stage's blocking index across queries (not owned; null
   /// builds a query-local index per stage). See predicates/index_cache.h.

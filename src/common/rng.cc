@@ -9,20 +9,16 @@ namespace topkdup {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& s : state_) s = SplitMix64(&sm);
+  for (auto& s : state_) {
+    s = SplitMix64(sm);
+    sm += 0x9e3779b97f4a7c15ull;
+  }
 }
 
 uint64_t Rng::Next() {

@@ -8,6 +8,17 @@
 
 namespace topkdup {
 
+/// The splitmix64 output function: the value a splitmix64 generator in
+/// state `x` returns next. A fixed bijective mix of one 64-bit key, shared
+/// by every keyed deterministic draw in the library (explain and
+/// request-log sampling, fault draws) and by Rng's seeding.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random generator (xoshiro256** seeded by splitmix64).
 ///
 /// Every stochastic component in the library (data generators, trainers,

@@ -79,4 +79,34 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", c);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 }  // namespace topkdup

@@ -1,6 +1,7 @@
 #ifndef TOPKDUP_COMMON_STRINGS_H_
 #define TOPKDUP_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,47 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Appends `s` to `out` as a quoted JSON string: '"' and '\\' escaped,
+/// control characters as \n, \r, \t or \u00XX, other bytes verbatim.
+void AppendJsonString(std::string* out, std::string_view s);
+
+/// 64-bit FNV-1a of the bytes of `s`, starting from offset basis `basis`
+/// (default: the standard 14695981039346656037). Fault draws use it.
+inline uint64_t Fnv1a64(std::string_view s,
+                        uint64_t basis = 0xcbf29ce484222325ull) {
+  uint64_t h = basis;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The offset basis of the predicate-name hashes the blocked-index image
+/// header (`pred_name_hash`) and the service's index file names persist:
+/// the standard basis missing its last digit. Persisted values must not
+/// change, so both keep hashing from it.
+inline constexpr uint64_t kIndexFnvBasis = 1469598103934665603ull;
+
+/// Little-endian fixed-width integers, the byte order of the write-ahead
+/// log and the online checkpoint images.
+inline void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+inline void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+inline uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+inline uint64_t GetU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
 
 }  // namespace topkdup
 

@@ -42,7 +42,7 @@ class PrefixCpn {
 
   /// CPN lower bound of the graph on groups[0..m), early-stopped at `k`;
   /// kAbandoned when the deadline expired mid-growth.
-  int CpnAt(size_t m, int k, LowerBoundOptions::Bound bound) {
+  int CpnAt(size_t m, int k) {
     ++cpn_evaluations_;
     if (!GrowTo(m)) return kAbandoned;
     graph::Graph g(m);
@@ -52,22 +52,13 @@ class PrefixCpn {
       if (b >= m) break;
       g.AddEdge(a, b);
     }
-    switch (bound) {
-      case LowerBoundOptions::Bound::kMinFill:
-        return graph::CliquePartitionLowerBound(g, k);
-      case LowerBoundOptions::Bound::kGreedyIs:
-        return graph::GreedyIndependentSetBound(g, k);
-      case LowerBoundOptions::Bound::kAuto: {
-        const int cheap = graph::GreedyIndependentSetBound(g, k);
-        if (cheap >= k) return cheap;
-        // Min-fill triangulation is only worth its O(n * deg^2) cost on
-        // prefixes small enough for the tighter bound to matter; on large
-        // prefixes the greedy independent set is already near alpha(G).
-        if (m > 1024) return cheap;
-        return std::max(cheap, graph::CliquePartitionLowerBound(g, k));
-      }
-    }
-    return 0;
+    const int cheap = graph::GreedyIndependentSetBound(g, k);
+    if (cheap >= k) return cheap;
+    // Min-fill triangulation is only worth its O(n * deg^2) cost on
+    // prefixes small enough for the tighter bound to matter; on large
+    // prefixes the greedy independent set is already near alpha(G).
+    if (m > 1024) return cheap;
+    return std::max(cheap, graph::CliquePartitionLowerBound(g, k));
   }
 
   size_t edges_examined() const { return edges_examined_; }
@@ -145,7 +136,7 @@ void RecordLowerBoundMetrics(const LowerBoundResult& result) {
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary, int k,
-    const LowerBoundOptions& options, const QueryContext& context) {
+    const QueryContext& context) {
   TOPKDUP_CHECK(k >= 1);
   obs::ExplainRecorder* recorder = context.recorder;
   trace::Span span("dedup.lower_bound");
@@ -177,7 +168,7 @@ LowerBoundResult EstimateLowerBound(
   // probe-by-probe, so work-budget expiry lands between probes on the same
   // probe at any thread count (the search is serial).
   auto probe = [&](size_t m, const char* phase) {
-    const int bound = cpn.CpnAt(m, k, options.bound);
+    const int bound = cpn.CpnAt(m, k);
     if (deadline != nullptr) {
       deadline->ChargeWork(cpn.edges_examined() - edges_charged + 1);
       edges_charged = cpn.edges_examined();
@@ -198,47 +189,35 @@ LowerBoundResult EstimateLowerBound(
     return false;
   };
 
+  // Geometric growth followed by binary search for the smallest prefix
+  // whose CPN bound reaches k. The bound is valid at any prefix, so even
+  // if the heuristic is not perfectly monotone the returned m is safe.
   size_t found = 0;  // Smallest prefix found with CPN >= k; 0 = none yet.
-  if (options.galloping) {
-    // Geometric growth followed by binary search for the smallest prefix
-    // whose CPN bound reaches k. The bound is valid at any prefix, so even
-    // if the heuristic is not perfectly monotone the returned m is safe.
-    size_t lo = static_cast<size_t>(k) - 1;  // CPN of k-1 vertices < k.
-    size_t hi = static_cast<size_t>(k);
-    while (!expired_before_probe()) {
-      const int bound = probe(hi, "gallop");
+  size_t lo = static_cast<size_t>(k) - 1;  // CPN of k-1 vertices < k.
+  size_t hi = static_cast<size_t>(k);
+  while (!expired_before_probe()) {
+    const int bound = probe(hi, "gallop");
+    if (bound == PrefixCpn::kAbandoned) break;
+    if (bound >= k) {
+      found = hi;
+      break;
+    }
+    if (hi == n) break;
+    lo = hi;
+    hi = std::min(n, hi * 2);
+  }
+  if (found != 0) {
+    // Invariant: CpnAt(found) >= k; search (lo, found] for minimality.
+    // Stopping early keeps a certified but possibly non-minimal m, whose
+    // M is merely weaker (smaller), never wrong.
+    while (lo + 1 < found && !expired_before_probe()) {
+      const size_t mid = lo + (found - lo) / 2;
+      const int bound = probe(mid, "binary_search");
       if (bound == PrefixCpn::kAbandoned) break;
       if (bound >= k) {
-        found = hi;
-        break;
-      }
-      if (hi == n) break;
-      lo = hi;
-      hi = std::min(n, hi * 2);
-    }
-    if (found != 0) {
-      // Invariant: CpnAt(found) >= k; search (lo, found] for minimality.
-      // Stopping early keeps a certified but possibly non-minimal m, whose
-      // M is merely weaker (smaller), never wrong.
-      while (lo + 1 < found && !expired_before_probe()) {
-        const size_t mid = lo + (found - lo) / 2;
-        const int bound = probe(mid, "binary_search");
-        if (bound == PrefixCpn::kAbandoned) break;
-        if (bound >= k) {
-          found = mid;
-        } else {
-          lo = mid;
-        }
-      }
-    }
-  } else {
-    for (size_t m = static_cast<size_t>(k); m <= n; ++m) {
-      if (expired_before_probe()) break;
-      const int bound = probe(m, "linear");
-      if (bound == PrefixCpn::kAbandoned) break;
-      if (bound >= k) {
-        found = m;
-        break;
+        found = mid;
+      } else {
+        lo = mid;
       }
     }
   }

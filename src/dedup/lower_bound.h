@@ -30,8 +30,7 @@ struct LowerBoundResult {
   /// when the predicate's blocking is exact.
   size_t pair_evals = 0;
   /// CPN bound evaluations performed while locating m (growth iterations:
-  /// the galloping probes plus the binary-search refinement, or every
-  /// single-vertex step in the non-galloping scheme).
+  /// the galloping probes plus the binary-search refinement).
   size_t cpn_evaluations = 0;
   /// True when the search stopped early on deadline expiry. The returned
   /// (m, M) are still sound: either the best certified prefix found so far
@@ -40,29 +39,18 @@ struct LowerBoundResult {
   bool degraded = false;
 };
 
-/// Options for EstimateLowerBound.
-struct LowerBoundOptions {
-  /// When true (default), prefix sizes are grown geometrically and the
-  /// minimal m is then located by binary search, re-running the CPN bound
-  /// on O(log n) prefixes. When false, the CPN is recomputed after every
-  /// single vertex addition (the literal incremental scheme; used by the
-  /// ablation bench).
-  bool galloping = true;
-
-  /// Which CPN lower bound to evaluate on each prefix. Both are valid
-  /// lower bounds, so any choice preserves correctness of M.
-  enum class Bound {
-    kMinFill,   // Algorithm 1: min-fill triangulation + greedy cover.
-    kGreedyIs,  // Direct greedy independent set (cheaper).
-    kAuto,      // Greedy IS first; fall back to min-fill when it fails.
-  };
-  Bound bound = Bound::kAuto;
-};
-
 /// Estimates m and M for `groups` (sorted by decreasing weight) under the
 /// given necessary predicate, per paper §4.2: the CPN lower bound of the
 /// graph induced by N on a prefix certifies that many distinct entities,
 /// and any prefix with CPN >= k yields the bound M = weight(c_m).
+///
+/// The search gallops: prefix sizes k, 2k, 4k, ... until one certifies k,
+/// then a binary search locates the smallest certifying prefix, so the CPN
+/// bound runs on O(log n) prefixes. Each prefix takes the greedy
+/// independent-set bound, and when that falls short of k on a prefix of
+/// at most 1024 groups, the larger of it and Algorithm 1's min-fill bound
+/// (graph/clique_partition.h). Both are valid lower bounds, so M is sound
+/// even where the bound is not monotone in the prefix.
 ///
 /// The context's recorder, when set, receives every CPN probe (prefix
 /// size, certified bound, which search phase asked) plus the final m/M
@@ -75,7 +63,7 @@ struct LowerBoundOptions {
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary, int k,
-    const LowerBoundOptions& options = {}, const QueryContext& context = {});
+    const QueryContext& context = {});
 
 }  // namespace topkdup::dedup
 

@@ -1,20 +1,20 @@
 #include "dedup/pruned_dedup.h"
 
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "common/log.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "dedup/collapse.h"
+#include "dedup/lower_bound.h"
+#include "obs/explain.h"
 
 namespace topkdup::dedup {
 
-StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
-    std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
+StatusOr<PrunedDedupResult> PrunedDedup(
+    const record::Dataset& data, const std::vector<PredicateLevel>& levels,
     const PrunedDedupOptions& options, const QueryContext& context) {
   if (options.k < 1) {
     return Status::InvalidArgument("PrunedDedup: k must be >= 1");
@@ -25,8 +25,9 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   if (levels.empty()) {
     return Status::InvalidArgument("PrunedDedup: at least one level");
   }
-  ScopedParallelism parallelism(options.threads);
+  std::vector<Group> groups = MakeSingletonGroups(data);
   const Deadline* deadline = context.deadline;
+  obs::ExplainRecorder* recorder = context.recorder;
   trace::Span pipeline_span("dedup.pruned_dedup");
   pipeline_span.AddArg("k", options.k);
   pipeline_span.AddArg("levels", static_cast<int64_t>(levels.size()));
@@ -34,18 +35,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   if (context.query_id != 0) {
     pipeline_span.AddArg("query_id", static_cast<int64_t>(context.query_id));
   }
-
-  // The recorder is owned here unless the caller (e.g. TopKCountQuery)
-  // supplied one to compose a whole-query report.
-  QueryContext stage_context = context;
-  std::unique_ptr<obs::ExplainRecorder> owned_recorder;
-  if (stage_context.recorder == nullptr && options.explain) {
-    owned_recorder =
-        std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    owned_recorder->set_query_id(context.query_id);
-    stage_context.recorder = owned_recorder.get();
-  }
-  obs::ExplainRecorder* recorder = stage_context.recorder;
 
   PrunedDedupResult result;
   result.upper_bounds.assign(groups.size(), 0.0);
@@ -80,7 +69,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     bool stopped = false;
 
     if (level.sufficient != nullptr) {
-      groups = Collapse(groups, *level.sufficient, stage_context);
+      groups = Collapse(groups, *level.sufficient, context);
       if (deadline != nullptr && deadline->Expired()) {
         // The closure may be missing edges from skipped shards: a valid
         // but under-collapsed partition. Bounds from previous levels no
@@ -101,8 +90,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     if (!stopped && level.necessary != nullptr) {
       timer.Reset();
       const LowerBoundResult lb =
-          EstimateLowerBound(groups, *level.necessary, options.k,
-                             options.lower_bound, stage_context);
+          EstimateLowerBound(groups, *level.necessary, options.k, context);
       stats.lower_bound_seconds = timer.ElapsedSeconds();
       stats.m = lb.m;
       stats.M = lb.M;
@@ -123,7 +111,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
         timer.Reset();
         PruneResult pruned = PruneGroups(
             groups, *level.necessary, lb.M, {.passes = options.prune_passes},
-            options.exact_bounds, stage_context);
+            options.exact_bounds, context);
         stats.prune_seconds = timer.ElapsedSeconds();
         stats.groups_pruned = groups.size() - pruned.groups.size();
         groups = std::move(pruned.groups);
@@ -186,18 +174,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   }
   pipeline_span.AddArg("groups_out",
                        static_cast<int64_t>(result.groups.size()));
-  if (owned_recorder != nullptr) {
-    result.explain = std::make_shared<const obs::ExplainReport>(
-        owned_recorder->Finish());
-  }
   return result;
-}
-
-StatusOr<PrunedDedupResult> PrunedDedup(
-    const record::Dataset& data, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options, const QueryContext& context) {
-  return PrunedDedupFromGroups(MakeSingletonGroups(data), levels, options,
-                               context);
 }
 
 }  // namespace topkdup::dedup

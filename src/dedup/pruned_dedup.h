@@ -2,16 +2,13 @@
 #define TOPKDUP_DEDUP_PRUNED_DEDUP_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/group.h"
-#include "dedup/lower_bound.h"
 #include "dedup/prune.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
 #include "record/record.h"
 
@@ -72,9 +69,6 @@ struct PrunedDedupResult {
   /// True when pruning reduced the data to exactly K groups, in which case
   /// `groups` *is* the TopK answer and no final clustering is needed.
   bool exact = false;
-  /// Per-query explain report (Options::explain); null when explain was
-  /// off or when events went to the context's recorder.
-  std::shared_ptr<const obs::ExplainReport> explain;
   /// How the deadline degraded this run (degradation.degraded == false
   /// when every level ran to completion). When degradation stopped the
   /// pipeline before pruning recomputed bounds for the *current* group
@@ -89,21 +83,6 @@ struct PrunedDedupOptions {
   /// Compute exact (no early-exit) upper bounds in the final prune pass;
   /// required by the rank queries.
   bool exact_bounds = false;
-  /// Worker threads for the collapse and prune hot loops. 0 keeps the
-  /// process-wide default (TOPKDUP_THREADS env or hardware concurrency);
-  /// 1 forces serial execution. Outputs are bit-identical at any value
-  /// (common/parallel.h's deterministic sharded reductions).
-  int threads = 0;
-  LowerBoundOptions lower_bound;
-  /// Build a per-query explain report (src/obs/explain.h) carried on the
-  /// result, unless the context brings its own recorder. Off by default;
-  /// the off path hands the hot loops a null recorder, which costs one
-  /// pointer test per potential event.
-  bool explain = false;
-  /// Fraction of *detail* events (collapse merges, prune decisions) kept,
-  /// sampled by a deterministic per-event hash. Section summaries and
-  /// every CPN probe stay exact at any rate.
-  double explain_sample_rate = 1.0;
 };
 
 /// Algorithm 2 (PrunedDedup): for each predicate level, collapse with S_l,
@@ -111,17 +90,15 @@ struct PrunedDedupOptions {
 /// cannot reach M. Returns the reduced set of groups plus per-level stats.
 ///
 /// `levels` predicates must be bound to a Corpus built over `data`.
-/// On expiry of the context's deadline the pipeline stops at the next
-/// checkpoint and returns its best consistent state with `degradation`
-/// filled; under a pure work budget every output is bit-identical at any
-/// thread count.
+/// The collapse and prune hot loops fan out at the caller's thread scope
+/// (common/parallel.h: ScopedParallelism, TOPKDUP_THREADS). The context's
+/// recorder, when set, receives the per-level explain events. On expiry
+/// of the context's deadline the pipeline stops at the next checkpoint and
+/// returns its best consistent state with `degradation` filled. Every
+/// output is bit-identical at any thread count, under a pure work budget
+/// too.
 StatusOr<PrunedDedupResult> PrunedDedup(
     const record::Dataset& data, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options, const QueryContext& context = {});
-
-/// Variant starting from pre-formed groups.
-StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
-    std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
     const PrunedDedupOptions& options, const QueryContext& context = {});
 
 }  // namespace topkdup::dedup

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace topkdup::obs {
@@ -15,15 +16,6 @@ namespace {
 /// only bounds report memory on huge inputs at sample_rate 1.0.
 constexpr size_t kMaxDetailEvents = size_t{1} << 18;
 
-/// splitmix64 finalizer: a fixed bijective mix, so sampling depends only
-/// on the event key, never on thread schedule or RNG state.
-uint64_t MixKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// JSON number from a double: integral values print plainly, others with
 /// enough digits to round-trip the comparisons the report documents.
 std::string JsonNumber(double v) {
@@ -34,23 +26,9 @@ std::string JsonNumber(double v) {
   return StrFormat("%.17g", v);
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 std::string JsonString(std::string_view s) {
-  std::string out = "\"";
-  AppendEscaped(&out, s);
-  out += "\"";
+  std::string out;
+  AppendJsonString(&out, s);
   return out;
 }
 
@@ -366,7 +344,7 @@ bool ExplainRecorder::SampleKey(uint64_t key) const {
   if (sample_rate_ <= 0.0) return false;
   // Top 53 mixed bits as a uniform double in [0, 1).
   const double u =
-      static_cast<double>(MixKey(key) >> 11) * 0x1.0p-53;
+      static_cast<double>(SplitMix64(key) >> 11) * 0x1.0p-53;
   return u < sample_rate_;
 }
 

@@ -1,20 +1,17 @@
 #include "predicates/blocked_index.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 
 namespace topkdup::predicates {
 
@@ -81,15 +78,6 @@ struct IndexHeader {
 };
 static_assert(sizeof(IndexHeader) == kHeaderSize, "serialized layout");
 
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 size_t Align8(size_t offset) { return (offset + 7) & ~size_t{7}; }
 
 /// Byte offsets of each body section; total is the body size. All sections
@@ -143,18 +131,6 @@ bool SharesAtLeast(const text::TokenId* a, size_t an, const text::TokenId* b,
 }
 
 }  // namespace
-
-/// Holds the backing bytes of a deserialized index: either an adopted
-/// in-memory image or a read-only file mapping. Boxed on the heap so the
-/// index can move without invalidating the views.
-struct BlockedIndex::Mapping {
-  std::string bytes;
-  void* addr = nullptr;
-  size_t size = 0;
-  ~Mapping() {
-    if (addr != nullptr) ::munmap(addr, size);
-  }
-};
 
 namespace {
 
@@ -811,7 +787,7 @@ std::string BlockedIndex::Serialize() const {
   header.max_sig_size = max_sig_size_;
   header.flags = 0;
   header.body_size = lay.total;
-  header.pred_name_hash = Fnv1a(pred_->name());
+  header.pred_name_hash = Fnv1a64(pred_->name(), kIndexFnvBasis);
   header.body_crc32 = lay.total > 0 ? Crc32(body, lay.total) : 0;
   std::string out(kHeaderSize + lay.total, '\0');
   std::memcpy(out.data(), &header, kHeaderSize);
@@ -997,7 +973,7 @@ Status CheckHeader(const IndexHeader& header, const uint8_t* data,
       Crc32(data + kHeaderSize, header.body_size) != header.body_crc32) {
     return Status::InvalidArgument("body checksum mismatch");
   }
-  if (header.pred_name_hash != Fnv1a(pred.name())) {
+  if (header.pred_name_hash != Fnv1a64(pred.name(), kIndexFnvBasis)) {
     return Status::InvalidArgument(
         "index was built under a different predicate");
   }
@@ -1012,17 +988,14 @@ StatusOr<BlockedIndex> BlockedIndex::Deserialize(const PairPredicate& pred,
   if (bytes.size() < kHeaderSize) {
     return Status::InvalidArgument("truncated blocked-index image");
   }
-  auto holder = std::make_shared<Mapping>();
-  holder->bytes = std::move(bytes);
-  const uint8_t* data =
-      reinterpret_cast<const uint8_t*>(holder->bytes.data());
+  auto image = std::make_unique<const std::string>(std::move(bytes));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(image->data());
   IndexHeader header;
   std::memcpy(&header, data, kHeaderSize);
-  TOPKDUP_RETURN_IF_ERROR(
-      CheckHeader(header, data, holder->bytes.size(), pred));
+  TOPKDUP_RETURN_IF_ERROR(CheckHeader(header, data, image->size(), pred));
   BlockedIndex index;
   index.pred_ = &pred;
-  index.mapping_ = std::move(holder);
+  index.image_ = std::move(image);
   index.n_ = header.n;
   index.token_count_ = header.token_count;
   index.distinct_size_count_ = header.distinct_size_count;
@@ -1039,46 +1012,20 @@ StatusOr<BlockedIndex> BlockedIndex::Deserialize(const PairPredicate& pred,
 StatusOr<BlockedIndex> BlockedIndex::LoadFromFile(const PairPredicate& pred,
                                                   size_t record_count,
                                                   const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) {
     return Status::IOError("cannot open " + path);
   }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return Status::IOError("cannot stat " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
+    return Status::IOError("cannot size " + path);
   }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (size < kHeaderSize) {
-    ::close(fd);
-    return Status::InvalidArgument("truncated blocked-index image");
+  std::string bytes(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), size)) {
+    return Status::IOError("cannot read " + path);
   }
-  void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (addr == MAP_FAILED) {
-    return Status::IOError("cannot map " + path);
-  }
-  auto holder = std::make_shared<Mapping>();
-  holder->addr = addr;
-  holder->size = size;
-  const uint8_t* data = static_cast<const uint8_t*>(addr);
-  IndexHeader header;
-  std::memcpy(&header, data, kHeaderSize);
-  TOPKDUP_RETURN_IF_ERROR(CheckHeader(header, data, size, pred));
-  BlockedIndex index;
-  index.pred_ = &pred;
-  index.mapping_ = std::move(holder);
-  index.n_ = header.n;
-  index.token_count_ = header.token_count;
-  index.distinct_size_count_ = header.distinct_size_count;
-  index.block_count_ = header.block_count;
-  index.blob_size_ = header.blob_bytes;
-  index.posting_count_ = header.posting_count;
-  index.max_sig_size_ = header.max_sig_size;
-  index.BindViews(data + kHeaderSize, header.body_size);
-  TOPKDUP_RETURN_IF_ERROR(index.Validate(record_count));
-  TOPKDUP_RETURN_IF_ERROR(index.CopySignatures());
-  return index;
+  return Deserialize(pred, record_count, std::move(bytes));
 }
 
 }  // namespace topkdup::predicates

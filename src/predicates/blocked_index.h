@@ -63,10 +63,11 @@ namespace topkdup::predicates {
 /// scratches are safe (the parallel collapse/prune paths rely on this).
 ///
 /// A built index can be serialized to a versioned, checksummed byte image
-/// and later mapped back via Deserialize / LoadFromFile: header and
+/// and later read back via Deserialize / LoadFromFile: header and
 /// structural validation plus pointer fixup, and one pass over the
 /// predicate's signatures to rebuild the (unserialized) signature copy.
-/// Loading allocates O(1) times regardless of the index size.
+/// Besides the image itself, loading allocates O(1) times regardless of
+/// the index size.
 class BlockedIndex {
  public:
   static constexpr size_t kBlockSize = 128;
@@ -198,9 +199,8 @@ class BlockedIndex {
                                             size_t record_count,
                                             std::string bytes);
 
-  /// Memory-maps a serialized image from `path` (O(1) map + header and
-  /// structural validation; postings stay on disk until queries touch
-  /// them). Falls back to InvalidArgument / IOError on malformed input.
+  /// Reads the serialized image at `path` and Deserializes it: IOError
+  /// when the file cannot be read, otherwise exactly Deserialize's result.
   static StatusOr<BlockedIndex> LoadFromFile(const PairPredicate& pred,
                                              size_t record_count,
                                              const std::string& path);
@@ -264,11 +264,11 @@ class BlockedIndex {
 
   const PairPredicate* pred_ = nullptr;
 
-  /// Body storage: exactly one of owned_ (built or Deserialize) and
-  /// mapping_ (LoadFromFile) is active; the views below point into it.
+  /// Body storage: exactly one of owned_ (built) and image_ (Deserialize)
+  /// is active; the views below point into it. The image is boxed so the
+  /// index can move without invalidating the views.
   std::vector<uint8_t> owned_;
-  struct Mapping;
-  std::shared_ptr<Mapping> mapping_;
+  std::unique_ptr<const std::string> image_;
 
   /// Lazily filled candidate lists, present only after EnableCandidateMemo.
   struct MemoState;

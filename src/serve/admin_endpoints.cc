@@ -19,30 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void AppendJsonString(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 /// The /statusz payload. schema_version gates CI validation: bump it when
 /// a field changes meaning, add freely without bumping.
 std::string StatuszJson(const QueryService& service,
@@ -62,7 +38,7 @@ std::string StatuszJson(const QueryService& service,
   out.reserve(1024);
   out += "{\"schema_version\":1,\"build\":{\"compiler\":";
 #if defined(__VERSION__)
-  AppendJsonString(out, __VERSION__);
+  AppendJsonString(&out, __VERSION__);
 #else
   out += "\"unknown\"";
 #endif
@@ -140,7 +116,7 @@ std::string StatuszJson(const QueryService& service,
         for (size_t i = 0; i < top.size(); ++i) {
           if (i > 0) out += ",";
           out += "{\"name\":";
-          AppendJsonString(out, top[i].first);
+          AppendJsonString(&out, top[i].first);
           out += StrFormat(",\"cpu_seconds\":%.6f}", top[i].second);
         }
       };
@@ -155,7 +131,7 @@ std::string StatuszJson(const QueryService& service,
     const DatasetHealth& ds = health.datasets[i];
     if (i > 0) out += ",";
     out += "{\"name\":";
-    AppendJsonString(out, ds.name);
+    AppendJsonString(&out, ds.name);
     out += StrFormat(
         ",\"online\":%s,\"records\":%zu,\"breaker\":\"%s\","
         "\"p50_seconds\":%.6f,\"served\":%llu,\"errors\":%llu,"

@@ -1,59 +1,18 @@
 #include "serve/request_log.h"
 
-#include <algorithm>
-#include <string_view>
 #include <utility>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace topkdup::serve {
 
 namespace {
 
-/// splitmix64 finalizer — the same deterministic mixing the explain
-/// sampler uses, so the 1-in-N head sample is uniform over sequential
-/// query ids instead of a stride.
-uint64_t MixKey(uint64_t key) {
-  uint64_t z = key + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-void AppendJsonEscaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
-void AppendJsonString(std::string& out, std::string_view text) {
-  out.push_back('"');
-  AppendJsonEscaped(out, text);
-  out.push_back('"');
-}
+/// Emitted lines and captured slow reports kept for /debug/queries.
+constexpr size_t kRecentCapacity = 256;
+constexpr size_t kSlowCapacity = 32;
 
 }  // namespace
 
@@ -62,27 +21,27 @@ std::string RequestLogEvent::ToJsonLine() const {
   out.reserve(384);
   out += StrFormat("{\"event\":\"query\",\"query_id\":%llu,\"dataset\":",
                    static_cast<unsigned long long>(query_id));
-  AppendJsonString(out, dataset);
+  AppendJsonString(&out, dataset);
   out += ",\"kind\":";
-  AppendJsonString(out, kind);
+  AppendJsonString(&out, kind);
   out += StrFormat(",\"k\":%d,\"r\":%d,\"status\":", k, r);
-  AppendJsonString(out, status);
+  AppendJsonString(&out, status);
   out += ",\"outcome\":";
-  AppendJsonString(out, outcome);
+  AppendJsonString(&out, outcome);
   out += ",\"quality\":";
-  AppendJsonString(out, quality);
+  AppendJsonString(&out, quality);
   out += StrFormat(",\"degraded\":%s", degraded ? "true" : "false");
   if (!degradation_stage.empty()) {
     out += ",\"degradation_stage\":";
-    AppendJsonString(out, degradation_stage);
+    AppendJsonString(&out, degradation_stage);
   }
   if (!degradation_reason.empty()) {
     out += ",\"degradation_reason\":";
-    AppendJsonString(out, degradation_reason);
+    AppendJsonString(&out, degradation_reason);
   }
   if (!shed_reason.empty()) {
     out += ",\"shed_reason\":";
-    AppendJsonString(out, shed_reason);
+    AppendJsonString(&out, shed_reason);
   }
   out += StrFormat(",\"attempts\":%d", attempts);
   out += StrFormat(",\"queue_seconds\":%.6f,\"latency_seconds\":%.6f",
@@ -101,9 +60,8 @@ std::string RequestLogEvent::ToJsonLine() const {
   out += StrFormat("},\"cpu_ms\":%.4f,\"cpu_stages\":{", cpu_ms);
   for (size_t i = 0; i < cpu_stages_ms.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"";
-    AppendJsonEscaped(out, cpu_stages_ms[i].first);
-    out += StrFormat("\":%.4f", cpu_stages_ms[i].second);
+    AppendJsonString(&out, cpu_stages_ms[i].first);
+    out += StrFormat(":%.4f", cpu_stages_ms[i].second);
   }
   out += "}";
   if (epoch != 0) {
@@ -112,7 +70,7 @@ std::string RequestLogEvent::ToJsonLine() const {
   }
   if (!cache.empty()) {
     out += ",\"cache\":";
-    AppendJsonString(out, cache);
+    AppendJsonString(&out, cache);
     if (staleness_weight > 0.0) {
       out += StrFormat(",\"staleness_weight\":%.6f", staleness_weight);
     }
@@ -133,8 +91,6 @@ RequestLog::RequestLog(RequestLogOptions options)
   sampled_out_ = registry.GetCounter("serve.requestlog.sampled_out");
   slow_captured_ = registry.GetCounter("serve.requestlog.slow_captured");
   rotations_ = registry.GetCounter("serve.requestlog.rotations");
-  options_.recent_capacity = std::max<size_t>(options_.recent_capacity, 1);
-  options_.slow_capacity = std::max<size_t>(options_.slow_capacity, 1);
   if (options_.enabled && !options_.path.empty()) {
     file_ = std::fopen(options_.path.c_str(), "a");
     if (file_ == nullptr) {
@@ -158,7 +114,7 @@ RequestLog::~RequestLog() {
 bool RequestLog::AdmitOk(uint64_t query_id) const {
   if (options_.ok_sample_every == 0) return false;
   if (options_.ok_sample_every == 1) return true;
-  return MixKey(query_id) % options_.ok_sample_every == 0;
+  return SplitMix64(query_id) % options_.ok_sample_every == 0;
 }
 
 bool RequestLog::Record(const RequestLogEvent& event) {
@@ -182,7 +138,7 @@ bool RequestLog::Record(const RequestLogEvent& event) {
       }
     }
     recent_.push_back(std::move(line));
-    while (recent_.size() > options_.recent_capacity) recent_.pop_front();
+    while (recent_.size() > kRecentCapacity) recent_.pop_front();
   }
   emitted_->Increment();
   return true;
@@ -215,7 +171,7 @@ void RequestLog::CaptureSlow(const RequestLogEvent& event,
   {
     std::lock_guard<std::mutex> lock(mu_);
     slow_.push_back(std::move(capture));
-    while (slow_.size() > options_.slow_capacity) slow_.pop_front();
+    while (slow_.size() > kSlowCapacity) slow_.pop_front();
   }
   slow_captured_->Increment();
 }

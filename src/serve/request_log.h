@@ -36,8 +36,9 @@ struct RequestLogOptions {
   /// Opened in append mode, so a restart investigates with the previous
   /// process's wide-event history still in place.
   std::string path;
-  /// Healthy exact answers emit when MixKey(query_id) % ok_sample_every
-  /// == 0. 1 emits every query; 0 suppresses all healthy-query lines.
+  /// Healthy exact answers emit when SplitMix64(query_id) %
+  /// ok_sample_every == 0 (common/rng.h). 1 emits every query; 0
+  /// suppresses all healthy-query lines.
   uint64_t ok_sample_every = 16;
   /// Latency threshold marking a query "slow" (always emitted, and its
   /// explain report — when one was armed — is captured for
@@ -49,10 +50,6 @@ struct RequestLogOptions {
   /// slow capture is enabled (ExplainReport section summaries stay exact
   /// at any rate).
   double slow_explain_sample_rate = 0.1;
-  /// Most recent emitted lines kept in memory for /debug/queries.
-  size_t recent_capacity = 256;
-  /// Captured slow-query explain reports kept for /debug/queries.
-  size_t slow_capacity = 32;
   /// Rotation threshold for the JSONL sink: once the current file
   /// exceeds this many bytes after a write, it is renamed to
   /// "<path>.1" (replacing any previous rotation) and a fresh file is
@@ -144,12 +141,12 @@ class RequestLog {
   /// line was emitted. Thread-safe.
   bool Record(const RequestLogEvent& event);
 
-  /// Stores a slow query's event + explain report for /debug/queries
-  /// (bounded; oldest evicted). Thread-safe.
+  /// Stores a slow query's event + explain report for /debug/queries (the
+  /// newest 32; oldest evicted). Thread-safe.
   void CaptureSlow(const RequestLogEvent& event,
                    std::shared_ptr<const obs::ExplainReport> report);
 
-  /// Most recent emitted lines, oldest first.
+  /// The newest 256 emitted lines, oldest first.
   std::vector<std::string> RecentLines() const;
 
   /// {"schema_version":1,"slow":[{...,"explain":{...}}],"recent":[...]}

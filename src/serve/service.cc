@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "common/log.h"
@@ -43,15 +42,8 @@ bool ValidDatasetName(std::string_view name) {
 /// predicate name, in hex, so distinct predicates of one dataset never
 /// collide and the name survives process restarts.
 std::string PredFileTag(const predicates::PairPredicate& pred) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : pred.name()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buf);
+  const uint64_t hash = Fnv1a64(pred.name(), kIndexFnvBasis);
+  return StrFormat("%016llx", static_cast<unsigned long long>(hash));
 }
 
 /// A persisted image is reusable only when it covers the identity item set
@@ -117,11 +109,8 @@ const char* ServedOutcomeName(ServedOutcome outcome) {
 /// and never removed, so raw pointers into the map stay valid for the
 /// service lifetime.
 struct QueryService::DatasetState {
-  DatasetState(std::string name_in, const BreakerOptions& breaker_options,
-               size_t cache_capacity)
-      : name(std::move(name_in)),
-        breaker(breaker_options),
-        answer_cache(cache_capacity) {}
+  DatasetState(std::string name_in, const BreakerOptions& breaker_options)
+      : name(std::move(name_in)), breaker(breaker_options) {}
 
   std::string name;
   bool online = false;
@@ -151,16 +140,15 @@ struct QueryService::DatasetState {
   CircuitBreaker breaker;
   metrics::Gauge* breaker_gauge = nullptr;
 
-  // Rolling execution-cost samples (seconds): the predicted-miss shed's
-  // fallback while the cost model below is empty, and the p50 health
-  // figure.
+  // Rolling execution-cost samples (seconds) behind the p50 health
+  // figure (/statusz p50_seconds).
   mutable std::mutex stats_mu;
   std::vector<double> samples;
   size_t next_sample = 0;
 
   /// Measured per-unit execution costs (EWMA over attributed CPU, wall,
   /// and work counts of completed attempts) — the predicted-miss shed's
-  /// primary estimate.
+  /// estimate.
   CostModel cost_model;
 
   std::atomic<uint64_t> served{0};
@@ -224,6 +212,9 @@ struct QueryService::Pending {
   /// Answer-cache disposition decided at admission ("miss" when the
   /// request proceeds to execution); stamped onto the response.
   std::string cache_disposition;
+  /// The executed count query's explain report, recorded only while slow
+  /// capture is on; captured for /debug/queries when the query is slow.
+  std::optional<obs::ExplainReport> explain;
   std::promise<QueryResponse> promise;
 };
 
@@ -314,8 +305,7 @@ Status QueryService::RegisterDataset(std::string name, DatasetBundle bundle) {
   if (!bundle.scorer) {
     return Status::InvalidArgument("RegisterDataset: scorer must be set");
   }
-  auto state = std::make_unique<DatasetState>(name, options_.breaker,
-                                              options_.cache.capacity);
+  auto state = std::make_unique<DatasetState>(name, options_.breaker);
   state->bundle = std::move(bundle);
   state->breaker_gauge = metrics::Registry::Global().GetGauge(
       "serve.breaker_state." + name);
@@ -343,8 +333,7 @@ Status QueryService::RegisterOnline(std::string name,
   if (stream == nullptr) {
     return Status::InvalidArgument("RegisterOnline: stream must be set");
   }
-  auto state = std::make_unique<DatasetState>(name, options_.breaker,
-                                              options_.cache.capacity);
+  auto state = std::make_unique<DatasetState>(name, options_.breaker);
   state->online = true;
   state->stream = std::move(stream);
   state->breaker_gauge = metrics::Registry::Global().GetGauge(
@@ -499,6 +488,14 @@ Status QueryService::Ingest(std::string_view dataset, record::Record mention) {
     return Status::FailedPrecondition("Ingest: dataset '" + ds->name +
                                       "' is not an online stream");
   }
+  // A mention of the wrong arity is the caller's error: reject it before
+  // it reaches the WAL or the dataset's breaker.
+  const size_t fields = ds->stream->schema().field_count();
+  if (mention.fields.size() != fields) {
+    return Status::InvalidArgument(
+        "Ingest: mention has " + std::to_string(mention.fields.size()) +
+        " fields, stream '" + ds->name + "' has " + std::to_string(fields));
+  }
   std::unique_lock<std::shared_mutex> lock(ds->stream_mu);
   if (ds->wal == nullptr) {
     // Memory-only mode (no wal_dir): the pre-durability behavior, plus
@@ -530,7 +527,8 @@ Status QueryService::Ingest(std::string_view dataset, record::Record mention) {
   if (!status.ok()) {
     // Feed the dataset's breaker: sustained WAL failures (disk full,
     // injected faults) trip it just like sheds do, shifting reads to
-    // degraded answers while writes are broken.
+    // degraded answers while writes are broken. With the arity checked
+    // above, only the WAL can fail here.
     ds->breaker.OnFailure();
     UpdateBreakerGauge(*ds);
     return status;
@@ -661,35 +659,27 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
     pending->cache_disposition = "miss";
   }
 
-  if (options_.shed_on_predicted_miss && req.work_budget == 0) {
-    // Primary estimate: the dataset's measured cost model (EWMA CPU and
-    // work units from attributed attempts). Wall p50 only until the
-    // model's first observation lands.
+  if (req.work_budget == 0) {
+    // The dataset's measured cost model (EWMA CPU and work units from
+    // attributed attempts); no prediction until its first observation.
     const CostModel::Prediction predicted = ds->cost_model.Predict();
-    const double predicted_ms = predicted.valid
-                                    ? predicted.wall_seconds * 1000.0
-                                    : ds->P50Seconds() * 1000.0;
-    if (predicted_ms > static_cast<double>(pending->budget_ms)) {
+    const double predicted_ms = predicted.wall_seconds * 1000.0;
+    if (predicted.valid &&
+        predicted_ms > static_cast<double>(pending->budget_ms)) {
       ds->breaker.OnAbandon(pending->decision);
       pending->shed_predicted_ms = predicted_ms;
       pending->shed_cpu_per_pair_ns = predicted.cpu_per_pair_ns;
-      std::string message;
-      if (predicted.valid) {
-        const double wall_per_cpu =
-            predicted.cpu_seconds > 0.0
-                ? predicted.wall_seconds / predicted.cpu_seconds
-                : 0.0;
-        message = StrFormat(
-            "Submit: predicted cost %.1fms exceeds budget %lldms "
-            "(measured cpu/pair=%.1fns x %.0f pairs, cpu/posting=%.1fns "
-            "x %.0f postings, wall/cpu=%.2f)",
-            predicted_ms, static_cast<long long>(pending->budget_ms),
-            predicted.cpu_per_pair_ns, predicted.pairs,
-            predicted.cpu_per_posting_ns, predicted.postings,
-            wall_per_cpu);
-      } else {
-        message = "Submit: budget below observed p50 cost";
-      }
+      const double wall_per_cpu =
+          predicted.cpu_seconds > 0.0
+              ? predicted.wall_seconds / predicted.cpu_seconds
+              : 0.0;
+      std::string message = StrFormat(
+          "Submit: predicted cost %.1fms exceeds budget %lldms "
+          "(measured cpu/pair=%.1fns x %.0f pairs, cpu/posting=%.1fns "
+          "x %.0f postings, wall/cpu=%.2f)",
+          predicted_ms, static_cast<long long>(pending->budget_ms),
+          predicted.cpu_per_pair_ns, predicted.pairs,
+          predicted.cpu_per_posting_ns, predicted.postings, wall_per_cpu);
       TOPKDUP_LOG(Debug) << "predicted-miss shed for dataset '" << ds->name
                          << "': " << message;
       FinishResponse(*pending, ShedResponse(ds, "predicted_miss",
@@ -875,7 +865,8 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
     // Attribute the attempt's CPU — on this worker and on every pool
     // worker its regions fan out to — to the request's meter.
     resource::ScopedMeterAttach meter_attach(&pending.meter);
-    attempt_or = RunOnce(ds, pending.request, deadline, pending.id);
+    attempt_or = RunOnce(ds, pending.request, deadline, pending.id,
+                         &pending.explain);
   }
   const double exec_seconds = SecondsSince(start);
   pending.attempt_seconds.push_back(exec_seconds);
@@ -905,10 +896,9 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
   completed_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
-StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
-                                              const QueryRequest& request,
-                                              const Deadline& deadline,
-                                              uint64_t query_id) {
+StatusOr<QueryResponse> QueryService::RunOnce(
+    DatasetState& ds, const QueryRequest& request, const Deadline& deadline,
+    uint64_t query_id, std::optional<obs::ExplainReport>* explain) {
   // The query_id arg on this span is the join key back to the request-log
   // line and any captured explain report for this query.
   trace::Span span("serve.query");
@@ -920,14 +910,13 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
   // Static datasets resolve every stage's blocking index through the
   // dataset cache warmed at registration; online snapshots change their
   // item sets per snapshot and keep the per-query build.
-  const QueryContext context{
+  QueryContext context{
       .deadline = &deadline,
       .index_cache = ds.online ? nullptr : &ds.index_cache,
       .query_id = query_id};
   if (request.kind == QueryKind::kTopKRank) {
     topk::TopKRankOptions rank_options;
     rank_options.k = request.k;
-    rank_options.prune_passes = options_.rank_prune_passes;
     TOPKDUP_ASSIGN_OR_RETURN(
         topk::TopKRankResult rank,
         topk::TopKRankQuery(*ds.bundle.data, ds.bundle.levels, rank_options,
@@ -941,12 +930,13 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
 
   topk::TopKCountOptions query_options;
   query_options.r = request.r;
-  // Slow-query capture needs an explain report to snapshot, so arm one
+  // Slow-query capture needs an explain report to snapshot, so record one
   // (sampled) whenever slow detection is on.
-  if (request_log_->slow_enabled()) {
-    query_options.explain = true;
-    query_options.explain_sample_rate =
-        options_.request_log.slow_explain_sample_rate;
+  std::optional<obs::ExplainRecorder> recorder;
+  if (explain != nullptr && request_log_->slow_enabled()) {
+    recorder.emplace(options_.request_log.slow_explain_sample_rate);
+    recorder->set_query_id(query_id);
+    context.recorder = &*recorder;
   }
   double snapshot_weight = 0.0;
   uint64_t snapshot_epoch = 0;
@@ -998,6 +988,7 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
         topk::TopKCountQuery(*ds.bundle.data, ds.bundle.levels,
                              ds.bundle.scorer, query_options, context));
   }
+  if (recorder.has_value()) *explain = recorder->Finish();
   response.outcome = response.result.quality == topk::AnswerQuality::kExact
                          ? ServedOutcome::kExact
                          : ServedOutcome::kDegraded;
@@ -1144,7 +1135,6 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
     event.status = response.status.ok() ? "ok"
                                         : StatusCodeName(response.status.code());
     event.outcome = ServedOutcomeName(response.outcome);
-    // The query's own counter totals travel inside the result.
     if (pending.request.kind == QueryKind::kTopKRank) {
       if (response.rank.has_value()) {
         event.degraded = response.rank->degradation.degraded;
@@ -1164,16 +1154,22 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
             DeadlineReasonName(response.result.degradation.reason);
       }
     }
-    const std::vector<metrics::CounterSample>& work =
-        QueryCounters(response);
-    for (const char* name :
-         {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
-          "dedup.lower_bound.cpn_evals",
-          "predicates.blocked_index.postings_decoded",
-          "predicates.blocked_index.candidates",
-          "segment.scorer.cells_filled"}) {
-      const uint64_t value = metrics::CounterValue(work, name);
-      if (value != 0) event.work.emplace_back(name, value);
+    // The executed query's own counter totals travel inside its result.
+    // A response that ran nothing (a cache hit, a breaker-degraded answer)
+    // carries the counters of the query that computed the cached result,
+    // so it logs no work.
+    if (response.attempts > 0) {
+      const std::vector<metrics::CounterSample>& work =
+          QueryCounters(response);
+      for (const char* name :
+           {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
+            "dedup.lower_bound.cpn_evals",
+            "predicates.blocked_index.postings_decoded",
+            "predicates.blocked_index.candidates",
+            "segment.scorer.cells_filled"}) {
+        const uint64_t value = metrics::CounterValue(work, name);
+        if (value != 0) event.work.emplace_back(name, value);
+      }
     }
     event.epoch = response.epoch;
     event.cache = response.cache;
@@ -1194,17 +1190,15 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
                  response.latency_seconds * 1000.0 >=
                      static_cast<double>(request_log_->slow_ms());
     request_log_->Record(event);
-    if (event.slow && response.result.explain != nullptr) {
-      // Stamp the query's measured resources onto a copy of the report:
-      // the shared report must stay byte-stable for anyone else holding
-      // it.
-      auto annotated =
-          std::make_shared<obs::ExplainReport>(*response.result.explain);
-      annotated->epoch = response.epoch;
-      annotated->has_resources = true;
-      annotated->resources.cpu_ms = event.cpu_ms;
-      annotated->resources.stages_ms = event.cpu_stages_ms;
-      request_log_->CaptureSlow(event, std::move(annotated));
+    if (event.slow && pending.explain.has_value()) {
+      // Stamp the query's measured resources onto its report.
+      obs::ExplainReport& report = *pending.explain;
+      report.epoch = response.epoch;
+      report.has_resources = true;
+      report.resources.cpu_ms = event.cpu_ms;
+      report.resources.stages_ms = event.cpu_stages_ms;
+      request_log_->CaptureSlow(
+          event, std::make_shared<const obs::ExplainReport>(std::move(report)));
     }
   }
   pending.promise.set_value(std::move(response));
@@ -1280,7 +1274,8 @@ void QueryService::Calibrate(DatasetState& ds) {
   StatusOr<QueryResponse> response = Status::Internal("calibration not run");
   {
     resource::ScopedMeterAttach meter_attach(&meter);
-    response = RunOnce(ds, request, deadline, /*query_id=*/0);
+    response = RunOnce(ds, request, deadline, /*query_id=*/0,
+                       /*explain=*/nullptr);
   }
   if (response.ok()) {
     const double wall = SecondsSince(start);

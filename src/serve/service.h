@@ -163,20 +163,11 @@ struct ServiceOptions {
   int64_t default_deadline_ms = 1000;
   /// Upper clamp on any caller-requested budget.
   int64_t max_deadline_ms = 10000;
-  /// Reject a request up front (ResourceExhausted) when its budget cannot
-  /// cover the dataset's measured execution cost. The prediction comes
-  /// from the dataset's CostModel (EWMA of attributed CPU, wall time, and
-  /// work units, expressed as CPU per candidate pair / per posting
-  /// decoded); until the model has a sample the observed wall p50 is the
-  /// fallback. The refusal message cites the measured unit costs used.
-  bool shed_on_predicted_miss = true;
   /// Per-dataset circuit breaker configuration.
   BreakerOptions breaker;
   /// Run one calibration query at registration to seed the dataset's cost
   /// estimate and the bounds cache the breaker serves while open.
   bool calibrate_on_register = true;
-  /// prune_passes applied to rank queries.
-  int rank_prune_passes = 2;
   /// Wide-event request logging (serve/request_log.h): one JSON line per
   /// query disposition, head-sampled for healthy answers, always emitted
   /// for degraded/shed/error/slow outcomes.
@@ -205,21 +196,20 @@ struct ServiceOptions {
   /// (the checkpoint then trims the WAL). Clean shutdown and Drain()
   /// always checkpoint regardless.
   uint64_t checkpoint_bytes = 4ull << 20;
-  /// Answer-cache behavior (serve/answer_cache.h). The cache is always
-  /// *populated* by exact count answers (it is also the breaker's
-  /// bounds-only fallback); `enabled` gates only whether the normal
-  /// serving path consults it before executing.
+  /// Answer-cache behavior (serve/answer_cache.h: 32 query shapes per
+  /// dataset, LRU beyond). The cache is always *populated* by exact count
+  /// answers (it is also the breaker's bounds-only fallback); `enabled`
+  /// gates only whether the normal serving path consults it before
+  /// executing.
   struct CacheOptions {
     bool enabled = true;
-    /// Cached query shapes per dataset (LRU beyond this).
-    size_t capacity = 32;
   };
   CacheOptions cache;
-  /// Epoch publication batching for online ingest. 0 publishes a fresh
-  /// epoch after every successful ingest (every acked mention is
-  /// immediately visible to queries). > 0 publishes at most once per
-  /// interval — amortizes the O(mentions) snapshot build under ingest
-  /// bursts; queries meanwhile keep reading the previous epoch, and
+  /// Epoch publication batching for ingests into online datasets. 0
+  /// publishes a fresh epoch after every successful ingest (every acked
+  /// mention is immediately visible to queries). > 0 publishes at most
+  /// once per interval — amortizes the O(mentions) snapshot build under
+  /// ingest bursts; queries meanwhile keep reading the previous epoch, and
   /// Drain()/shutdown force-publish anything pending. The *first* ingest
   /// always publishes so an empty pin means an empty stream.
   int64_t epoch_batch_ms = 0;
@@ -270,8 +260,11 @@ struct HealthSnapshot {
 ///   3. Circuit breaker: an open breaker short-circuits to a bounds-only
 ///      cached answer (kBreakerDegraded) or FailedPrecondition — the
 ///      request never occupies a queue slot.
-///   4. Predicted-miss shed: budget < observed p50 execution cost →
-///      ResourceExhausted up front rather than queued to die.
+///   4. Predicted-miss shed: budget < the dataset's measured execution
+///      cost (its CostModel: EWMA of attributed CPU, wall time and work
+///      units; no prediction before the first sample) → ResourceExhausted
+///      up front rather than queued to die. The refusal message cites the
+///      measured unit costs used. Work-budget requests are never shed.
 ///   5. Bounded queue: when full, the *oldest* waiting request is evicted
 ///      (ResourceExhausted) in favor of the arrival — combined with
 ///      workers popping newest-first (LIFO), fresh requests with live
@@ -325,10 +318,12 @@ class QueryService {
   /// *before* it is applied in memory; OK therefore means the mention
   /// survives kill -9. Failures are real and typed — IOError/Internal
   /// from the WAL layer (the caller may retry; they feed the dataset's
-  /// circuit breaker), InvalidArgument for a schema-mismatched mention — and
-  /// always leave the log and the in-memory stream consistent with each
-  /// other: a failed ingest is rolled back from the WAL, never half
-  /// applied. Callers must check the Status, not TOPKDUP_CHECK it.
+  /// circuit breaker), InvalidArgument for a mention whose field count
+  /// differs from the stream schema (rejected before the WAL is touched;
+  /// the caller's error, so the breaker never sees it) — and always leave
+  /// the log and the in-memory stream consistent with each other: a failed
+  /// ingest is rolled back from the WAL, never half applied. Callers must
+  /// check the Status, not TOPKDUP_CHECK it.
   Status Ingest(std::string_view dataset, record::Record mention);
 
   /// Admits a query; the future resolves when it is served, shed, or
@@ -378,12 +373,13 @@ class QueryService {
                    CircuitBreaker::Decision decision,
                    QueryResponse* response);
   /// One execution attempt under `deadline`. `query_id` is stamped on the
-  /// attempt's spans and (for armed count queries) its explain report; 0
-  /// for calibration runs.
-  StatusOr<QueryResponse> RunOnce(DatasetState& ds,
-                                  const QueryRequest& request,
-                                  const Deadline& deadline,
-                                  uint64_t query_id);
+  /// attempt's spans; 0 for calibration runs. When `explain` is non-null
+  /// and slow capture is on, a count query records a sampled explain
+  /// report stamped with `query_id` and hands it back there, beside the
+  /// response and never inside the cached result.
+  StatusOr<QueryResponse> RunOnce(
+      DatasetState& ds, const QueryRequest& request, const Deadline& deadline,
+      uint64_t query_id, std::optional<obs::ExplainReport>* explain);
   /// Bounds-only answer from the dataset's cache (breaker open).
   QueryResponse DegradedFromCache(DatasetState& ds,
                                   const QueryRequest& request);

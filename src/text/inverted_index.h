@@ -10,10 +10,11 @@
 namespace topkdup::text {
 
 /// Inverted index from token id to the (sorted) list of item ids whose
-/// signature set contains the token. This is the only mechanism in the
-/// library through which pairs of records are ever enumerated: all blocked
-/// predicate evaluation and canopy formation goes through it, never through
-/// a Cartesian product.
+/// signature set contains the token. An appendable index for the streaming
+/// sufficient-predicate collapse (dedup/streaming_collapse.h), whose items
+/// arrive one at a time. Blocked predicate evaluation over a fixed item
+/// set goes through predicates::BlockedIndex instead; neither ever
+/// enumerates a Cartesian product.
 class InvertedIndex {
  public:
   InvertedIndex() = default;

@@ -6,8 +6,8 @@
 
 #include "common/check.h"
 #include "common/crc32.h"
-#include "common/faultpoint.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 
 namespace topkdup::topk {
 namespace {
@@ -29,26 +29,10 @@ metrics::Counter& EpochsPublishedCounter() {
   return *c;
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
 void PutF64(std::string* out, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   PutU64(out, bits);
-}
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -66,11 +50,6 @@ OnlineTopK::OnlineTopK(record::Schema schema, Config config)
 }
 
 Status OnlineTopK::AddMention(record::Record mention) {
-  TOPKDUP_FAULT_RETURN_IF("online.ingest");
-  return AddMentionInternal(std::move(mention));
-}
-
-Status OnlineTopK::AddMentionInternal(record::Record mention) {
   if (mention.fields.size() != schema_.field_count()) {
     return Status::InvalidArgument(
         "mention has " + std::to_string(mention.fields.size()) +
@@ -275,7 +254,7 @@ Status OnlineTopK::RestoreFromCheckpoint(std::string_view image) {
         " records, header says " + std::to_string(mention_count));
   }
   for (record::Record& rec : decoded) {
-    TOPKDUP_RETURN_IF_ERROR(AddMentionInternal(std::move(rec)));
+    TOPKDUP_RETURN_IF_ERROR(AddMention(std::move(rec)));
   }
   // Re-establish the epoch counter the image was serialized under, so
   // post-recovery publications keep the id sequence monotone.

@@ -56,12 +56,11 @@ class OnlineTopK {
 
   OnlineTopK(record::Schema schema, Config config);
 
-  /// Ingests one mention. O(signature-postings) amortized. In-memory
-  /// ingestion can fail two ways: the `online.ingest` fault-injection site
-  /// fires (tests/chaos), or a mention does not match the stream schema.
-  /// Callers that persist the stream (serve::QueryService with a WAL) add
-  /// their own IO error paths *around* this call — treat a non-OK result as
-  /// a real, retryable failure, never TOPKDUP_CHECK it.
+  /// Ingests one mention. O(signature-postings) amortized. Fails only on
+  /// a mention whose field count differs from the stream schema
+  /// (InvalidArgument), leaving the stream unchanged. Callers that persist
+  /// the stream (serve::QueryService with a WAL) check the field count
+  /// before they log the mention.
   Status AddMention(record::Record mention);
 
   size_t mention_count() const {
@@ -154,11 +153,6 @@ class OnlineTopK {
   Status RestoreFromCheckpoint(std::string_view image);
 
  private:
-  /// Ingest without the fault site: checkpoint restore and WAL replay
-  /// re-apply already-acknowledged mentions and must not re-roll the dice.
-  Status AddMentionInternal(record::Record mention);
-
-
   record::Schema schema_;
   Config config_;
   record::Dataset mentions_;

@@ -59,12 +59,8 @@ cluster::PairScores BuildGroupPairScores(
         if (!necessary.Evaluate(reps[p], reps[q])) return;
       }
       ++scored;
-      double s = scorer(reps[p], reps[q]);
-      if (options.aggregate ==
-          PairScoringOptions::Aggregate::kWeightProduct) {
-        s *= groups[p].weight * groups[q].weight;
-      }
-      out.push_back({static_cast<uint32_t>(p), static_cast<uint32_t>(q), s});
+      out.push_back({static_cast<uint32_t>(p), static_cast<uint32_t>(q),
+                     scorer(reps[p], reps[q])});
     });
     pairs_enumerated->Add(enumerated);
     pair_evals->Add(evals);

@@ -19,21 +19,6 @@ namespace topkdup::topk {
 using PairScoreFn = std::function<double(size_t, size_t)>;
 
 struct PairScoringOptions {
-  /// How a representative-pair score is turned into a collapsed-group pair
-  /// score (step 10 of Algorithm 2 requires scores between collapsed
-  /// groups to "reflect the aggregate score over the members").
-  enum class Aggregate {
-    /// score * w_a * w_b — the correlation-clustering mass of all member
-    /// cross pairs, assuming members resemble their representative.
-    /// Consistent only if the default score is likewise scaled, which a
-    /// scalar default cannot be; use for ablations.
-    kWeightProduct,
-    /// The raw representative score (default): stored and unstored pairs
-    /// stay on one scale, and group weights enter the TopK computation
-    /// only through segment weights, where they belong.
-    kRepresentative,
-  };
-  Aggregate aggregate = Aggregate::kRepresentative;
   /// Score for pairs failing the necessary predicate (must be <= 0).
   /// These pairs are certain non-duplicates, so a mild repulsion rewards
   /// keeping them in separate groups and stops the segmentation DP from
@@ -43,9 +28,12 @@ struct PairScoringOptions {
 
 /// Builds the sparse pairwise score matrix over `groups` (indexed by group
 /// position): pairs passing the necessary predicate's blocking + evaluation
-/// get scorer(rep_a, rep_b) aggregated per the options; all other pairs take
-/// the default. This is "apply criteria P on pairs for which N_L is true"
-/// (Algorithm 2, step 9).
+/// get scorer(rep_a, rep_b); all other pairs take the default. This is
+/// "apply criteria P on pairs for which N_L is true" (Algorithm 2, step 9).
+/// A collapsed group's pair score is its representative's raw score
+/// (Algorithm 2's step 10 aggregate): stored and default scores stay on
+/// one scale, and group weights enter the TopK computation only through
+/// segment weights.
 ///
 /// The context's deadline, when set, is polled urgently (wall clock /
 /// cancel only) at shard boundaries; skipped shards leave their pairs on

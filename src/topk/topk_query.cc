@@ -3,7 +3,6 @@
 #include <cmath>
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/strings.h"
 #include "common/trace.h"
 #include "embed/linear_embedding.h"
+#include "obs/explain.h"
 #include "segment/posterior.h"
 #include "segment/segment_scorer.h"
 #include "segment/topk_dp.h"
@@ -179,31 +179,15 @@ StatusOr<TopKCountResult> TopKCountQuery(
   if (context.query_id != 0) {
     query_span.AddArg("query_id", static_cast<int64_t>(context.query_id));
   }
-  // One recorder spans the whole query: the dedup levels feed it through
-  // the stage context, then embedding/DP/answers append their sections
-  // before Finish().
-  QueryContext stage_context = context;
-  std::unique_ptr<obs::ExplainRecorder> owned_recorder;
-  if (stage_context.recorder == nullptr && options.explain) {
-    owned_recorder =
-        std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    owned_recorder->set_query_id(context.query_id);
-    stage_context.recorder = owned_recorder.get();
-  }
-  obs::ExplainRecorder* recorder = stage_context.recorder;
-  const auto finish = [&](TopKCountResult* out) {
-    out->counters = counters.Samples();
-    if (owned_recorder != nullptr) {
-      out->explain =
-          std::make_shared<const obs::ExplainReport>(owned_recorder->Finish());
-    }
-  };
+  // One recorder spans the whole query: the dedup levels feed it, then
+  // embedding/DP/answers append their sections.
+  obs::ExplainRecorder* recorder = context.recorder;
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
   TOPKDUP_ASSIGN_OR_RETURN(
       dedup::PrunedDedupResult pruning,
-      dedup::PrunedDedup(data, levels, prune_options, stage_context));
+      dedup::PrunedDedup(data, levels, prune_options, context));
 
   TopKCountResult result;
   const predicates::PairPredicate& necessary = *levels.back().necessary;
@@ -219,9 +203,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
                          : AnswerQuality::kBoundsOnly;
     result.degradation = pruning.degradation;
     result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, stage_context));
+        pruning, necessary, options.k, context));
     result.pruning = std::move(pruning);
-    finish(&result);
+    result.counters = counters.Samples();
     return result;
   }
   if (pruning.exact) {
@@ -249,7 +233,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
       answer_explain.rank = 1;
       recorder->RecordAnswer(std::move(answer_explain));
     }
-    finish(&result);
+    result.counters = counters.Samples();
     return result;
   }
 
@@ -261,7 +245,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
 
   // Step 9 of Algorithm 2: score pairs passing N_L.
   cluster::PairScores scores = BuildGroupPairScores(
-      groups, necessary, scorer, options.scoring, stage_context);
+      groups, necessary, scorer, options.scoring, context);
   if (deadline != nullptr && deadline->Expired()) {
     MarkDegraded(*deadline, "pair_scoring", /*level=*/0,
                  /*partial_stage=*/true, &result.degradation);
@@ -270,9 +254,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
       recorder->RecordDegradation(result.degradation);
     }
     result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, stage_context));
+        pruning, necessary, options.k, context));
     result.pruning = std::move(pruning);
-    finish(&result);
+    result.counters = counters.Samples();
     return result;
   }
 
@@ -317,9 +301,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
       // bound-carrying dedup answer.
       result.quality = AnswerQuality::kBoundsOnly;
       result.answers.push_back(SynthesizeBoundedAnswer(
-          pruning, necessary, options.k, stage_context));
+          pruning, necessary, options.k, context));
       result.pruning = std::move(pruning);
-      finish(&result);
+      result.counters = counters.Samples();
       return result;
     }
     // Dedup and the score table are complete; only the DP's threshold
@@ -420,7 +404,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
     }
   }
   result.pruning = std::move(pruning);
-  finish(&result);
+  result.counters = counters.Samples();
   return result;
 }
 

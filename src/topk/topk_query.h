@@ -1,14 +1,12 @@
 #ifndef TOPKDUP_TOPK_TOPK_QUERY_H_
 #define TOPKDUP_TOPK_TOPK_QUERY_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
-#include "obs/explain.h"
 #include "record/record.h"
 #include "topk/pair_scoring.h"
 
@@ -68,11 +66,6 @@ struct TopKCountResult {
   /// The query's own counter totals, sorted by name: its
   /// metrics::CounterBlock, exact whatever runs concurrently.
   std::vector<metrics::CounterSample> counters;
-  /// Whole-query explain report spanning dedup levels, embedding,
-  /// segmentation DP, and answer decomposition (TopKCountOptions::explain).
-  /// Null when explain was off. `pruning.explain` stays null here — the
-  /// dedup events land in this report instead.
-  std::shared_ptr<const obs::ExplainReport> explain;
   /// Degradation verdict for the whole query. kExact unless the deadline
   /// expired somewhere; then `degradation` names the stage that stopped
   /// first and every answer group carries a sound count interval.
@@ -107,11 +100,6 @@ struct TopKCountOptions {
   bool compute_posteriors = false;
   /// Gibbs temperature for the posteriors; must be > 0.
   double posterior_temperature = 1.0;
-  /// Build a whole-query explain report (src/obs/explain.h) on the
-  /// result, unless the context brings its own recorder.
-  bool explain = false;
-  /// Fraction of detail events kept in the report; summaries stay exact.
-  double explain_sample_rate = 1.0;
 };
 
 /// The paper's end-to-end TopK count query (Algorithm 2 + §5): prune and
@@ -120,9 +108,11 @@ struct TopKCountOptions {
 /// the segmentation DP for the R highest-scoring TopK answers. The R
 /// answers are the distinct answers among the 3·R best segmentations over
 /// at most `max_thresholds` candidate weight thresholds (DESIGN.md §6b).
-/// On expiry of the context's deadline the query returns OK with its best
-/// partial answer — count intervals per group, `quality != kExact`, and
-/// `degradation` naming the stopped stage.
+/// The context's recorder, when set, receives the whole query's explain
+/// events: the dedup levels, embedding, segmentation DP and answer
+/// decomposition. On expiry of the context's deadline the query returns OK
+/// with its best partial answer — count intervals per group,
+/// `quality != kExact`, and `degradation` naming the stopped stage.
 StatusOr<TopKCountResult> TopKCountQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,

@@ -207,6 +207,47 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
+// The mix and the hash feed persisted or pinned values (index image
+// headers and file names, explain and request-log sampling, fault draws),
+// so their outputs are pinned here, not just their properties.
+TEST(EncodingTest, SplitMix64IsPinned) {
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ull);
+  EXPECT_EQ(SplitMix64(42), 0xbdd732262feb6e95ull);
+  EXPECT_EQ(SplitMix64(~0ull), 0xe4d971771b652c20ull);
+}
+
+TEST(EncodingTest, Fnv1a64IsPinned) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(Fnv1a64("wal.append"), 0x80ab2a00ccd68fc7ull);
+  // The basis persisted index images and index file names hash from.
+  EXPECT_EQ(Fnv1a64("", kIndexFnvBasis), 0x14650fb0739d0383ull);
+  EXPECT_EQ(Fnv1a64("a", kIndexFnvBasis), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(Fnv1a64("foobar", kIndexFnvBasis), 0x88fad7c0a8ff07f2ull);
+}
+
+TEST(EncodingTest, LittleEndianRoundTrip) {
+  std::string bytes;
+  PutU32(&bytes, 0x01020304u);
+  PutU64(&bytes, 0x1122334455667788ull);
+  ASSERT_EQ(bytes.size(), 12u);
+  EXPECT_EQ(bytes.substr(0, 4), std::string("\x04\x03\x02\x01", 4));
+  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data());
+  EXPECT_EQ(GetU32(p), 0x01020304u);
+  EXPECT_EQ(GetU64(p + 4), 0x1122334455667788ull);
+}
+
+TEST(EncodingTest, AppendJsonStringEscapes) {
+  std::string out;
+  AppendJsonString(&out, "plain");
+  EXPECT_EQ(out, "\"plain\"");
+  out.clear();
+  AppendJsonString(&out, "q\"b\\n\nt\tc\x01");
+  EXPECT_EQ(out, "\"q\\\"b\\\\n\\nt\\tc\\u0001\"");
+}
+
 TEST(EnvKnobTest, ParseThreadsAcceptsStrictIntegers) {
   int threads = 0;
   EXPECT_TRUE(internal::ParseThreadsEnvValue("1", &threads));

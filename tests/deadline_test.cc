@@ -9,9 +9,11 @@
 #include <optional>
 #include <thread>
 
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "datagen/citation_gen.h"
 #include "dedup/pruned_dedup.h"
+#include "obs/explain.h"
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
 #include "predicates/generic.h"
@@ -163,15 +165,16 @@ TEST_F(DeadlinePipelineTest, WorkBudgetStopIsIdenticalAcrossThreadCounts) {
   std::vector<dedup::PrunedDedupResult> results;
   std::vector<std::string> explain_json;
   for (int threads : {1, 2, 8}) {
+    ScopedParallelism parallelism(threads);
     Deadline deadline = Deadline::WithWorkBudget(budget);
+    obs::ExplainRecorder recorder;
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.threads = threads;
-    options.explain = true;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options,
-                                        {.deadline = &deadline});
+    auto result_or = dedup::PrunedDedup(
+        data_, Levels(), options,
+        {.deadline = &deadline, .recorder = &recorder});
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
-    explain_json.push_back(result_or.value().explain->ToJson());
+    explain_json.push_back(recorder.Finish().ToJson());
     results.push_back(std::move(result_or).value());
   }
 
@@ -210,7 +213,6 @@ TEST_F(DeadlinePipelineTest, SegmentDpBudgetStopIsIdenticalAcrossThreadCounts) {
   topk::TopKCountOptions options;
   options.k = 10;
   options.r = 3;
-  options.explain = true;
   Deadline probe =
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
   auto full_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
@@ -224,11 +226,13 @@ TEST_F(DeadlinePipelineTest, SegmentDpBudgetStopIsIdenticalAcrossThreadCounts) {
   std::vector<std::string> explain_json;
   for (int threads : {1, 2, 8}) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
+    obs::ExplainRecorder recorder;
     options.threads = threads;
-    auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
-                                          {.deadline = &deadline});
+    auto result_or = topk::TopKCountQuery(
+        data_, Levels(), Scorer(), options,
+        {.deadline = &deadline, .recorder = &recorder});
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
-    explain_json.push_back(result_or.value().explain->ToJson());
+    explain_json.push_back(recorder.Finish().ToJson());
     results.push_back(std::move(result_or).value());
   }
 
@@ -309,18 +313,20 @@ TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {
   // Squeeze the budget until the query degrades; start where collapse has
   // run but the lower-bound search cannot finish.
   topk::TopKCountResult result;
+  std::optional<obs::ExplainReport> report;
   bool degraded = false;
   for (uint64_t budget = full_work / 2; budget > 0; budget /= 2) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
+    obs::ExplainRecorder recorder;
     topk::TopKCountOptions options;
     options.k = 10;
-    options.explain = true;
-    auto result_or =
-        topk::TopKCountQuery(data_, Levels(), Scorer(), options,
-                             {.deadline = &deadline});
+    auto result_or = topk::TopKCountQuery(
+        data_, Levels(), Scorer(), options,
+        {.deadline = &deadline, .recorder = &recorder});
     ASSERT_TRUE(result_or.ok());
     if (result_or.value().quality != topk::AnswerQuality::kExact) {
       result = std::move(result_or).value();
+      report = recorder.Finish();
       degraded = true;
       break;
     }
@@ -351,26 +357,24 @@ TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {
   }
 
   // The explain report names the degraded stage.
-  ASSERT_NE(result.explain, nullptr);
-  EXPECT_TRUE(result.explain->has_degradation);
-  EXPECT_EQ(result.explain->degradation.stage, result.degradation.stage);
-  EXPECT_NE(result.explain->ToJson().find("\"degradation\""),
-            std::string::npos);
+  EXPECT_TRUE(report->has_degradation);
+  EXPECT_EQ(report->degradation.stage, result.degradation.stage);
+  EXPECT_NE(report->ToJson().find("\"degradation\""), std::string::npos);
 }
 
 TEST_F(DeadlinePipelineTest, NoDeadlineExplainHasNoDegradationSection) {
   topk::TopKCountOptions options;
   options.k = 10;
-  options.explain = true;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  obs::ExplainRecorder recorder;
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.recorder = &recorder});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKCountResult& result = result_or.value();
   EXPECT_EQ(result.quality, topk::AnswerQuality::kExact);
   EXPECT_FALSE(result.degradation.degraded);
-  ASSERT_NE(result.explain, nullptr);
-  EXPECT_FALSE(result.explain->has_degradation);
-  EXPECT_EQ(result.explain->ToJson().find("\"degradation\""),
-            std::string::npos);
+  const obs::ExplainReport report = recorder.Finish();
+  EXPECT_FALSE(report.has_degradation);
+  EXPECT_EQ(report.ToJson().find("\"degradation\""), std::string::npos);
   for (const topk::TopKAnswerSet& answer : result.answers) {
     for (const topk::AnswerGroup& g : answer.groups) {
       EXPECT_EQ(g.count_lower, g.weight);

@@ -13,6 +13,8 @@
 #include "dedup/prune.h"
 #include "dedup/pruned_dedup.h"
 #include "dedup/union_find.h"
+#include "graph/clique_partition.h"
+#include "graph/graph.h"
 #include "predicates/address.h"
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
@@ -141,6 +143,26 @@ TEST_F(LowerBoundTest, UncertifiableWhenAllConnect) {
   EXPECT_DOUBLE_EQ(lb.M, 4.0);
 }
 
+/// Brute-force oracle for the §4.2 search: the first prefix length, in a
+/// linear scan from k, whose necessary-predicate graph (every pair
+/// evaluated) has a CPN bound >= k under the bounds EstimateLowerBound
+/// uses; 0 when no prefix certifies k.
+size_t LinearScanPrefix(const std::vector<Group>& groups,
+                        const predicates::PairPredicate& necessary, int k) {
+  for (size_t m = static_cast<size_t>(k); m <= groups.size(); ++m) {
+    graph::Graph g(m);
+    for (size_t b = 0; b < m; ++b) {
+      for (size_t a = 0; a < b; ++a) {
+        if (necessary.Evaluate(groups[a].rep, groups[b].rep)) g.AddEdge(a, b);
+      }
+    }
+    const int bound = std::max(graph::GreedyIndependentSetBound(g, k),
+                               graph::CliquePartitionLowerBound(g, k));
+    if (bound >= k) return m;
+  }
+  return 0;
+}
+
 TEST_F(LowerBoundTest, GallopingMatchesLinearScan) {
   Init({{"a b", 9.0},
         {"b c", 8.0},
@@ -151,43 +173,41 @@ TEST_F(LowerBoundTest, GallopingMatchesLinearScan) {
         {"z", 3.0}});
   auto groups = MakeSingletonGroups(data_);
   for (int k = 1; k <= 4; ++k) {
-    LowerBoundOptions gallop;
-    gallop.galloping = true;
-    LowerBoundOptions linear;
-    linear.galloping = false;
-    const LowerBoundResult a =
-        EstimateLowerBound(groups, *necessary_, k, gallop);
-    const LowerBoundResult b =
-        EstimateLowerBound(groups, *necessary_, k, linear);
-    EXPECT_EQ(a.certified, b.certified) << "k=" << k;
-    // Both must certify at a valid prefix; the galloping variant may in
+    const LowerBoundResult a = EstimateLowerBound(groups, *necessary_, k);
+    const size_t linear_m = LinearScanPrefix(groups, *necessary_, k);
+    const bool linear_certified = linear_m != 0;
+    const double linear_M = linear_certified ? groups[linear_m - 1].weight
+                                             : groups.back().weight;
+    EXPECT_EQ(a.certified, linear_certified) << "k=" << k;
+    // Both must certify at a valid prefix; the galloping search may in
     // rare non-monotone cases land one step later but never earlier than
     // the linear scan's minimum.
-    EXPECT_GE(a.m, b.m) << "k=" << k;
-    EXPECT_LE(a.M, b.M + 1e-12) << "k=" << k;
+    EXPECT_GE(a.m, linear_certified ? linear_m : groups.size()) << "k=" << k;
+    EXPECT_LE(a.M, linear_M + 1e-12) << "k=" << k;
   }
 }
 
-TEST_F(LowerBoundTest, AllBoundModesAreValidAndAgreeHere) {
+TEST_F(LowerBoundTest, BothGraphBoundsCertifyTheChainPrefix) {
   Init({{"a b", 9.0},
         {"b c", 8.0},
         {"c d", 7.0},
         {"x", 6.0},
         {"y", 5.0}});
   auto groups = MakeSingletonGroups(data_);
-  for (auto bound : {LowerBoundOptions::Bound::kMinFill,
-                     LowerBoundOptions::Bound::kGreedyIs,
-                     LowerBoundOptions::Bound::kAuto}) {
-    LowerBoundOptions options;
-    options.bound = bound;
-    const LowerBoundResult lb =
-        EstimateLowerBound(groups, *necessary_, 2, options);
-    EXPECT_TRUE(lb.certified);
-    // "a b"/"b c" chain; "x" is certainly distinct from the chain, so two
-    // entities are certified within the first four groups at the latest.
-    EXPECT_LE(lb.m, 4u);
-    EXPECT_GE(lb.M, 6.0);
-  }
+  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  EXPECT_TRUE(lb.certified);
+  // "a b"/"b c" chain; "x" is certainly distinct from the chain, so two
+  // entities are certified within the first four groups at the latest.
+  EXPECT_LE(lb.m, 4u);
+  EXPECT_GE(lb.M, 6.0);
+  EXPECT_EQ(LinearScanPrefix(groups, *necessary_, 2), lb.m);
+  // Each of the two graph bounds alone certifies two entities among the
+  // first four groups.
+  graph::Graph g(4);
+  g.AddEdge(0, 1);  // "a b" ~ "b c".
+  g.AddEdge(1, 2);  // "b c" ~ "c d".
+  EXPECT_GE(graph::GreedyIndependentSetBound(g, 2), 2);
+  EXPECT_GE(graph::CliquePartitionLowerBound(g, 2), 2);
 }
 
 TEST_F(LowerBoundTest, FewerGroupsThanK) {

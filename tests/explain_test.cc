@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "datagen/citation_gen.h"
 #include "dedup/pruned_dedup.h"
 #include "predicates/citation.h"
@@ -91,8 +92,10 @@ class ExplainPipelineTest : public ::testing::Test {
     return {{&*s1_, &*n1_}, {&*s2_, &*n2_}};
   }
 
-  dedup::PrunedDedupResult Run(const dedup::PrunedDedupOptions& options) {
-    auto result_or = dedup::PrunedDedup(*data_, Levels(), options);
+  dedup::PrunedDedupResult Run(const dedup::PrunedDedupOptions& options,
+                               ExplainRecorder* recorder = nullptr) {
+    auto result_or = dedup::PrunedDedup(*data_, Levels(), options,
+                                        {.recorder = recorder});
     EXPECT_TRUE(result_or.ok());
     return std::move(result_or).value();
   }
@@ -109,11 +112,10 @@ class ExplainPipelineTest : public ::testing::Test {
 TEST_F(ExplainPipelineTest, ReportPopulatedAndReconcilesWithLevelStats) {
   dedup::PrunedDedupOptions options;
   options.k = 10;
-  options.explain = true;
-  const dedup::PrunedDedupResult result = Run(options);
+  ExplainRecorder recorder;
+  const dedup::PrunedDedupResult result = Run(options, &recorder);
 
-  ASSERT_NE(result.explain, nullptr);
-  const ExplainReport& report = *result.explain;
+  const ExplainReport report = recorder.Finish();
   EXPECT_EQ(report.sample_rate, 1.0);
   EXPECT_EQ(report.events_dropped, 0u);
   ASSERT_EQ(report.levels.size(), result.levels.size());
@@ -156,15 +158,13 @@ TEST_F(ExplainPipelineTest, ReportPopulatedAndReconcilesWithLevelStats) {
   }
 }
 
-TEST_F(ExplainPipelineTest, DisabledExplainIsNullAndChangesNothing) {
-  dedup::PrunedDedupOptions off;
-  off.k = 10;
-  const dedup::PrunedDedupResult off_result = Run(off);
-  EXPECT_EQ(off_result.explain, nullptr);
+TEST_F(ExplainPipelineTest, RecorderChangesNothing) {
+  dedup::PrunedDedupOptions options;
+  options.k = 10;
+  const dedup::PrunedDedupResult off_result = Run(options);
 
-  dedup::PrunedDedupOptions on = off;
-  on.explain = true;
-  const dedup::PrunedDedupResult on_result = Run(on);
+  ExplainRecorder recorder;
+  const dedup::PrunedDedupResult on_result = Run(options, &recorder);
 
   // Observation must not perturb the pipeline: identical stats and groups.
   ASSERT_EQ(off_result.levels.size(), on_result.levels.size());
@@ -190,13 +190,12 @@ TEST_F(ExplainPipelineTest, DisabledExplainIsNullAndChangesNothing) {
 TEST_F(ExplainPipelineTest, SampleRateZeroKeepsSummariesExact) {
   dedup::PrunedDedupOptions options;
   options.k = 10;
-  options.explain = true;
-  options.explain_sample_rate = 0.0;
-  const dedup::PrunedDedupResult result = Run(options);
-  ASSERT_NE(result.explain, nullptr);
-  ASSERT_EQ(result.explain->levels.size(), result.levels.size());
+  ExplainRecorder recorder(0.0);
+  const dedup::PrunedDedupResult result = Run(options, &recorder);
+  const ExplainReport report = recorder.Finish();
+  ASSERT_EQ(report.levels.size(), result.levels.size());
   for (size_t l = 0; l < result.levels.size(); ++l) {
-    const obs::LevelExplain& lv = result.explain->levels[l];
+    const obs::LevelExplain& lv = report.levels[l];
     EXPECT_TRUE(lv.prune.sampled_decisions.empty());
     EXPECT_TRUE(lv.collapse.sampled_merges.empty());
     // Summaries and probes are never sampled away.
@@ -213,14 +212,12 @@ TEST_F(ExplainPipelineTest, SampleRateZeroKeepsSummariesExact) {
 TEST_F(ExplainPipelineTest, ReportBitIdenticalAcrossThreadCounts) {
   std::vector<std::string> jsons;
   for (int threads : {1, 2, 8}) {
+    ScopedParallelism parallelism(threads);
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.threads = threads;
-    options.explain = true;
-    options.explain_sample_rate = 0.25;  // Sampling must not break it.
-    const dedup::PrunedDedupResult result = Run(options);
-    ASSERT_NE(result.explain, nullptr);
-    jsons.push_back(result.explain->ToJson());
+    ExplainRecorder recorder(0.25);  // Sampling must not break it.
+    Run(options, &recorder);
+    jsons.push_back(recorder.Finish().ToJson());
   }
   EXPECT_EQ(jsons[0], jsons[1]);
   EXPECT_EQ(jsons[0], jsons[2]);
@@ -229,10 +226,10 @@ TEST_F(ExplainPipelineTest, ReportBitIdenticalAcrossThreadCounts) {
 TEST_F(ExplainPipelineTest, JsonSchemaSmoke) {
   dedup::PrunedDedupOptions options;
   options.k = 10;
-  options.explain = true;
-  const dedup::PrunedDedupResult result = Run(options);
-  ASSERT_NE(result.explain, nullptr);
-  const std::string json = result.explain->ToJson();
+  ExplainRecorder recorder;
+  Run(options, &recorder);
+  const ExplainReport report = recorder.Finish();
+  const std::string json = report.ToJson();
   EXPECT_EQ(json.find("{\"schema_version\":1,"), 0u);
   EXPECT_NE(json.find("\"levels\":["), std::string::npos);
   EXPECT_NE(json.find("\"sufficient_predicate\":"), std::string::npos);
@@ -242,7 +239,7 @@ TEST_F(ExplainPipelineTest, JsonSchemaSmoke) {
   EXPECT_NE(json.find("\"events_dropped\":"), std::string::npos);
   EXPECT_EQ(json.back(), '}');
 
-  const std::string text = result.explain->ToText();
+  const std::string text = report.ToText();
   EXPECT_NE(text.find("explain report (schema v1"), std::string::npos);
   EXPECT_NE(text.find("lower bound ["), std::string::npos);
 }
@@ -275,22 +272,21 @@ TEST(TopKExplainTest, QueryReportCoversAllSections) {
   topk::TopKCountOptions options;
   options.k = 2;
   options.r = 2;
-  options.explain = true;
   auto scorer = [&](size_t a, size_t b) {
     const double jw =
         sim::JaroWinkler(text::NormalizeText(data[a].field(0)),
                          text::NormalizeText(data[b].field(0)));
     return (jw - 0.85) * 10.0;
   };
+  ExplainRecorder recorder;
   auto result_or = topk::TopKCountQuery(data, {{&sufficient, &necessary}},
-                                        scorer, options);
+                                        scorer, options,
+                                        {.recorder = &recorder});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKCountResult& result = result_or.value();
-  ASSERT_NE(result.explain, nullptr);
-  // The dedup events landed in the whole-query report, not a nested one.
-  EXPECT_EQ(result.pruning.explain, nullptr);
 
-  const ExplainReport& report = *result.explain;
+  // The dedup events land in the whole-query report.
+  const ExplainReport report = recorder.Finish();
   ASSERT_FALSE(report.levels.empty());
   ASSERT_FALSE(result.answers.empty());
   ASSERT_EQ(report.answers.size(), result.answers.size());

@@ -118,8 +118,7 @@ TEST(FaultPointTest, ReturnMacroConvertsFireToStatus) {
   EXPECT_TRUE(poisoned().ok());
 }
 
-TEST(OnlineFaultTest, IngestSiteYieldsStatusNotAbort) {
-  ScopedDisarm disarm;
+TEST(OnlineFaultTest, WrongArityMentionYieldsStatusNotAbort) {
   Watchdog watchdog(60);
   topk::OnlineTopK::Config config;
   config.sufficient_signature = [](const record::Record& r) {
@@ -141,16 +140,16 @@ TEST(OnlineFaultTest, IngestSiteYieldsStatusNotAbort) {
   first.fields = {"alpha beta"};
   ASSERT_TRUE(stream.AddMention(first).ok());
 
-  fault::ArmForTest("online.ingest", 1.0, 13);
-  record::Record second;
-  second.fields = {"gamma delta"};
-  Status status = stream.AddMention(second);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("online.ingest"), std::string::npos);
+  record::Record wrong_arity;
+  wrong_arity.fields = {"gamma delta", "extra"};
+  Status status = stream.AddMention(wrong_arity);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
   // The failed ingest must leave no partial state behind.
   EXPECT_EQ(stream.mention_count(), 1u);
 
-  fault::DisarmAllForTest();
+  record::Record second;
+  second.fields = {"gamma delta"};
   EXPECT_TRUE(stream.AddMention(second).ok());
   EXPECT_EQ(stream.mention_count(), 2u);
 }

@@ -46,7 +46,6 @@ TEST_F(PairScoringTest, OnlyNecessaryTruePairsAreScored) {
     return 1.5;
   };
   PairScoringOptions options;
-  options.aggregate = PairScoringOptions::Aggregate::kRepresentative;
   options.default_score = -0.5;
   cluster::PairScores scores =
       BuildGroupPairScores(groups_, *necessary_, scorer, options);
@@ -57,17 +56,6 @@ TEST_F(PairScoringTest, OnlyNecessaryTruePairsAreScored) {
   // alpha beta(2)=2; the stored pair links positions 1 and 2.
   EXPECT_DOUBLE_EQ(scores.Get(1, 2), 1.5);
   EXPECT_DOUBLE_EQ(scores.Get(0, 1), -0.5);
-}
-
-TEST_F(PairScoringTest, WeightProductAggregation) {
-  PairScoreFn scorer = [](size_t, size_t) { return 2.0; };
-  PairScoringOptions options;
-  options.aggregate = PairScoringOptions::Aggregate::kWeightProduct;
-  options.default_score = 0.0;
-  cluster::PairScores scores =
-      BuildGroupPairScores(groups_, *necessary_, scorer, options);
-  // Weights 3 and 2 -> 2.0 * 6 = 12.
-  EXPECT_DOUBLE_EQ(scores.Get(1, 2), 12.0);
 }
 
 /// Citation-like names over a shared vocabulary, so many groups pass the

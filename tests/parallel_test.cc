@@ -184,9 +184,9 @@ TEST(ParallelDeterminismTest, PrunedDedupIdenticalAcrossThreadCounts) {
 
   std::vector<dedup::PrunedDedupResult> results;
   for (int threads : {1, 2, 8}) {
+    ScopedParallelism scoped(threads);
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.threads = threads;
     auto result_or =
         dedup::PrunedDedup(data, {{&s1, &n1}, {&s2, &n2}}, options);
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;

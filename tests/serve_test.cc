@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -495,14 +496,21 @@ TEST_F(ServeTest, QueueOverflowShedsTypedAndEveryFutureResolves) {
 }
 
 /// Acceptance scenario: concurrent mixed queries (static count, starved
-/// count, rank, online count) racing online ingestion that fails with
-/// probability 0.3. Every request must come back as an exact answer, a
-/// sound degraded answer, or a typed rejection — no aborts, no hangs
-/// (watchdog), nothing silently lost.
+/// count, rank, online count) racing durable online ingestion whose WAL
+/// appends fail with probability 0.3. Every request must come back as an
+/// exact answer, a sound degraded answer, or a typed rejection — no
+/// aborts, no hangs (watchdog), nothing silently lost.
 TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
   ScopedDisarm disarm;
   Watchdog watchdog(120);
+  const std::string dir = ::testing::TempDir() + "/serve_accept_" +
+                          std::to_string(::getpid());
+  std::string cmd = "rm -rf '" + dir + "'";
+  (void)std::system(cmd.c_str());
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
   ServiceOptions options = QuietOptions();
+  options.wal_dir = dir;
+  options.wal.fsync = WalFsyncPolicy::kNever;
   options.workers = 4;
   options.queue_capacity = 64;
   options.default_deadline_ms = 5000;
@@ -521,7 +529,7 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
             .ok());
   }
 
-  fault::ArmForTest("online.ingest", 0.3, 99);
+  fault::ArmForTest("wal.append", 0.3, 99);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 6;
   std::mutex results_mu;
@@ -560,7 +568,7 @@ TEST_F(ServeTest, AcceptanceConcurrentQueriesUnderFaults) {
   for (auto& thread : threads) thread.join();
   service.Drain();
   // Read before disarming — DisarmAllForTest resets the counter.
-  const uint64_t fires = fault::FireCount("online.ingest");
+  const uint64_t fires = fault::FireCount("wal.append");
   fault::DisarmAllForTest();
 
   ASSERT_EQ(results.size(),
@@ -1222,6 +1230,123 @@ TEST_F(ServeTest, CacheHitIsBitIdenticalAndEpochInvalidated) {
   }
   EXPECT_TRUE(hit_line);
   EXPECT_TRUE(stale_line);
+}
+
+/// The work object of a request-log line: the text between "work":{ and
+/// its closing brace (empty when the line logs no work).
+std::string LoggedWork(const std::string& line) {
+  const size_t at = line.find("\"work\":{");
+  if (at == std::string::npos) return "<missing>";
+  const size_t begin = at + 8;
+  return line.substr(begin, line.find('}', begin) - begin);
+}
+
+/// A response that ran nothing logs no work: the counters inside a cached
+/// result belong to the query that computed it, not to the hit.
+TEST_F(ServeTest, CacheServedResponsesLogNoWork) {
+  Watchdog watchdog(120);
+  ServiceOptions options = QuietOptions();
+  options.cache.enabled = true;
+  options.request_log.ok_sample_every = 1;
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+  ASSERT_TRUE(service.RegisterOnline("stream", MakeExactKeyStream()).ok());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(
+        service.Ingest("stream", KeyMention("k" + std::to_string(i % 3)))
+            .ok());
+  }
+
+  // Static dataset: k = 3 differs from the calibration query's shape, so
+  // the first request executes and the second is a hit.
+  QueryResponse executed = service.Execute(CountRequest("cites", 3));
+  ASSERT_TRUE(executed.status.ok()) << executed.status.ToString();
+  EXPECT_EQ(executed.cache, "miss");
+  QueryResponse hit = service.Execute(CountRequest("cites", 3));
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_EQ(hit.cache, "hit");
+
+  // Online stream: a query, one more published mention, then a stale hit.
+  QueryResponse computed = service.Execute(CountRequest("stream", 3));
+  ASSERT_TRUE(computed.status.ok()) << computed.status.ToString();
+  ASSERT_TRUE(service.Ingest("stream", KeyMention("k0")).ok());
+  QueryRequest stale_req = CountRequest("stream", 3);
+  stale_req.allow_stale = true;
+  QueryResponse stale = service.Execute(stale_req);
+  ASSERT_TRUE(stale.status.ok()) << stale.status.ToString();
+  EXPECT_EQ(stale.cache, "stale_hit");
+
+  const QueryResponse* responses[] = {&executed, &hit, &computed, &stale};
+  std::map<uint64_t, std::string> lines;
+  for (const std::string& line : service.request_log().RecentLines()) {
+    for (const QueryResponse* response : responses) {
+      if (line.find("\"query_id\":" + std::to_string(response->query_id) +
+                    ",") != std::string::npos) {
+        lines[response->query_id] = line;
+      }
+    }
+  }
+  ASSERT_EQ(lines.size(), 4u);
+  for (const QueryResponse* response : {&executed, &computed}) {
+    const std::string& line = lines[response->query_id];
+    EXPECT_NE(line.find("\"attempts\":1"), std::string::npos) << line;
+    EXPECT_NE(LoggedWork(line), "") << line;
+  }
+  for (const QueryResponse* response : {&hit, &stale}) {
+    const std::string& line = lines[response->query_id];
+    EXPECT_NE(line.find("\"attempts\":0"), std::string::npos) << line;
+    EXPECT_EQ(LoggedWork(line), "") << line;
+  }
+}
+
+/// A mention of the wrong arity is the caller's error: Ingest rejects it
+/// before the WAL, it never counts against the dataset's breaker, and a
+/// run of them (enough to open a breaker under the default options) leaves
+/// count queries exact.
+TEST_F(ServeTest, WrongArityIngestsSkipTheWalAndTheBreaker) {
+  Watchdog watchdog(120);
+  const std::string dir = ::testing::TempDir() + "/serve_arity_" +
+                          std::to_string(::getpid());
+  std::string cmd = "rm -rf '" + dir + "'";
+  (void)std::system(cmd.c_str());
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  ServiceOptions options;  // Default BreakerOptions.
+  options.wal_dir = dir;
+  options.wal.fsync = WalFsyncPolicy::kNever;
+  QueryService service(options);
+  ASSERT_TRUE(service.RegisterOnline("stream", MakeExactKeyStream()).ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        service.Ingest("stream", KeyMention("k" + std::to_string(i % 2)))
+            .ok());
+  }
+  const std::string wal_path = dir + "/stream.wal";
+  struct stat before;
+  ASSERT_EQ(::stat(wal_path.c_str(), &before), 0);
+  metrics::Counter* appends =
+      metrics::Registry::Global().GetCounter("serve.wal.appends");
+  const uint64_t appends_before = appends->Value();
+
+  for (int i = 0; i < 8; ++i) {
+    record::Record wrong_arity;
+    wrong_arity.fields = {"k0", "extra"};
+    const Status status = service.Ingest("stream", wrong_arity);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+
+  struct stat after;
+  ASSERT_EQ(::stat(wal_path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_size, before.st_size);
+  EXPECT_EQ(appends->Value(), appends_before);
+  const HealthSnapshot health = service.Health();
+  ASSERT_EQ(health.datasets.size(), 1u);
+  EXPECT_EQ(health.datasets[0].breaker, BreakerState::kClosed);
+  EXPECT_EQ(health.datasets[0].records, 6u);
+  QueryResponse response = service.Execute(CountRequest("stream", 2));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.outcome, ServedOutcome::kExact);
 }
 
 /// Satellite regression: the widened upper bound is derived from weight
