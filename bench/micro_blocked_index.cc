@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/check.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -103,12 +102,6 @@ int Main(int argc, char** argv) {
     Timer build_timer;
     predicates::BlockedIndex index(pred, items);
     const double build_seconds = build_timer.ElapsedSeconds();
-
-    // One serialized round trip per config keeps the loader honest on
-    // realistic images (the property tests cover equivalence in depth).
-    auto reloaded = predicates::BlockedIndex::Deserialize(
-        pred, config.records, index.Serialize());
-    TOPKDUP_CHECK(reloaded.ok());
 
     const uint64_t scanned0 = counters.scanned->Value();
     const uint64_t decoded0 = counters.decoded->Value();

@@ -8,9 +8,9 @@
 namespace topkdup {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) over `size` bytes.
-/// The shared checksum for every on-disk artifact in the repo: the blocked
-/// index image, the WAL frame stream, and the online-stream checkpoints all
-/// use this exact function, so images stay cross-checkable by one tool.
+/// The shared checksum for every on-disk artifact in the repo: the WAL
+/// frame stream and the online-stream checkpoints both use this exact
+/// function, so images stay cross-checkable by one tool.
 uint32_t Crc32(const uint8_t* data, size_t size);
 
 inline uint32_t Crc32(std::string_view data) {

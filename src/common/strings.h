@@ -34,23 +34,16 @@ std::string StrFormat(const char* fmt, ...)
 /// control characters as \n, \r, \t or \u00XX, other bytes verbatim.
 void AppendJsonString(std::string* out, std::string_view s);
 
-/// 64-bit FNV-1a of the bytes of `s`, starting from offset basis `basis`
-/// (default: the standard 14695981039346656037). Fault draws use it.
-inline uint64_t Fnv1a64(std::string_view s,
-                        uint64_t basis = 0xcbf29ce484222325ull) {
-  uint64_t h = basis;
+/// 64-bit FNV-1a of the bytes of `s` (standard offset basis
+/// 14695981039346656037). Fault draws use it.
+inline uint64_t Fnv1a64(std::string_view s) {
+  uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ull;
   }
   return h;
 }
-
-/// The offset basis of the predicate-name hashes the blocked-index image
-/// header (`pred_name_hash`) and the service's index file names persist:
-/// the standard basis missing its last digit. Persisted values must not
-/// change, so both keep hashing from it.
-inline constexpr uint64_t kIndexFnvBasis = 1469598103934665603ull;
 
 /// Little-endian fixed-width integers, the byte order of the write-ahead
 /// log and the online checkpoint images.

@@ -1,17 +1,12 @@
 #include "predicates/blocked_index.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <iterator>
 #include <limits>
+#include <utility>
 
-#include "common/check.h"
-#include "common/crc32.h"
 #include "common/metrics.h"
-#include "common/strings.h"
 
 namespace topkdup::predicates {
 
@@ -53,47 +48,6 @@ struct ProbeCounters {
 
 constexpr int kInadmissible = std::numeric_limits<int>::max();
 
-constexpr uint64_t kMagic = 0x3158444950444b54ull;  // "TKDPIDX1"
-constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderSize = 96;
-
-/// On-disk header (host little-endian). The trailing CRC covers the first
-/// 92 bytes; body_crc32 covers the body that follows the header.
-struct IndexHeader {
-  uint64_t magic;
-  uint32_t version;
-  uint32_t header_size;
-  uint64_t n;
-  uint64_t token_count;
-  uint64_t distinct_size_count;
-  uint64_t block_count;
-  uint64_t blob_bytes;
-  uint64_t posting_count;
-  uint32_t max_sig_size;
-  uint32_t flags;
-  uint64_t body_size;
-  uint64_t pred_name_hash;
-  uint32_t body_crc32;
-  uint32_t header_crc32;
-};
-static_assert(sizeof(IndexHeader) == kHeaderSize, "serialized layout");
-
-size_t Align8(size_t offset) { return (offset + 7) & ~size_t{7}; }
-
-/// Byte offsets of each body section; total is the body size. All sections
-/// are 8-aligned so the views can be typed directly over the buffer.
-struct Layout {
-  size_t items;
-  size_t rank;
-  size_t order;
-  size_t sig_size;
-  size_t distinct;
-  size_t lists;
-  size_t blocks;
-  size_t blob;
-  size_t total;
-};
-
 void AppendVarint(std::vector<uint8_t>* out, uint32_t v) {
   while (v >= 0x80u) {
     out->push_back(static_cast<uint8_t>(v) | 0x80u);
@@ -132,34 +86,6 @@ bool SharesAtLeast(const text::TokenId* a, size_t an, const text::TokenId* b,
 
 }  // namespace
 
-namespace {
-
-Layout ComputeLayout(uint64_t n, uint64_t token_count, uint64_t distinct,
-                     uint64_t block_count, uint64_t blob_bytes) {
-  Layout lay{};
-  size_t off = 0;
-  lay.items = off;
-  off = Align8(off + n * sizeof(uint64_t));
-  lay.rank = off;
-  off = Align8(off + n * sizeof(uint32_t));
-  lay.order = off;
-  off = Align8(off + n * sizeof(uint32_t));
-  lay.sig_size = off;
-  off = Align8(off + n * sizeof(uint32_t));
-  lay.distinct = off;
-  off = Align8(off + distinct * sizeof(uint32_t));
-  lay.lists = off;
-  off = Align8(off + token_count * 16);  // sizeof(ListMeta)
-  lay.blocks = off;
-  off = Align8(off + block_count * 24);  // sizeof(BlockMeta)
-  lay.blob = off;
-  off = Align8(off + blob_bytes);
-  lay.total = off;
-  return lay;
-}
-
-}  // namespace
-
 /// Per-item memoized candidate lists (EnableCandidateMemo). Each slot is
 /// published at most once with the item's full candidate list in
 /// enumeration order; because enumeration is deterministic, racing fills
@@ -174,11 +100,6 @@ struct BlockedIndex::MemoState {
   }
 };
 
-BlockedIndex::BlockedIndex(const PairPredicate& pred,
-                           std::vector<size_t> items) {
-  BuildFrom(pred, std::move(items));
-}
-
 BlockedIndex::BlockedIndex(BlockedIndex&&) noexcept = default;
 BlockedIndex& BlockedIndex::operator=(BlockedIndex&&) noexcept = default;
 BlockedIndex::~BlockedIndex() = default;
@@ -187,14 +108,14 @@ void BlockedIndex::EnableCandidateMemo() {
   if (memo_ == nullptr) memo_ = std::make_unique<MemoState>(n_);
 }
 
-void BlockedIndex::BuildFrom(const PairPredicate& pred,
-                             std::vector<size_t> items) {
-  pred_ = &pred;
-  const size_t n = items.size();
+BlockedIndex::BlockedIndex(const PairPredicate& pred,
+                           std::vector<size_t> items)
+    : pred_(&pred), items_(std::move(items)) {
+  const size_t n = items_.size();
   n_ = n;
 
   std::vector<const std::vector<text::TokenId>*> sigs(n);
-  for (size_t i = 0; i < n; ++i) sigs[i] = &pred.Signature(items[i]);
+  for (size_t i = 0; i < n; ++i) sigs[i] = &pred.Signature(items_[i]);
 
   // Document reordering. Primary key: signature SIZE, so every size class
   // is a contiguous internal position range and the per-class enumeration
@@ -218,9 +139,11 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
   std::vector<uint32_t> sig_size(n);
   max_sig_size_ = 0;
   size_t token_count = 0;
+  size_t sig_total = 0;
   for (size_t ip = 0; ip < n; ++ip) {
     const std::vector<text::TokenId>& sig = *sigs[order[ip]];
     sig_size[ip] = static_cast<uint32_t>(sig.size());
+    sig_total += sig.size();
     max_sig_size_ = std::max(max_sig_size_, sig_size[ip]);
     for (text::TokenId t : sig) {
       if (t >= 0 && static_cast<size_t>(t) + 1 > token_count) {
@@ -228,13 +151,10 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
       }
     }
   }
-  token_count_ = token_count;
 
-  std::vector<uint32_t> distinct(sig_size);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  distinct_size_count_ = distinct.size();
+  // sig_size is nondecreasing: items are ordered by size first.
+  std::unique_copy(sig_size.begin(), sig_size.end(),
+                   std::back_inserter(distinct_sizes_));
 
   // Postings carry the token's rank — its index within the owning item's
   // signature. The positional prefix filter keys off it: a class-z
@@ -304,7 +224,6 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
         bm.min_rank = ranks[group[begin]];  // Rank-ascending carve order.
         uint32_t prev_rank = bm.min_rank;
         uint32_t prev_pos = 0;
-        uint32_t max_pos = 0;
         for (size_t i = begin; i < end; ++i) {
           const uint32_t v = plist[group[i]];
           const uint32_t r = ranks[group[i]];
@@ -312,9 +231,7 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
           AppendVarint(&blob, r == prev_rank ? v - prev_pos : v);
           prev_rank = r;
           prev_pos = v;
-          max_pos = std::max(max_pos, v);
         }
-        bm.last_pos = max_pos;
         bm.blob_end_rel = static_cast<uint32_t>(blob.size() - lm.blob_begin);
         blocks.push_back(bm);
         begin = end;
@@ -322,76 +239,31 @@ void BlockedIndex::BuildFrom(const PairPredicate& pred,
       seg_begin = seg_end;
     }
   }
-  block_count_ = blocks.size();
-  blob_size_ = blob.size();
+  rank_ = std::move(rank);
+  order_ = std::move(order);
+  sig_size_ = std::move(sig_size);
+  lists_ = std::move(lists);
+  blocks_ = std::move(blocks);
+  blob_ = std::move(blob);
 
-  const Layout lay = ComputeLayout(n, token_count, distinct.size(),
-                                   blocks.size(), blob.size());
-  owned_.assign(lay.total, 0);
-  uint8_t* body = owned_.data();
-  uint64_t* items64 = reinterpret_cast<uint64_t*>(body + lay.items);
-  for (size_t i = 0; i < n; ++i) items64[i] = items[i];
-  if (n > 0) {
-    std::memcpy(body + lay.rank, rank.data(), n * sizeof(uint32_t));
-    std::memcpy(body + lay.order, order.data(), n * sizeof(uint32_t));
-    std::memcpy(body + lay.sig_size, sig_size.data(), n * sizeof(uint32_t));
-  }
-  if (!distinct.empty()) {
-    std::memcpy(body + lay.distinct, distinct.data(),
-                distinct.size() * sizeof(uint32_t));
-  }
-  if (!lists.empty()) {
-    std::memcpy(body + lay.lists, lists.data(),
-                lists.size() * sizeof(ListMeta));
-  }
-  if (!blocks.empty()) {
-    std::memcpy(body + lay.blocks, blocks.data(),
-                blocks.size() * sizeof(BlockMeta));
-  }
-  if (!blob.empty()) {
-    std::memcpy(body + lay.blob, blob.data(), blob.size());
-  }
-  BindViews(body, lay.total);
-  TOPKDUP_CHECK(CopySignatures().ok());
-}
-
-Status BlockedIndex::CopySignatures() {
-  // Sizes are checked against the predicate before anything is reserved,
-  // so a corrupt image cannot request an oversized copy.
-  uint64_t total = 0;
-  for (size_t ip = 0; ip < n_; ++ip) {
-    if (pred_->Signature(items_[order_[ip]]).size() != sig_size_[ip]) {
-      return Status::InvalidArgument(
-          "stored signature size disagrees with the predicate");
-    }
-    total += sig_size_[ip];
-  }
-  sig_offsets_.clear();
-  sig_offsets_.reserve(n_ + 1);
-  sig_tokens_.clear();
-  sig_tokens_.reserve(total);
+  // Signature copy, in internal order.
+  sig_offsets_.reserve(n + 1);
+  sig_tokens_.reserve(sig_total);
   sig_offsets_.push_back(0);
-  for (size_t ip = 0; ip < n_; ++ip) {
-    const std::vector<text::TokenId>& sig =
-        pred_->Signature(items_[order_[ip]]);
+  for (size_t ip = 0; ip < n; ++ip) {
+    const std::vector<text::TokenId>& sig = *sigs[order_[ip]];
     sig_tokens_.insert(sig_tokens_.end(), sig.begin(), sig.end());
     sig_offsets_.push_back(sig_tokens_.size());
   }
-  return Status::OK();
 }
 
-void BlockedIndex::BindViews(const uint8_t* body, size_t body_size) {
-  const Layout lay = ComputeLayout(n_, token_count_, distinct_size_count_,
-                                   block_count_, blob_size_);
-  (void)body_size;
-  items_ = reinterpret_cast<const uint64_t*>(body + lay.items);
-  rank_ = reinterpret_cast<const uint32_t*>(body + lay.rank);
-  order_ = reinterpret_cast<const uint32_t*>(body + lay.order);
-  sig_size_ = reinterpret_cast<const uint32_t*>(body + lay.sig_size);
-  distinct_sizes_ = reinterpret_cast<const uint32_t*>(body + lay.distinct);
-  lists_ = reinterpret_cast<const ListMeta*>(body + lay.lists);
-  blocks_ = reinterpret_cast<const BlockMeta*>(body + lay.blocks);
-  blob_ = body + lay.blob;
+size_t BlockedIndex::memory_bytes() const {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(v[0]);
+  };
+  return bytes(items_) + bytes(rank_) + bytes(order_) + bytes(sig_size_) +
+         bytes(distinct_sizes_) + bytes(lists_) + bytes(blocks_) +
+         bytes(blob_) + bytes(sig_offsets_) + bytes(sig_tokens_);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,8 +276,7 @@ void BlockedIndex::EnsureThresholds(size_t s, QueryScratch* scratch) const {
   scratch->thresholds.assign(max_sig_size_ + 1, kInadmissible);
   scratch->admissible_sizes.clear();
   int tmin = kInadmissible;
-  for (size_t i = 0; i < distinct_size_count_; ++i) {
-    const uint32_t z = distinct_sizes_[i];
+  for (const uint32_t z : distinct_sizes_) {
     if (z == 0) continue;  // Empty signatures never share a token.
     int thr = pred_->MinCommon(s, z);
     if (thr < 1) thr = 1;
@@ -429,9 +300,9 @@ size_t BlockedIndex::DecodeBlock(const ListMeta& list, uint32_t block_id,
       list.blob_begin +
       (block_id == 0 ? 0 : blocks_[list.first_block + block_id - 1].blob_end_rel);
   const size_t end = std::min<size_t>(list.blob_begin + bm.blob_end_rel,
-                                      blob_size_);
-  const uint8_t* p = blob_ + std::min(begin, end);
-  const uint8_t* e = blob_ + end;
+                                      blob_.size());
+  const uint8_t* p = blob_.data() + std::min(begin, end);
+  const uint8_t* e = blob_.data() + end;
   const auto read_varint = [&]() -> uint32_t {
     uint32_t d = 0;
     int shift = 0;
@@ -498,7 +369,7 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
   text::TokenId prev_t = text::kInvalidToken;
   for (size_t idx = 0; idx < s; ++idx) {
     const text::TokenId t = sig[idx];
-    if (t < 0 || static_cast<size_t>(t) >= token_count_) continue;
+    if (t < 0 || static_cast<size_t>(t) >= lists_.size()) continue;
     if (t == prev_t) continue;  // Contract: sorted unique.
     prev_t = t;
     const ListMeta& lm = lists_[t];
@@ -573,8 +444,8 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
     const uint32_t z = scratch->admissible_sizes[ci];
     const int thr = scratch->thresholds[z];
     if (static_cast<size_t>(thr) > num_lists) continue;  // Class unreachable.
-    const uint32_t* size_begin = sig_size_;
-    const uint32_t* size_end = sig_size_ + n_;
+    const uint32_t* size_begin = sig_size_.data();
+    const uint32_t* size_end = size_begin + n_;
     const uint32_t z_begin = static_cast<uint32_t>(
         std::lower_bound(size_begin, size_end, z) - size_begin);
     const uint32_t z_end = static_cast<uint32_t>(
@@ -759,273 +630,6 @@ void BlockedIndex::ForEachCandidatePairInRangeImpl(
                            return true;
                          }));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization.
-
-size_t BlockedIndex::serialized_bytes() const {
-  return kHeaderSize + ComputeLayout(n_, token_count_, distinct_size_count_,
-                                     block_count_, blob_size_)
-                           .total;
-}
-
-std::string BlockedIndex::Serialize() const {
-  const Layout lay = ComputeLayout(n_, token_count_, distinct_size_count_,
-                                   block_count_, blob_size_);
-  const uint8_t* body = reinterpret_cast<const uint8_t*>(items_);
-  IndexHeader header{};
-  header.magic = kMagic;
-  header.version = kFormatVersion;
-  header.header_size = static_cast<uint32_t>(kHeaderSize);
-  header.n = n_;
-  header.token_count = token_count_;
-  header.distinct_size_count = distinct_size_count_;
-  header.block_count = block_count_;
-  header.blob_bytes = blob_size_;
-  header.posting_count = posting_count_;
-  header.max_sig_size = max_sig_size_;
-  header.flags = 0;
-  header.body_size = lay.total;
-  header.pred_name_hash = Fnv1a64(pred_->name(), kIndexFnvBasis);
-  header.body_crc32 = lay.total > 0 ? Crc32(body, lay.total) : 0;
-  std::string out(kHeaderSize + lay.total, '\0');
-  std::memcpy(out.data(), &header, kHeaderSize);
-  header.header_crc32 =
-      Crc32(reinterpret_cast<const uint8_t*>(out.data()), kHeaderSize - 4);
-  std::memcpy(out.data(), &header, kHeaderSize);
-  if (lay.total > 0) std::memcpy(out.data() + kHeaderSize, body, lay.total);
-  return out;
-}
-
-Status BlockedIndex::SerializeToFile(const std::string& path) const {
-  const std::string image = Serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const size_t written = image.empty()
-                             ? 0
-                             : std::fwrite(image.data(), 1, image.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != image.size() || !closed) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Status BlockedIndex::Validate(size_t record_count) const {
-  for (size_t i = 0; i < n_; ++i) {
-    if (items_[i] >= record_count) {
-      return Status::InvalidArgument("index item out of corpus range");
-    }
-    if (rank_[i] >= n_ || order_[i] >= n_) {
-      return Status::InvalidArgument("index permutation out of range");
-    }
-  }
-  for (size_t i = 0; i < n_; ++i) {
-    if (order_[rank_[i]] != i) {
-      return Status::InvalidArgument("index permutation is not a bijection");
-    }
-  }
-  uint32_t max_seen = 0;
-  for (size_t ip = 0; ip < n_; ++ip) {
-    const uint32_t z = sig_size_[ip];
-    if (z > max_sig_size_) {
-      return Status::InvalidArgument("signature size above declared maximum");
-    }
-    if (ip > 0 && z < sig_size_[ip - 1]) {
-      // The per-class enumeration binary-searches this array; items must be
-      // ordered by signature size.
-      return Status::InvalidArgument("items are not ordered by size class");
-    }
-    max_seen = std::max(max_seen, z);
-    if (!std::binary_search(distinct_sizes_,
-                            distinct_sizes_ + distinct_size_count_, z)) {
-      return Status::InvalidArgument(
-          "signature size missing from distinct-size table");
-    }
-  }
-  if (n_ > 0 && max_seen != max_sig_size_) {
-    return Status::InvalidArgument("declared max signature size is inflated");
-  }
-  for (size_t i = 0; i + 1 < distinct_size_count_; ++i) {
-    if (distinct_sizes_[i] >= distinct_sizes_[i + 1]) {
-      return Status::InvalidArgument("distinct-size table is not sorted");
-    }
-  }
-  if (distinct_size_count_ > 0 &&
-      distinct_sizes_[distinct_size_count_ - 1] > max_sig_size_) {
-    return Status::InvalidArgument("distinct-size table above maximum");
-  }
-
-  uint64_t postings = 0;
-  uint64_t next_block = 0;
-  uint64_t next_blob = 0;
-  for (size_t t = 0; t < token_count_; ++t) {
-    const ListMeta& lm = lists_[t];
-    if (lm.count > n_) {
-      return Status::InvalidArgument("posting list longer than the corpus");
-    }
-    if (lm.first_block != next_block || lm.blob_begin != next_blob) {
-      return Status::InvalidArgument("posting-list table is not contiguous");
-    }
-    // Blocks are variable-length (capped at kBlockSize, never spanning a
-    // size-class boundary), so the list's block span is derived from the
-    // next list's first block; walk it and cross-check the posting count.
-    const uint32_t nb = ListBlockCount(t);
-    if (lm.first_block + static_cast<uint64_t>(nb) > block_count_ ||
-        nb > lm.count) {
-      return Status::InvalidArgument("block table overflow");
-    }
-    next_block += nb;
-    postings += lm.count;
-    uint32_t prev_end = 0;
-    uint32_t prev_sig = 0;
-    uint32_t prev_rank = 0;
-    uint64_t in_blocks = 0;
-    for (uint32_t b = 0; b < nb; ++b) {
-      const BlockMeta& bm = blocks_[lm.first_block + b];
-      if (bm.count == 0 || bm.count > kBlockSize) {
-        return Status::InvalidArgument("block count out of range");
-      }
-      in_blocks += bm.count;
-      if (bm.blob_end_rel < prev_end) {
-        return Status::InvalidArgument("block byte extents are not monotone");
-      }
-      if (bm.last_pos >= n_) {
-        return Status::InvalidArgument("block position out of range");
-      }
-      if (bm.min_sig > bm.max_sig || bm.max_sig > max_sig_size_) {
-        return Status::InvalidArgument("block signature range is malformed");
-      }
-      // The class-segment binary search needs min_sig nondecreasing along
-      // the list; the rank-prefix binary search needs min_rank
-      // nondecreasing within each class segment.
-      if (b > 0 && bm.min_sig < prev_sig) {
-        return Status::InvalidArgument("block classes are not ordered");
-      }
-      if (b > 0 && bm.min_sig == prev_sig && bm.min_rank < prev_rank) {
-        return Status::InvalidArgument("block ranks are not ordered");
-      }
-      if (bm.min_rank >= std::max<uint32_t>(bm.max_sig, 1)) {
-        return Status::InvalidArgument("block rank exceeds signature size");
-      }
-      prev_end = bm.blob_end_rel;
-      prev_sig = bm.min_sig;
-      prev_rank = bm.min_rank;
-    }
-    if (in_blocks != lm.count) {
-      return Status::InvalidArgument("block counts disagree with their list");
-    }
-    if (lm.blob_begin + prev_end > blob_size_) {
-      return Status::InvalidArgument("posting blob extent out of range");
-    }
-    next_blob = lm.blob_begin + prev_end;
-  }
-  if (next_block != block_count_) {
-    return Status::InvalidArgument("dangling blocks after the last list");
-  }
-  if (next_blob != blob_size_) {
-    return Status::InvalidArgument("dangling bytes after the last list");
-  }
-  if (postings != posting_count_) {
-    return Status::InvalidArgument("posting count disagrees with the lists");
-  }
-  return Status::OK();
-}
-
-namespace {
-
-Status CheckHeader(const IndexHeader& header, const uint8_t* data,
-                   size_t size, const PairPredicate& pred) {
-  if (header.magic != kMagic) {
-    return Status::InvalidArgument("not a serialized blocked index");
-  }
-  if (header.version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported blocked-index version");
-  }
-  if (header.header_size != kHeaderSize) {
-    return Status::InvalidArgument("unexpected header size");
-  }
-  if (Crc32(data, kHeaderSize - 4) != header.header_crc32) {
-    return Status::InvalidArgument("header checksum mismatch");
-  }
-  // Cap every count so the layout arithmetic below cannot overflow.
-  constexpr uint64_t kCap = uint64_t{1} << 40;
-  if (header.n > kCap || header.token_count > kCap ||
-      header.distinct_size_count > kCap || header.block_count > kCap ||
-      header.blob_bytes > kCap || header.posting_count > kCap ||
-      header.body_size > kCap) {
-    return Status::InvalidArgument("header counts out of range");
-  }
-  if (header.n > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument("too many items for the position width");
-  }
-  const Layout lay =
-      ComputeLayout(header.n, header.token_count, header.distinct_size_count,
-                    header.block_count, header.blob_bytes);
-  if (header.body_size != lay.total ||
-      size != kHeaderSize + header.body_size) {
-    return Status::InvalidArgument("image size disagrees with the header");
-  }
-  if (header.body_size > 0 &&
-      Crc32(data + kHeaderSize, header.body_size) != header.body_crc32) {
-    return Status::InvalidArgument("body checksum mismatch");
-  }
-  if (header.pred_name_hash != Fnv1a64(pred.name(), kIndexFnvBasis)) {
-    return Status::InvalidArgument(
-        "index was built under a different predicate");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<BlockedIndex> BlockedIndex::Deserialize(const PairPredicate& pred,
-                                                 size_t record_count,
-                                                 std::string bytes) {
-  if (bytes.size() < kHeaderSize) {
-    return Status::InvalidArgument("truncated blocked-index image");
-  }
-  auto image = std::make_unique<const std::string>(std::move(bytes));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(image->data());
-  IndexHeader header;
-  std::memcpy(&header, data, kHeaderSize);
-  TOPKDUP_RETURN_IF_ERROR(CheckHeader(header, data, image->size(), pred));
-  BlockedIndex index;
-  index.pred_ = &pred;
-  index.image_ = std::move(image);
-  index.n_ = header.n;
-  index.token_count_ = header.token_count;
-  index.distinct_size_count_ = header.distinct_size_count;
-  index.block_count_ = header.block_count;
-  index.blob_size_ = header.blob_bytes;
-  index.posting_count_ = header.posting_count;
-  index.max_sig_size_ = header.max_sig_size;
-  index.BindViews(data + kHeaderSize, header.body_size);
-  TOPKDUP_RETURN_IF_ERROR(index.Validate(record_count));
-  TOPKDUP_RETURN_IF_ERROR(index.CopySignatures());
-  return index;
-}
-
-StatusOr<BlockedIndex> BlockedIndex::LoadFromFile(const PairPredicate& pred,
-                                                  size_t record_count,
-                                                  const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot size " + path);
-  }
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  if (!in.read(bytes.data(), size)) {
-    return Status::IOError("cannot read " + path);
-  }
-  return Deserialize(pred, record_count, std::move(bytes));
 }
 
 }  // namespace topkdup::predicates

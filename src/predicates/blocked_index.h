@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/function_ref.h"
-#include "common/status.h"
 #include "predicates/pair_predicate.h"
 
 namespace topkdup::predicates {
@@ -25,8 +23,8 @@ namespace topkdup::predicates {
 ///
 /// Each posting list is stored as varint-encoded (token rank, position)
 /// pairs in blocks of at most kBlockSize postings, with per-block metadata
-/// (min/max member signature size, min member token rank, byte extent, and
-/// a last position that is validated but never read by queries). Because
+/// (min/max member signature size, min member token rank, byte extent).
+/// Because
 /// items are ordered by signature size, each size class z is one
 /// contiguous position range, and enumeration runs per admissible class
 /// with that class's uniform threshold thr(z) = MinCommon(|query sig|, z),
@@ -61,13 +59,7 @@ namespace topkdup::predicates {
 /// The index is immutable after construction; queries write only into a
 /// caller-supplied QueryScratch, so concurrent queries with distinct
 /// scratches are safe (the parallel collapse/prune paths rely on this).
-///
-/// A built index can be serialized to a versioned, checksummed byte image
-/// and later read back via Deserialize / LoadFromFile: header and
-/// structural validation plus pointer fixup, and one pass over the
-/// predicate's signatures to rebuild the (unserialized) signature copy.
-/// Besides the image itself, loading allocates O(1) times regardless of
-/// the index size.
+/// It lives only in memory, over the item set of the query that built it.
 class BlockedIndex {
  public:
   static constexpr size_t kBlockSize = 128;
@@ -158,8 +150,8 @@ class BlockedIndex {
   }
 
   /// Opt-in per-item candidate memoization for resident indexes that are
-  /// queried repeatedly (the serve path registers an index once and reuses
-  /// it across requests). The first enumeration of an item decodes
+  /// queried repeatedly (the serve path caches an index per dataset and
+  /// reuses it across requests). The first enumeration of an item decodes
   /// postings as usual and records the emitted candidate list; any
   /// repeat enumeration of the same item replays that list in identical
   /// order without touching a block. Memory is bounded by the total
@@ -172,38 +164,17 @@ class BlockedIndex {
 
   size_t item_count() const { return n_; }
   size_t record_id(size_t pos) const { return items_[pos]; }
+  /// The record ids the index was built over, by position.
+  const std::vector<size_t>& items() const { return items_; }
 
   /// Total postings stored and the bytes of their compressed encoding
   /// (block metadata excluded) — the bench's bytes/posting numerator.
   uint64_t posting_count() const { return posting_count_; }
-  size_t compressed_bytes() const { return blob_size_; }
-  size_t block_count() const { return block_count_; }
-  /// Total size of the serialized image (header + body).
-  size_t serialized_bytes() const;
-
-  /// Serializes the index to its versioned on-disk image: a checksummed
-  /// 96-byte header followed by the flat body (items, permutations,
-  /// signature sizes, token table, block metadata, compressed blob).
-  std::string Serialize() const;
-  Status SerializeToFile(const std::string& path) const;
-
-  /// Reconstructs an index from a serialized image, taking ownership of
-  /// `bytes`. `pred` must be the predicate the image was built under and
-  /// `record_count` the size of its corpus; every stored record id and
-  /// signature size is validated against them. Malformed, truncated, or
-  /// checksum-mismatched input returns InvalidArgument — never UB. Aside
-  /// from the byte buffer itself the reconstruction allocates O(1): the
-  /// body is validated and adopted in place, and the signature copy is
-  /// filled from `pred` into two exactly reserved arrays.
-  static StatusOr<BlockedIndex> Deserialize(const PairPredicate& pred,
-                                            size_t record_count,
-                                            std::string bytes);
-
-  /// Reads the serialized image at `path` and Deserializes it: IOError
-  /// when the file cannot be read, otherwise exactly Deserialize's result.
-  static StatusOr<BlockedIndex> LoadFromFile(const PairPredicate& pred,
-                                             size_t record_count,
-                                             const std::string& path);
+  size_t compressed_bytes() const { return blob_.size(); }
+  size_t block_count() const { return blocks_.size(); }
+  /// Bytes allocated by the index's arrays, the signature copy included
+  /// and the candidate memo's lists excluded.
+  size_t memory_bytes() const;
 
  private:
   struct ListMeta {
@@ -212,26 +183,12 @@ class BlockedIndex {
     uint32_t count = 0;        // Postings in the list.
   };
   struct BlockMeta {
-    uint32_t last_pos = 0;      // Largest internal position (validated only).
     uint32_t blob_end_rel = 0;  // End of block bytes, relative to the list.
     uint32_t min_sig = 0;       // Smallest member signature size.
     uint32_t max_sig = 0;       // Largest member signature size.
     uint32_t count = 0;         // Postings in the block (<= kBlockSize).
     uint32_t min_rank = 0;      // Smallest member token rank (prefix filter).
   };
-  static_assert(sizeof(ListMeta) == 16, "serialized layout");
-  static_assert(sizeof(BlockMeta) == 24, "serialized layout");
-
-  BlockedIndex() = default;
-
-  void BuildFrom(const PairPredicate& pred, std::vector<size_t> items);
-  /// Points the section views at `body` (which must stay alive); assumes
-  /// the section extents were already validated.
-  void BindViews(const uint8_t* body, size_t body_size);
-  Status Validate(size_t record_count) const;
-  /// Fills the signature copy from pred_ in internal order, checking every
-  /// stored signature size against the predicate. Needs a validated body.
-  Status CopySignatures();
 
   /// Enumerates item `pos`'s candidates; with `later_only`, only those at
   /// external positions > pos are verified and emitted (a memo fill still
@@ -248,9 +205,9 @@ class BlockedIndex {
   /// Number of blocks of the list for token `t`, derived from the next
   /// list's first block (blocks are laid out contiguously, list by list).
   uint32_t ListBlockCount(size_t t) const {
-    const uint32_t next = t + 1 < token_count_
+    const uint32_t next = t + 1 < lists_.size()
                               ? lists_[t + 1].first_block
-                              : static_cast<uint32_t>(block_count_);
+                              : static_cast<uint32_t>(blocks_.size());
     return next - lists_[t].first_block;
   }
   /// Decodes block `block_id` of the list at `list` into `out` (capacity
@@ -264,26 +221,18 @@ class BlockedIndex {
 
   const PairPredicate* pred_ = nullptr;
 
-  /// Body storage: exactly one of owned_ (built) and image_ (Deserialize)
-  /// is active; the views below point into it. The image is boxed so the
-  /// index can move without invalidating the views.
-  std::vector<uint8_t> owned_;
-  std::unique_ptr<const std::string> image_;
-
   /// Lazily filled candidate lists, present only after EnableCandidateMemo.
   struct MemoState;
   std::unique_ptr<MemoState> memo_;
 
-  // Section views over the body.
-  const uint64_t* items_ = nullptr;      // [n] external pos -> record id.
-  const uint32_t* rank_ = nullptr;       // [n] external -> internal.
-  const uint32_t* order_ = nullptr;      // [n] internal -> external.
-  const uint32_t* sig_size_ = nullptr;   // [n] internal pos -> |signature|.
-  const uint32_t* distinct_sizes_ = nullptr;  // [d], sorted ascending.
-  const ListMeta* lists_ = nullptr;      // [token_count].
-  const BlockMeta* blocks_ = nullptr;    // [block_count].
-  const uint8_t* blob_ = nullptr;
-  size_t blob_size_ = 0;
+  std::vector<size_t> items_;             // [n] external pos -> record id.
+  std::vector<uint32_t> rank_;            // [n] external -> internal.
+  std::vector<uint32_t> order_;           // [n] internal -> external.
+  std::vector<uint32_t> sig_size_;        // [n] internal pos -> |signature|.
+  std::vector<uint32_t> distinct_sizes_;  // Sorted ascending.
+  std::vector<ListMeta> lists_;           // [token_count].
+  std::vector<BlockMeta> blocks_;
+  std::vector<uint8_t> blob_;
 
   // Signature copy in internal order: item ip's sorted tokens, exactly as
   // pred_->Signature returns them (invalid tokens included), are
@@ -293,9 +242,6 @@ class BlockedIndex {
   std::vector<text::TokenId> sig_tokens_;
 
   size_t n_ = 0;
-  size_t token_count_ = 0;
-  size_t distinct_size_count_ = 0;
-  size_t block_count_ = 0;
   uint64_t posting_count_ = 0;
   uint32_t max_sig_size_ = 0;
 };

@@ -33,7 +33,7 @@ IndexCache::IndexCache(size_t capacity)
 IndexCache::Entry* IndexCache::Find(const PairPredicate& pred,
                                     const std::vector<size_t>& items) {
   for (Entry& entry : entries_) {
-    if (entry.pred == &pred && entry.items == items) return &entry;
+    if (entry.pred == &pred && entry.index->items() == items) return &entry;
   }
   return nullptr;
 }
@@ -61,24 +61,8 @@ std::shared_ptr<const BlockedIndex> IndexCache::GetOrBuild(
   built.EnableCandidateMemo();
   auto index = std::make_shared<const BlockedIndex>(std::move(built));
   if (entries_.size() >= capacity_) EvictOldest();
-  entries_.push_back(Entry{&pred, items, index, ++tick_});
+  entries_.push_back(Entry{&pred, index, ++tick_});
   return index;
-}
-
-std::shared_ptr<const BlockedIndex> IndexCache::Put(const PairPredicate& pred,
-                                                    std::vector<size_t> items,
-                                                    BlockedIndex index) {
-  index.EnableCandidateMemo();
-  auto shared = std::make_shared<const BlockedIndex>(std::move(index));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* entry = Find(pred, items)) {
-    entry->index = shared;
-    entry->tick = ++tick_;
-    return shared;
-  }
-  if (entries_.size() >= capacity_) EvictOldest();
-  entries_.push_back(Entry{&pred, std::move(items), shared, ++tick_});
-  return shared;
 }
 
 size_t IndexCache::size() const {
@@ -86,11 +70,11 @@ size_t IndexCache::size() const {
   return entries_.size();
 }
 
-size_t IndexCache::TotalSerializedBytes() const {
+size_t IndexCache::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
   for (const Entry& entry : entries_) {
-    total += entry.index->serialized_bytes();
+    total += entry.index->memory_bytes();
   }
   return total;
 }

@@ -15,9 +15,12 @@ namespace topkdup::predicates {
 /// Thread-safe LRU cache of built BlockedIndex instances, keyed by
 /// (predicate identity, exact item vector). A resident query service keeps
 /// one cache per dataset: every pipeline stage that would otherwise
-/// rebuild the same index on every request — collapse over the full record
-/// set, CPN probes over the same weight-sorted group representatives,
-/// pruning, and pair scoring — shares one immutable index instead.
+/// rebuild the same index on every request — collapse over the
+/// weight-sorted singleton groups, CPN probes over the collapsed groups'
+/// representatives, pruning (which shares the CPN's entry), and pair
+/// scoring — shares one immutable index instead. The first query of a
+/// shape builds the entries (the service's calibration query, when it
+/// runs); later ones hit them.
 /// Cached indexes have their per-item candidate memo enabled
 /// (BlockedIndex::EnableCandidateMemo), so repeat enumerations of an item
 /// replay its recorded candidate list without decoding a single posting
@@ -43,24 +46,16 @@ class IndexCache {
   std::shared_ptr<const BlockedIndex> GetOrBuild(
       const PairPredicate& pred, const std::vector<size_t>& items);
 
-  /// Inserts a pre-built index (typically BlockedIndex::LoadFromFile) for
-  /// (pred, items), enabling its candidate memo; replaces any existing
-  /// entry for the key and returns the cached pointer.
-  std::shared_ptr<const BlockedIndex> Put(const PairPredicate& pred,
-                                          std::vector<size_t> items,
-                                          BlockedIndex index);
-
   size_t size() const;
 
-  /// Sum of the cached indexes' serialized byte sizes — the "warmed-index
-  /// bytes" a resident dataset is holding, as reported by /statusz.
-  size_t TotalSerializedBytes() const;
+  /// Sum of the cached indexes' memory_bytes() — the index memory a
+  /// resident dataset is holding, as reported by /statusz.
+  size_t TotalBytes() const;
 
  private:
   struct Entry {
     const PairPredicate* pred;
-    std::vector<size_t> items;
-    std::shared_ptr<const BlockedIndex> index;
+    std::shared_ptr<const BlockedIndex> index;  // Keyed by its items().
     uint64_t tick;
   };
 

@@ -1,11 +1,11 @@
 #include "record/csv.h"
 
 #include <cstdlib>
-#include <iterator>
 #include <fstream>
 #include <sstream>
 
 #include "common/faultpoint.h"
+#include "common/file.h"
 #include "common/strings.h"
 
 namespace topkdup::record {
@@ -249,13 +249,12 @@ StatusOr<Dataset> ReadCsvFromString(const std::string& content,
 }
 
 StatusOr<Dataset> ReadCsv(const std::string& path, const CsvLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open " + path);
+  StatusOr<std::string> content = ReadFileToString(path);
+  if (!content.ok()) {
+    // A missing file is an I/O failure to CSV callers.
+    return Status::IOError(content.status().message());
   }
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  return ReadCsvFromString(content, path, limits);
+  return ReadCsvFromString(content.value(), path, limits);
 }
 
 Status WriteCsv(const Dataset& data, const std::string& path) {

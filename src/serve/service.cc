@@ -4,12 +4,12 @@
 #include <chrono>
 #include <utility>
 
+#include "common/file.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/resource_meter.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "predicates/blocked_index.h"
 #include "predicates/index_cache.h"
 
 namespace topkdup::serve {
@@ -34,25 +34,6 @@ bool ValidDatasetName(std::string_view name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == '-';
     if (!ok) return false;
-  }
-  return true;
-}
-
-/// Stable tag naming a predicate's persisted index file: FNV-1a of the
-/// predicate name, in hex, so distinct predicates of one dataset never
-/// collide and the name survives process restarts.
-std::string PredFileTag(const predicates::PairPredicate& pred) {
-  const uint64_t hash = Fnv1a64(pred.name(), kIndexFnvBasis);
-  return StrFormat("%016llx", static_cast<unsigned long long>(hash));
-}
-
-/// A persisted image is reusable only when it covers the identity item set
-/// 0..n-1 (the full corpus, i.e. MakeSingletonGroups representatives);
-/// anything else falls back to a fresh build.
-bool CoversIdentityItems(const predicates::BlockedIndex& index, size_t n) {
-  if (index.item_count() != n) return false;
-  for (size_t i = 0; i < n; ++i) {
-    if (index.record_id(i) != i) return false;
   }
   return true;
 }
@@ -133,8 +114,8 @@ struct QueryService::DatasetState {
 
   /// Per-dataset blocking-index cache: every stage of every query on this
   /// dataset resolves its index here, so each (predicate, item-set) pair
-  /// is built once — at registration for the full-corpus indexes — and
-  /// reused, memoized, across requests.
+  /// is built once — by the first query that looks it up, usually the
+  /// calibration query — and reused, memoized, across requests.
   predicates::IndexCache index_cache;
 
   CircuitBreaker breaker;
@@ -319,7 +300,6 @@ Status QueryService::RegisterDataset(std::string name, DatasetBundle bundle) {
     datasets_.emplace(std::move(name), std::move(state));
   }
   UpdateBreakerGauge(*raw);
-  WarmIndexes(*raw);
   if (options_.calibrate_on_register) Calibrate(*raw);
   return Status::OK();
 }
@@ -1210,59 +1190,11 @@ QueryService::DatasetState* QueryService::FindDataset(std::string_view name) {
   return it == datasets_.end() ? nullptr : it->second.get();
 }
 
-void QueryService::WarmIndexes(DatasetState& ds) {
-  auto& registry = metrics::Registry::Global();
-  metrics::Counter* loaded_counter = registry.GetCounter("serve.index_loaded");
-  metrics::Counter* built_counter = registry.GetCounter("serve.index_built");
-  const size_t n = ds.bundle.data->size();
-  // The item set every first-stage collapse (and the calibration query)
-  // enumerates: the full corpus as MakeSingletonGroups representatives.
-  std::vector<size_t> all(n);
-  for (size_t i = 0; i < n; ++i) all[i] = i;
-  std::vector<const predicates::PairPredicate*> preds;
-  for (const dedup::PredicateLevel& level : ds.bundle.levels) {
-    for (const predicates::PairPredicate* pred :
-         {level.sufficient, level.necessary}) {
-      if (pred == nullptr) continue;
-      if (std::find(preds.begin(), preds.end(), pred) != preds.end()) {
-        continue;
-      }
-      preds.push_back(pred);
-    }
-  }
-  for (const predicates::PairPredicate* pred : preds) {
-    std::string path;
-    if (!options_.index_dir.empty()) {
-      path = options_.index_dir + "/" + ds.name + "-" + PredFileTag(*pred) +
-             ".idx";
-      StatusOr<predicates::BlockedIndex> from_disk =
-          predicates::BlockedIndex::LoadFromFile(*pred, n, path);
-      if (from_disk.ok() && CoversIdentityItems(from_disk.value(), n)) {
-        ds.index_cache.Put(*pred, all, std::move(from_disk).value());
-        loaded_counter->Increment();
-        continue;
-      }
-      if (!from_disk.ok()) {
-        TOPKDUP_LOG(Debug) << "no persisted index at " << path << ": "
-                           << from_disk.status().ToString();
-      }
-    }
-    std::shared_ptr<const predicates::BlockedIndex> built =
-        ds.index_cache.GetOrBuild(*pred, all);
-    built_counter->Increment();
-    if (!path.empty()) {
-      const Status persisted = built->SerializeToFile(path);
-      if (!persisted.ok()) {
-        TOPKDUP_LOG(Warning) << "failed to persist index to " << path
-                             << ": " << persisted.ToString();
-      }
-    }
-  }
-}
-
 void QueryService::Calibrate(DatasetState& ds) {
   // One bounded query seeds the cost estimate and the degraded-answer
-  // cache so the breaker has something to serve from its first trip.
+  // cache so the breaker has something to serve from its first trip. It
+  // also builds and caches every blocking index a query of its shape
+  // looks up.
   QueryRequest request;
   request.dataset = ds.name;
   request.kind = QueryKind::kTopKCount;
@@ -1324,7 +1256,7 @@ HealthSnapshot QueryService::Health() const {
       } else {
         ds.records = state->bundle.data->size();
       }
-      ds.index_bytes = state->index_cache.TotalSerializedBytes();
+      ds.index_bytes = state->index_cache.TotalBytes();
       ds.breaker = state->breaker.state();
       ds.p50_seconds = state->P50Seconds();
       ds.cost_model_json = state->cost_model.DebugJson();

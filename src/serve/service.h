@@ -166,19 +166,14 @@ struct ServiceOptions {
   /// Per-dataset circuit breaker configuration.
   BreakerOptions breaker;
   /// Run one calibration query at registration to seed the dataset's cost
-  /// estimate and the bounds cache the breaker serves while open.
+  /// estimate and the bounds cache the breaker serves while open. The
+  /// query also builds the blocking indexes that later queries of its
+  /// shape reuse; without it the first request builds them.
   bool calibrate_on_register = true;
   /// Wide-event request logging (serve/request_log.h): one JSON line per
   /// query disposition, head-sampled for healthy answers, always emitted
   /// for degraded/shed/error/slow outcomes.
   RequestLogOptions request_log;
-  /// Directory for persisted blocking-index images. When set,
-  /// RegisterDataset loads each level predicate's full-corpus index from
-  /// `<index_dir>/<dataset>-<tag>.idx` when a valid image exists
-  /// (serve.index_loaded) and persists freshly built ones back
-  /// (serve.index_built), so later process starts skip the builds
-  /// entirely. Empty keeps indexes purely in-memory.
-  std::string index_dir;
   /// Directory for online-dataset durability state. When set, every online
   /// dataset gets a write-ahead log (`<wal_dir>/<dataset>.wal`) and
   /// checksummed checkpoints (`<wal_dir>/<dataset>.<seq>.ckpt`):
@@ -229,8 +224,9 @@ struct DatasetHealth {
   uint64_t served = 0;
   uint64_t errors = 0;
   uint64_t shed = 0;
-  /// Serialized size of the dataset's warmed blocking indexes (0 for
-  /// online streams, which build per-snapshot).
+  /// Bytes held by the dataset's cached blocking indexes
+  /// (BlockedIndex::memory_bytes; 0 for online streams, which build per
+  /// snapshot, and before the first query).
   uint64_t index_bytes = 0;
   /// Current published epoch (online datasets; 0 before the first
   /// publish and for static datasets).
@@ -387,10 +383,6 @@ class QueryService {
                              std::string message);
   void FinishResponse(Pending& pending, QueryResponse response);
   DatasetState* FindDataset(std::string_view name);
-  /// Builds (or loads from options_.index_dir) the full-corpus blocking
-  /// index of every distinct level predicate into the dataset's cache, so
-  /// no request ever pays an index build.
-  void WarmIndexes(DatasetState& ds);
   void Calibrate(DatasetState& ds);
   void UpdateBreakerGauge(DatasetState& ds);
   /// Crash recovery for one online dataset (wal_dir set): restore the

@@ -433,30 +433,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view data) {
   return SyncParentDir(path);
 }
 
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no such file: " + path);
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status s = Status::IOError("read " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return s;
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
-}
-
 Status EnsureDirectory(const std::string& dir) {
   if (dir.empty()) return Status::InvalidArgument("empty directory path");
   std::string accum;

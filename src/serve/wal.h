@@ -144,9 +144,6 @@ class WriteAheadLog {
 /// deletes).
 Status AtomicWriteFile(const std::string& path, std::string_view data);
 
-/// Reads a whole file. NotFound when it does not exist.
-StatusOr<std::string> ReadFileToString(const std::string& path);
-
 /// Creates `dir` (and parents) if missing.
 Status EnsureDirectory(const std::string& dir);
 

@@ -16,9 +16,9 @@ namespace {
 // [u64 magic][u32 version][u32 header_size][u64 field_count]
 // [u64 mention_count][u64 epoch][u64 body_size][u32 body_crc32]
 // [u32 header_crc32]
-// where header_crc32 covers the first 52 bytes. Same conventions as the
-// blocked-index image (PR 6): magic first, CRC last, body checksummed
-// separately so header validation never reads unverified lengths.
+// where header_crc32 covers the first 52 bytes. Magic first and CRC last,
+// as in the WAL file header; the body is checksummed separately so header
+// validation never reads unverified lengths.
 constexpr uint64_t kCkptMagic = 0x31'4B'43'4F'50'44'4B'54ull;  // "TKDPOCK1"
 constexpr uint32_t kCkptVersion = 2;
 constexpr uint32_t kCkptHeaderBytes = 56;

@@ -140,8 +140,8 @@ class OnlineTopK {
                                   const QueryContext& context = {});
 
   /// Serializes the full ingested stream into a self-validating checkpoint
-  /// image: a versioned, CRC-checked header (same conventions as the
-  /// blocked-index image) plus every mention in ingestion order. Replaying
+  /// image: a versioned, CRC-checked header plus every mention in
+  /// ingestion order. Replaying
   /// the image rebuilds bit-identical query state, because the collapse is
   /// a pure function of the mention sequence.
   std::string SerializeCheckpoint() const;

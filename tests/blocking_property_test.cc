@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -187,38 +186,31 @@ std::vector<size_t> AcceptedPartners(const PairPredicate& pred, size_t p,
   return out;
 }
 
-/// Checks the index `pred` builds over items 0..n-1, and the same index
-/// after a Serialize -> Deserialize round trip, against the reference scan
-/// for every item. When the predicate claims exact blocking, the
+/// Checks the index `pred` builds over items 0..n-1 against the reference
+/// scan for every item. When the predicate claims exact blocking, the
 /// candidates must also be exactly the accepted partners. `rejected`, when
 /// given, receives the number of (item, candidate) pairs the predicate
-/// rejects on the built index.
+/// rejects.
 void ExpectIndexMatchesReference(const PairPredicate& pred, size_t n,
                                  size_t* rejected = nullptr) {
   std::vector<size_t> items(n);
   for (size_t i = 0; i < n; ++i) items[i] = i;
-  const BlockedIndex built(pred, items);
-  auto loaded = BlockedIndex::Deserialize(pred, n, built.Serialize());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const BlockedIndex& reloaded = loaded.value();
+  const BlockedIndex index(pred, items);
   BlockedIndex::QueryScratch scratch;
   if (rejected != nullptr) *rejected = 0;
-  for (const BlockedIndex* index : {&built, &reloaded}) {
-    const char* kind = index == &built ? "built" : "loaded";
-    for (size_t p = 0; p < n; ++p) {
-      const std::vector<size_t> candidates =
-          IndexCandidates(*index, &scratch, p);
-      EXPECT_EQ(candidates, ReferenceCandidates(pred, p, n))
-          << pred.name() << " (" << kind << ") item " << p;
-      if (pred.BlockingIsExact()) {
-        EXPECT_EQ(candidates, AcceptedPartners(pred, p, n))
-            << pred.name() << " (" << kind << ") item " << p
-            << ": exact blocking, yet candidates != accepted pairs";
-      }
-      if (rejected != nullptr && index == &built) {
-        for (const size_t q : candidates) {
-          if (!pred.Evaluate(p, q)) ++*rejected;
-        }
+  for (size_t p = 0; p < n; ++p) {
+    const std::vector<size_t> candidates =
+        IndexCandidates(index, &scratch, p);
+    EXPECT_EQ(candidates, ReferenceCandidates(pred, p, n))
+        << pred.name() << " item " << p;
+    if (pred.BlockingIsExact()) {
+      EXPECT_EQ(candidates, AcceptedPartners(pred, p, n))
+          << pred.name() << " item " << p
+          << ": exact blocking, yet candidates != accepted pairs";
+    }
+    if (rejected != nullptr) {
+      for (const size_t q : candidates) {
+        if (!pred.Evaluate(p, q)) ++*rejected;
       }
     }
   }
@@ -305,64 +297,6 @@ TEST_P(AddressIndexEquivalenceSweep, MatchesUncompressedScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AddressIndexEquivalenceSweep,
                          ::testing::Range(0, 3));
-
-/// Serialize -> Deserialize and SerializeToFile -> LoadFromFile must both
-/// reproduce the built index's enumeration byte-for-byte: same candidates
-/// in the same (deterministic) order for every item, and identical pair
-/// enumeration.
-TEST(IndexRoundTripTest, SerializedEnumerationIsIdentical) {
-  datagen::CitationGenOptions gen;
-  gen.num_records = 220;
-  gen.num_authors = 44;
-  gen.seed = 12001;
-  auto data_or = datagen::GenerateCitations(gen);
-  ASSERT_TRUE(data_or.ok());
-  const record::Dataset& data = data_or.value();
-  auto corpus_or = Corpus::Build(&data, {});
-  ASSERT_TRUE(corpus_or.ok());
-  const Corpus& corpus = corpus_or.value();
-  QGramOverlapPredicate pred(&corpus, 0, 0.6);
-  std::vector<size_t> items(data.size());
-  for (size_t i = 0; i < items.size(); ++i) items[i] = i;
-  const BlockedIndex built(pred, items);
-
-  auto from_bytes =
-      BlockedIndex::Deserialize(pred, data.size(), built.Serialize());
-  ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
-  const std::string path =
-      ::testing::TempDir() + "/blocking_property_roundtrip.idx";
-  ASSERT_TRUE(built.SerializeToFile(path).ok());
-  auto from_file = BlockedIndex::LoadFromFile(pred, data.size(), path);
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  std::remove(path.c_str());
-
-  for (const BlockedIndex* loaded :
-       {&from_bytes.value(), &from_file.value()}) {
-    ASSERT_EQ(loaded->item_count(), built.item_count());
-    EXPECT_EQ(loaded->posting_count(), built.posting_count());
-    BlockedIndex::QueryScratch s1, s2;
-    for (size_t p = 0; p < built.item_count(); ++p) {
-      // In-order comparison (no sort): the enumeration order itself must
-      // survive the round trip.
-      std::vector<size_t> a, b;
-      built.ForEachCandidate(p, &s1, [&](size_t q) {
-        a.push_back(q);
-        return true;
-      });
-      loaded->ForEachCandidate(p, &s2, [&](size_t q) {
-        b.push_back(q);
-        return true;
-      });
-      ASSERT_EQ(a, b) << "item " << p;
-    }
-    std::vector<std::pair<size_t, size_t>> pairs_built, pairs_loaded;
-    built.ForEachCandidatePair(
-        [&](size_t p, size_t q) { pairs_built.push_back({p, q}); });
-    loaded->ForEachCandidatePair(
-        [&](size_t p, size_t q) { pairs_loaded.push_back({p, q}); });
-    EXPECT_EQ(pairs_built, pairs_loaded);
-  }
-}
 
 /// With the candidate memo enabled, the second enumeration of an item
 /// must replay the first one identically (order included) — including
@@ -495,12 +429,6 @@ void ExpectPairContract(const PairPredicate& pred, size_t n) {
         << pred.name() << " replay " << round;
     EXPECT_EQ(counted, expected.size()) << pred.name();
   }
-
-  auto loaded = BlockedIndex::Deserialize(pred, n, plain.Serialize());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(PairsInRange(loaded.value(), 0, n, &counted), expected)
-      << pred.name();
-  EXPECT_EQ(counted, expected.size()) << pred.name();
 }
 
 TEST(PairEnumerationTest, LaterCandidatesOncePerPairInItemOrder) {

@@ -207,9 +207,9 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
-// The mix and the hash feed persisted or pinned values (index image
-// headers and file names, explain and request-log sampling, fault draws),
-// so their outputs are pinned here, not just their properties.
+// The mix and the hash feed pinned values (explain and request-log
+// sampling, fault draws), so their outputs are pinned here, not just their
+// properties.
 TEST(EncodingTest, SplitMix64IsPinned) {
   EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafull);
   EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ull);
@@ -222,10 +222,6 @@ TEST(EncodingTest, Fnv1a64IsPinned) {
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
   EXPECT_EQ(Fnv1a64("wal.append"), 0x80ab2a00ccd68fc7ull);
-  // The basis persisted index images and index file names hash from.
-  EXPECT_EQ(Fnv1a64("", kIndexFnvBasis), 0x14650fb0739d0383ull);
-  EXPECT_EQ(Fnv1a64("a", kIndexFnvBasis), 0x44bd8ad473cd9906ull);
-  EXPECT_EQ(Fnv1a64("foobar", kIndexFnvBasis), 0x88fad7c0a8ff07f2ull);
 }
 
 TEST(EncodingTest, LittleEndianRoundTrip) {

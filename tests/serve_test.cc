@@ -217,43 +217,35 @@ TEST_F(ServeTest, RegisterExactQueryAndHealth) {
   EXPECT_GT(health.datasets[0].p50_seconds, 0.0);
 }
 
-TEST_F(ServeTest, PersistedIndexesLoadAcrossServiceRestarts) {
+TEST_F(ServeTest, RegistrationBuildsNoIndexBeforeCalibration) {
   Watchdog watchdog(120);
   auto& registry = metrics::Registry::Global();
-  metrics::Counter* built = registry.GetCounter("serve.index_built");
-  metrics::Counter* loaded = registry.GetCounter("serve.index_loaded");
-  const std::string dir = ::testing::TempDir() + "/serve_idx_" +
-                          std::to_string(::getpid());
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  metrics::Counter* hits = registry.GetCounter("predicates.index_cache.hits");
+  metrics::Counter* misses =
+      registry.GetCounter("predicates.index_cache.misses");
   ServiceOptions options = QuietOptions();
   options.calibrate_on_register = false;
-  options.index_dir = dir;
+  QueryService service(options);
 
-  const uint64_t built_before = built->Value();
-  const uint64_t loaded_before = loaded->Value();
-  {
-    QueryService service(options);
-    ASSERT_TRUE(
-        service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
-    // Cold directory: both level predicates (S1, N1) built and persisted.
-    EXPECT_EQ(built->Value() - built_before, 2u);
-    EXPECT_EQ(loaded->Value(), loaded_before);
-    QueryResponse response = service.Execute(CountRequest("cites"));
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.outcome, ServedOutcome::kExact);
-  }
-  // A fresh service over the same directory maps the persisted images
-  // instead of rebuilding, and answers identically.
-  {
-    QueryService service(options);
-    ASSERT_TRUE(
-        service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
-    EXPECT_EQ(loaded->Value() - loaded_before, 2u);
-    EXPECT_EQ(built->Value() - built_before, 2u);
-    QueryResponse response = service.Execute(CountRequest("cites"));
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.outcome, ServedOutcome::kExact);
-  }
+  const uint64_t hits_before = hits->Value();
+  const uint64_t misses_before = misses->Value();
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+  // Without the calibration query nothing looks an index up yet.
+  EXPECT_EQ(hits->Value(), hits_before);
+  EXPECT_EQ(misses->Value(), misses_before);
+  HealthSnapshot health = service.Health();
+  ASSERT_EQ(health.datasets.size(), 1u);
+  EXPECT_EQ(health.datasets[0].index_bytes, 0u);
+
+  // The first query builds and caches the indexes it looks up.
+  QueryResponse response = service.Execute(CountRequest("cites"));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.outcome, ServedOutcome::kExact);
+  EXPECT_GT(misses->Value(), misses_before);
+  health = service.Health();
+  ASSERT_EQ(health.datasets.size(), 1u);
+  EXPECT_GT(health.datasets[0].index_bytes, 0u);
 }
 
 TEST_F(ServeTest, ValidationAndTypedErrors) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/file.h"
 #include "common/status.h"
 #include "predicates/generic.h"
 #include "record/record.h"

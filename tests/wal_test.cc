@@ -17,6 +17,7 @@
 
 #include "common/check.h"
 #include "common/faultpoint.h"
+#include "common/file.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "predicates/generic.h"
