@@ -13,8 +13,6 @@ const char* DeadlineReasonName(DeadlineReason reason) {
       return "wall_clock";
     case DeadlineReason::kWorkBudget:
       return "work_budget";
-    case DeadlineReason::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
@@ -34,11 +32,6 @@ Deadline Deadline::WithWorkBudget(uint64_t units) {
 }
 
 bool Deadline::CheckSlow(bool include_work_budget) const {
-  // Cancellation outranks the budgets: it is an explicit caller decision.
-  if (cancel_ != nullptr && cancel_->cancelled()) {
-    Latch(DeadlineReason::kCancelled);
-    return true;
-  }
   if (include_work_budget && has_budget_ &&
       work_charged_.load(std::memory_order_relaxed) >= work_budget_) {
     Latch(DeadlineReason::kWorkBudget);

@@ -8,56 +8,36 @@
 
 namespace topkdup {
 
-/// Cooperative cancellation flag. The caller keeps the token alive for the
-/// duration of the query and flips it from any thread; pipeline stages
-/// observe it through Deadline. Cancellation is advisory — stages finish
-/// their current atomic unit of work and return a consistent partial state.
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
 /// Why a Deadline reported expiry. Latched on first observation so every
 /// later check agrees on a single cause.
 enum class DeadlineReason : int {
   kNone = 0,
   kWallClock = 1,
   kWorkBudget = 2,
-  kCancelled = 3,
 };
 
 /// Name of a DeadlineReason, e.g. "work_budget".
 const char* DeadlineReasonName(DeadlineReason reason);
 
-/// A query budget: wall-clock time, abstract work units, a cancel token, or
-/// any combination. Stages receive a `const Deadline*` (null = unlimited —
-/// the absent-deadline hot path is a single pointer test, mirroring the
-/// explain null-recorder pattern) and poll it cooperatively:
+/// A query budget: wall-clock time, abstract work units, or both. Stages
+/// receive a `const Deadline*` (null = unlimited — the absent-deadline hot
+/// path is a single pointer test, mirroring the explain null-recorder
+/// pattern) and poll it cooperatively:
 ///
-///   * `Expired()` — the full check (cancel, work budget, wall clock). Work
-///     budget expiry must be decided only at serial checkpoints (stage and
-///     pass boundaries, per-probe, per-pivot, per-DP-row) so that a
+///   * `Expired()` — the full check (work budget, wall clock). Work budget
+///     expiry must be decided only at serial checkpoints (stage and pass
+///     boundaries, per-probe, per-pivot, per-DP-row) so that a
 ///     work-budget-limited query is bit-identical at any thread count.
-///   * `ExpiredUrgent()` — cancel + wall clock only, never the work budget.
-///     Safe inside parallel shards: the modes it responds to are inherently
-///     timing-dependent, so they cannot break work-budget determinism.
+///   * `ExpiredUrgent()` — wall clock only, never the work budget. Safe
+///     inside parallel shards: wall-clock expiry is timing-dependent
+///     anyway, so it cannot break work-budget determinism.
 ///
 /// Expiry is latched: once any check observes it, every subsequent check on
 /// any thread returns true with the same `reason()`. Expiry never aborts —
 /// stages wind down and return their best consistent partial state.
 class Deadline {
  public:
-  /// Unlimited deadline; Expired() is always false (modulo cancel token).
+  /// Unlimited deadline; Expired() is always false.
   Deadline() = default;
   Deadline(const Deadline&) = delete;
   Deadline& operator=(const Deadline&) = delete;
@@ -68,7 +48,6 @@ class Deadline {
         wall_deadline_(other.wall_deadline_),
         has_budget_(other.has_budget_),
         work_budget_(other.work_budget_),
-        cancel_(other.cancel_),
         work_charged_(other.work_charged_.load(std::memory_order_relaxed)),
         latched_(other.latched_.load(std::memory_order_relaxed)) {}
   Deadline& operator=(Deadline&&) = delete;
@@ -79,9 +58,6 @@ class Deadline {
   /// cells — whatever a stage charges via ChargeWork). Deterministic:
   /// independent of wall clock and thread count.
   static Deadline WithWorkBudget(uint64_t units);
-
-  /// Attaches a cancel token (not owned; must outlive the deadline).
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
   bool has_wall_deadline() const { return has_wall_; }
   bool has_work_budget() const { return has_budget_; }
@@ -106,13 +82,13 @@ class Deadline {
     return CheckSlow(/*include_work_budget=*/true);
   }
 
-  /// Cancel + wall clock only; safe inside parallel shards.
+  /// Wall clock only; safe inside parallel shards.
   bool ExpiredUrgent() const {
     if (latched_.load(std::memory_order_relaxed) !=
         static_cast<int>(DeadlineReason::kNone)) {
       return true;
     }
-    if (!has_wall_ && cancel_ == nullptr) return false;
+    if (!has_wall_) return false;
     return CheckSlow(/*include_work_budget=*/false);
   }
 
@@ -137,7 +113,6 @@ class Deadline {
   Clock::time_point wall_deadline_{};
   bool has_budget_ = false;
   uint64_t work_budget_ = 0;
-  const CancelToken* cancel_ = nullptr;
 
   mutable std::atomic<uint64_t> work_charged_{0};
   mutable std::atomic<int> latched_{static_cast<int>(DeadlineReason::kNone)};

@@ -56,7 +56,7 @@ struct LowerBoundResult {
 /// size, certified bound, which search phase asked) plus the final m/M
 /// summary. Its deadline, when set, is polled between CPN probes (full
 /// check, deterministic under a work budget) and during edge growth
-/// (urgent wall-clock/cancel check). A probe interrupted mid-growth is
+/// (urgent wall-clock check). A probe interrupted mid-growth is
 /// abandoned whole — a CPN bound over a partially grown edge set could
 /// falsely certify distinctness, so partial probes never contribute.
 /// Necessary-predicate edge enumerations are charged as work units.

@@ -59,7 +59,7 @@ struct PruneResult {
 /// any thread count. Its deadline, when set, is polled between passes
 /// (full check — the only place work-budget expiry is decided, keeping
 /// budget-limited runs deterministic) and at shard starts within a pass
-/// (urgent wall-clock/cancel check). A skipped shard keeps its groups
+/// (urgent wall-clock check). A skipped shard keeps its groups
 /// alive with their previous valid upper bound (+inf in pass 1), so a
 /// degraded prune only under-prunes — never discards a potential answer
 /// group. Each examined candidate of a live neighbour is charged one work

@@ -56,7 +56,7 @@ SegmentScorer::SegmentScorer(const cluster::PairScores& scores,
   // the incremental walk reads nothing another row writes, so rows
   // parallelize with no synchronization and bit-identical results.
   ParallelFor(0, n_, DefaultGrain(n_), [&](size_t i) {
-    // Urgent (wall-clock/cancel) poll per row; a skipped row keeps its
+    // Urgent (wall-clock) poll per row; a skipped row keeps its
     // zero scores. Never decides work-budget expiry, so budget-limited
     // fills stay bit-identical at any thread count.
     if (deadline != nullptr && deadline->ExpiredUrgent()) {

@@ -245,8 +245,8 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
   // segments weighing <= threshold and all answer segments > threshold.
   const size_t layers = static_cast<size_t>(k) + 1;
   auto cell = [&](size_t kk, size_t i) { return i * layers + kk; };
-  // Fills the table for `threshold`; false when a wall-clock or cancel
-  // expiry interrupted it (an interrupted table is discarded whole — a
+  // Fills the table for `threshold`; false when a wall-clock expiry
+  // interrupted it (an interrupted table is discarded whole — a
   // partially filled final cell could surface a worse-than-reported
   // answer).
   auto fill = [&](double threshold, TopRCells* cells) {

@@ -55,9 +55,9 @@ struct TopKDpOptions {
   /// budget fixes how many leading thresholds run; when it cannot cover
   /// them all, the rest of the budget is spent and the stop latches as a
   /// work-budget expiry. Thresholds run in parallel and poll only the
-  /// wall clock and cancel token; a threshold interrupted that way
-  /// contributes nothing, and neither does any later one. Callers detect
-  /// the truncation via deadline->expired().
+  /// wall clock; a threshold interrupted that way contributes nothing,
+  /// and neither does any later one. Callers detect the truncation via
+  /// deadline->expired().
   const Deadline* deadline = nullptr;
 };
 

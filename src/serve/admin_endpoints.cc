@@ -134,10 +134,10 @@ std::string StatuszJson(const QueryService& service,
     AppendJsonString(&out, ds.name);
     out += StrFormat(
         ",\"online\":%s,\"records\":%zu,\"breaker\":\"%s\","
-        "\"p50_seconds\":%.6f,\"served\":%llu,\"errors\":%llu,"
-        "\"shed\":%llu,\"index_bytes\":%llu",
+        "\"served\":%llu,\"errors\":%llu,\"shed\":%llu,"
+        "\"index_bytes\":%llu",
         ds.online ? "true" : "false", ds.records,
-        BreakerStateName(ds.breaker), ds.p50_seconds,
+        BreakerStateName(ds.breaker),
         static_cast<unsigned long long>(ds.served),
         static_cast<unsigned long long>(ds.errors),
         static_cast<unsigned long long>(ds.shed),
@@ -146,9 +146,10 @@ std::string StatuszJson(const QueryService& service,
       out += StrFormat(",\"epoch\":%llu",
                        static_cast<unsigned long long>(ds.epoch));
     }
-    // cost_model_json is already a JSON object — splice, don't escape.
-    out += ",\"cost_model\":";
-    out += ds.cost_model_json.empty() ? "null" : ds.cost_model_json;
+    out += StrFormat(
+        ",\"cost_model\":{\"samples\":%llu,\"predicted_wall_ms\":%.3f}",
+        static_cast<unsigned long long>(ds.cost_samples),
+        ds.predicted_wall_seconds * 1000.0);
     out += "}";
   }
   out += "]}";

@@ -114,14 +114,4 @@ BreakerState CircuitBreaker::state() const {
   return state_;
 }
 
-size_t CircuitBreaker::window_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-size_t CircuitBreaker::window_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_;
-}
-
 }  // namespace topkdup::serve

@@ -86,10 +86,6 @@ class CircuitBreaker {
 
   BreakerState state() const;
 
-  /// Outcomes currently in the window and how many are failures.
-  size_t window_size() const;
-  size_t window_failures() const;
-
  private:
   int64_t NowMs() const;
   void PushOutcomeLocked(bool failure);

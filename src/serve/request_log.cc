@@ -76,9 +76,7 @@ std::string RequestLogEvent::ToJsonLine() const {
     }
   }
   if (shed_predicted_ms > 0.0) {
-    out += StrFormat(
-        ",\"shed_predicted_ms\":%.3f,\"shed_cpu_per_pair_ns\":%.2f",
-        shed_predicted_ms, shed_cpu_per_pair_ns);
+    out += StrFormat(",\"shed_predicted_ms\":%.3f", shed_predicted_ms);
   }
   out += StrFormat(",\"slow\":%s}", slow ? "true" : "false");
   return out;

@@ -92,10 +92,9 @@ struct RequestLogEvent {
   /// reconciles with cpu_ms within print rounding (each value is
   /// rendered at 1e-4 ms; see DESIGN.md §6i for the bound).
   std::vector<std::pair<std::string, double>> cpu_stages_ms;
-  /// For predicted-miss sheds: the wall cost the model predicted and the
-  /// measured unit cost it was built on, so the refusal is auditable.
+  /// For predicted-miss sheds: the wall cost the dataset's estimate
+  /// predicted, so the refusal is auditable against the budget.
   double shed_predicted_ms = 0.0;
-  double shed_cpu_per_pair_ns = 0.0;
   /// Per-stage work counters charged by this query: its counter block's
   /// totals, exact under concurrency (metrics::CounterBlock).
   std::vector<std::pair<const char*, uint64_t>> work;

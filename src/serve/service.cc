@@ -55,18 +55,8 @@ const std::vector<metrics::CounterSample>& QueryCounters(
                                    : response.result.counters;
 }
 
-CostModel::Observation CostObservation(
-    const resource::ResourceMeter& meter, double wall_seconds,
-    const std::vector<metrics::CounterSample>& counters) {
-  CostModel::Observation cost;
-  cost.cpu_seconds = meter.CpuSeconds();
-  cost.wall_seconds = wall_seconds;
-  cost.candidate_pairs =
-      metrics::CounterValue(counters, "predicates.blocked_index.candidates");
-  cost.postings_decoded = metrics::CounterValue(
-      counters, "predicates.blocked_index.postings_decoded");
-  return cost;
-}
+/// Weight of the newest execution in a dataset's wall-time EWMA.
+constexpr double kCostEwmaAlpha = 0.2;
 
 }  // namespace
 
@@ -121,16 +111,15 @@ struct QueryService::DatasetState {
   CircuitBreaker breaker;
   metrics::Gauge* breaker_gauge = nullptr;
 
-  // Rolling execution-cost samples (seconds) behind the p50 health
-  // figure (/statusz p50_seconds).
-  mutable std::mutex stats_mu;
-  std::vector<double> samples;
-  size_t next_sample = 0;
-
-  /// Measured per-unit execution costs (EWMA over attributed CPU, wall,
-  /// and work counts of completed attempts) — the predicted-miss shed's
-  /// estimate.
-  CostModel cost_model;
+  /// The predicted-miss shed's cost estimate: how many executions it has
+  /// seen (the calibration query, then every executed request) and the
+  /// EWMA of their wall seconds. Guarded by cost_mu.
+  struct CostEstimate {
+    uint64_t samples = 0;
+    double wall_seconds = 0.0;
+  };
+  mutable std::mutex cost_mu;
+  CostEstimate cost;
 
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> errors{0};
@@ -149,25 +138,22 @@ struct QueryService::DatasetState {
   bool ever_published = false;
   bool pending_publish = false;
 
-  static constexpr size_t kMaxSamples = 64;
-
-  void RecordSample(double seconds) {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    if (samples.size() < kMaxSamples) {
-      samples.push_back(seconds);
+  /// Folds one execution's wall time into the estimate: the first sample
+  /// seeds it, later ones move it by kCostEwmaAlpha.
+  void ObserveExecution(double wall_seconds) {
+    const double wall = std::max(wall_seconds, 0.0);
+    std::lock_guard<std::mutex> lock(cost_mu);
+    if (cost.samples == 0) {
+      cost.wall_seconds = wall;
     } else {
-      samples[next_sample] = seconds;
-      next_sample = (next_sample + 1) % kMaxSamples;
+      cost.wall_seconds += kCostEwmaAlpha * (wall - cost.wall_seconds);
     }
+    ++cost.samples;
   }
 
-  double P50Seconds() const {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    if (samples.empty()) return 0.0;
-    std::vector<double> sorted = samples;
-    const size_t mid = sorted.size() / 2;
-    std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
-    return sorted[mid];
+  CostEstimate Cost() const {
+    std::lock_guard<std::mutex> lock(cost_mu);
+    return cost;
   }
 };
 
@@ -186,10 +172,9 @@ struct QueryService::Pending {
   /// for the attempt, delegated into pool workers by parallel-region
   /// launch, read out once in FinishResponse.
   resource::ResourceMeter meter;
-  /// For predicted-miss sheds: what the model predicted and the unit
-  /// cost it used, surfaced on the request-log line.
+  /// For predicted-miss sheds: the predicted wall cost, surfaced on the
+  /// request-log line.
   double shed_predicted_ms = 0.0;
-  double shed_cpu_per_pair_ns = 0.0;
   /// Answer-cache disposition decided at admission ("miss" when the
   /// request proceeds to execution); stamped onto the response.
   std::string cache_disposition;
@@ -640,26 +625,18 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
   }
 
   if (req.work_budget == 0) {
-    // The dataset's measured cost model (EWMA CPU and work units from
-    // attributed attempts); no prediction until its first observation.
-    const CostModel::Prediction predicted = ds->cost_model.Predict();
-    const double predicted_ms = predicted.wall_seconds * 1000.0;
-    if (predicted.valid &&
+    // The dataset's cost estimate; no prediction until its first sample.
+    const DatasetState::CostEstimate cost = ds->Cost();
+    const double predicted_ms = cost.wall_seconds * 1000.0;
+    if (cost.samples > 0 &&
         predicted_ms > static_cast<double>(pending->budget_ms)) {
       ds->breaker.OnAbandon(pending->decision);
       pending->shed_predicted_ms = predicted_ms;
-      pending->shed_cpu_per_pair_ns = predicted.cpu_per_pair_ns;
-      const double wall_per_cpu =
-          predicted.cpu_seconds > 0.0
-              ? predicted.wall_seconds / predicted.cpu_seconds
-              : 0.0;
       std::string message = StrFormat(
-          "Submit: predicted cost %.1fms exceeds budget %lldms "
-          "(measured cpu/pair=%.1fns x %.0f pairs, cpu/posting=%.1fns "
-          "x %.0f postings, wall/cpu=%.2f)",
+          "Submit: predicted cost %.1fms exceeds budget %lldms (wall-time "
+          "EWMA over %llu executions)",
           predicted_ms, static_cast<long long>(pending->budget_ms),
-          predicted.cpu_per_pair_ns, predicted.pairs,
-          predicted.cpu_per_posting_ns, predicted.postings, wall_per_cpu);
+          static_cast<unsigned long long>(cost.samples));
       TOPKDUP_LOG(Debug) << "predicted-miss shed for dataset '" << ds->name
                          << "': " << message;
       FinishResponse(*pending, ShedResponse(ds, "predicted_miss",
@@ -831,14 +808,11 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
   // fail again.
   const Clock::time_point deadline_at =
       pending.admitted_at + std::chrono::milliseconds(pending.budget_ms);
-  Deadline deadline =
+  const Deadline deadline =
       pending.request.work_budget > 0
           ? Deadline::WithWorkBudget(pending.request.work_budget)
           : Deadline::AfterMillis(
                 std::max<int64_t>(1, MillisUntil(deadline_at)));
-  if (pending.request.cancel != nullptr) {
-    deadline.set_cancel_token(pending.request.cancel);
-  }
   const Clock::time_point start = Clock::now();
   StatusOr<QueryResponse> attempt_or = Status::Internal("attempt not run");
   {
@@ -864,11 +838,7 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
   }
   *response = std::move(attempt_or).value();
   response->attempts = 1;
-  // Fold the attempt into the dataset's cost model: attributed CPU, wall
-  // time, and the work units the query's counter block tallied.
-  ds.cost_model.Observe(
-      CostObservation(pending.meter, exec_seconds, QueryCounters(*response)));
-  ds.RecordSample(exec_seconds);
+  ds.ObserveExecution(exec_seconds);
   ds.served.fetch_add(1, std::memory_order_relaxed);
   ds.breaker.OnSuccess(decision);
   UpdateBreakerGauge(ds);
@@ -1165,7 +1135,6 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
       event.cpu_stages_ms.emplace_back(stage, cpu * 1000.0);
     }
     event.shed_predicted_ms = pending.shed_predicted_ms;
-    event.shed_cpu_per_pair_ns = pending.shed_cpu_per_pair_ns;
     event.slow = request_log_->slow_ms() > 0 &&
                  response.latency_seconds * 1000.0 >=
                      static_cast<double>(request_log_->slow_ms());
@@ -1200,22 +1169,13 @@ void QueryService::Calibrate(DatasetState& ds) {
   request.kind = QueryKind::kTopKCount;
   request.k = 5;
   request.r = 1;
-  Deadline deadline = Deadline::AfterMillis(options_.default_deadline_ms);
-  resource::ResourceMeter meter;
+  const Deadline deadline =
+      Deadline::AfterMillis(options_.default_deadline_ms);
   const Clock::time_point start = Clock::now();
-  StatusOr<QueryResponse> response = Status::Internal("calibration not run");
-  {
-    resource::ScopedMeterAttach meter_attach(&meter);
-    response = RunOnce(ds, request, deadline, /*query_id=*/0,
-                       /*explain=*/nullptr);
-  }
+  const StatusOr<QueryResponse> response =
+      RunOnce(ds, request, deadline, /*query_id=*/0, /*explain=*/nullptr);
   if (response.ok()) {
-    const double wall = SecondsSince(start);
-    ds.RecordSample(wall);
-    // Seed the cost model too, so the very first admission decision can
-    // already cite a measured unit cost.
-    ds.cost_model.Observe(
-        CostObservation(meter, wall, QueryCounters(response.value())));
+    ds.ObserveExecution(SecondsSince(start));
   } else {
     TOPKDUP_LOG(Warning) << "calibration query for dataset '" << ds.name
                          << "' failed: "
@@ -1258,8 +1218,9 @@ HealthSnapshot QueryService::Health() const {
       }
       ds.index_bytes = state->index_cache.TotalBytes();
       ds.breaker = state->breaker.state();
-      ds.p50_seconds = state->P50Seconds();
-      ds.cost_model_json = state->cost_model.DebugJson();
+      const DatasetState::CostEstimate cost = state->Cost();
+      ds.cost_samples = cost.samples;
+      ds.predicted_wall_seconds = cost.wall_seconds;
       ds.served = state->served.load(std::memory_order_relaxed);
       ds.errors = state->errors.load(std::memory_order_relaxed);
       ds.shed = state->shed.load(std::memory_order_relaxed);

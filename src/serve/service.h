@@ -25,7 +25,6 @@
 #include "record/record.h"
 #include "serve/answer_cache.h"
 #include "serve/breaker.h"
-#include "serve/cost_model.h"
 #include "serve/request_log.h"
 #include "serve/wal.h"
 #include "topk/online.h"
@@ -56,9 +55,6 @@ struct QueryRequest {
   /// budget instead of the remaining wall-clock budget (tests and
   /// reproducible benches; the wall budget still governs queueing).
   uint64_t work_budget = 0;
-  /// Optional cooperative cancellation (not owned; must outlive the
-  /// response future).
-  const CancelToken* cancel = nullptr;
   /// Accept a bounds-only cached answer when the dataset's breaker is
   /// open. When false an open breaker yields FailedPrecondition instead.
   bool allow_degraded = true;
@@ -216,11 +212,11 @@ struct DatasetHealth {
   bool online = false;
   size_t records = 0;  // Records (static) or mentions (online).
   BreakerState breaker = BreakerState::kClosed;
-  /// Observed p50 execution seconds (0 until a sample lands).
-  double p50_seconds = 0.0;
-  /// The dataset's measured cost model as one JSON object (unit CPU
-  /// costs, EWMA work counts, predicted cost) for /statusz.
-  std::string cost_model_json;
+  /// Executions folded into the dataset's cost estimate (the calibration
+  /// query and every executed request), and the estimate itself: the
+  /// EWMA of their wall seconds (0 until the first sample).
+  uint64_t cost_samples = 0;
+  double predicted_wall_seconds = 0.0;
   uint64_t served = 0;
   uint64_t errors = 0;
   uint64_t shed = 0;
@@ -256,11 +252,12 @@ struct HealthSnapshot {
 ///   3. Circuit breaker: an open breaker short-circuits to a bounds-only
 ///      cached answer (kBreakerDegraded) or FailedPrecondition — the
 ///      request never occupies a queue slot.
-///   4. Predicted-miss shed: budget < the dataset's measured execution
-///      cost (its CostModel: EWMA of attributed CPU, wall time and work
-///      units; no prediction before the first sample) → ResourceExhausted
+///   4. Predicted-miss shed: budget < the dataset's predicted execution
+///      cost (the EWMA of executed wall time, seeded by the calibration
+///      query; no prediction before the first sample) → ResourceExhausted
 ///      up front rather than queued to die. The refusal message cites the
-///      measured unit costs used. Work-budget requests are never shed.
+///      prediction, the budget and the sample count. Work-budget requests
+///      are never shed.
 ///   5. Bounded queue: when full, the *oldest* waiting request is evicted
 ///      (ResourceExhausted) in favor of the arrival — combined with
 ///      workers popping newest-first (LIFO), fresh requests with live

@@ -35,9 +35,9 @@ struct PairScoringOptions {
 /// one scale, and group weights enter the TopK computation only through
 /// segment weights.
 ///
-/// The context's deadline, when set, is polled urgently (wall clock /
-/// cancel only) at shard boundaries; skipped shards leave their pairs on
-/// the default score — a consistent, merely less informed, score matrix.
+/// The context's deadline, when set, is polled urgently (wall clock only)
+/// at shard boundaries; skipped shards leave their pairs on the default
+/// score — a consistent, merely less informed, score matrix.
 /// Enumerated pairs are charged as work.
 cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,

@@ -68,8 +68,8 @@ TopKAnswerSet SynthesizeBoundedAnswer(
     // (expiry is latched, and urgent checks honor the latch), leaving
     // only +inf bounds; this K-group recomputation is small, bounded,
     // and thread-count deterministic, so it runs unmetered. Wall-clock
-    // and cancel expiry keep the deadline — the prompt-return guarantee
-    // outranks bound tightness there.
+    // expiry keeps the deadline — the prompt-return guarantee outranks
+    // bound tightness there.
     QueryContext recompute = context;
     if (deadline != nullptr &&
         deadline->reason() == DeadlineReason::kWorkBudget) {

@@ -253,13 +253,14 @@ TEST_F(AdminTest, EndpointsServeValidPayloadsAndTypedRejections) {
   const size_t fds_at = statusz.body.find("\"open_fds\":");
   ASSERT_NE(fds_at, std::string::npos);
   EXPECT_GT(std::atoll(statusz.body.c_str() + fds_at + 11), 2);
-  // Top-CPU tables and the per-dataset measured cost model: the queries
-  // above charged CPU, so the window is non-empty and the model seeded.
+  // Top-CPU tables and the per-dataset cost estimate: the queries above
+  // charged CPU, so the window is non-empty, and calibration seeded the
+  // estimate.
   EXPECT_NE(statusz.body.find("\"top_cpu\":{\"window_seconds\":"),
             std::string::npos);
   EXPECT_NE(statusz.body.find("\"cost_model\":{\"samples\":"),
             std::string::npos);
-  EXPECT_NE(statusz.body.find("\"cpu_per_pair_ns\":"), std::string::npos);
+  EXPECT_NE(statusz.body.find("\"predicted_wall_ms\":"), std::string::npos);
 
   const HttpReply tracez = HttpGet(admin.port(), "/tracez");
   EXPECT_EQ(tracez.status, 200);

@@ -59,22 +59,11 @@ TEST(DeadlineTest, WallClockExpires) {
   EXPECT_EQ(d.reason(), DeadlineReason::kWallClock);
 }
 
-TEST(DeadlineTest, CancelTokenOutranksBudgets) {
-  CancelToken token;
-  Deadline d = Deadline::WithWorkBudget(0);  // Any charge would expire it.
-  d.set_cancel_token(&token);
-  token.Cancel();
-  d.ChargeWork(10);
-  EXPECT_TRUE(d.Expired());
-  EXPECT_EQ(d.reason(), DeadlineReason::kCancelled);
-}
-
 TEST(DeadlineTest, ReasonNames) {
   EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kNone), "none");
   EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kWallClock), "wall_clock");
   EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kWorkBudget),
                "work_budget");
-  EXPECT_STREQ(DeadlineReasonName(DeadlineReason::kCancelled), "cancelled");
 }
 
 /// Shared pipeline fixture over certified citation data: the generator
@@ -383,11 +372,9 @@ TEST_F(DeadlinePipelineTest, NoDeadlineExplainHasNoDegradationSection) {
   }
 }
 
-TEST_F(DeadlinePipelineTest, CancelledQueryReturnsPartialAnswer) {
-  CancelToken token;
-  token.Cancel();  // Cancelled before the query even starts.
-  Deadline deadline;
-  deadline.set_cancel_token(&token);
+TEST_F(DeadlinePipelineTest, ExpiredBeforeStartReturnsPartialAnswer) {
+  // Expired before the query even starts.
+  const Deadline deadline = Deadline::AfterMillis(0);
   topk::TopKCountOptions options;
   options.k = 10;
   auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
@@ -396,7 +383,7 @@ TEST_F(DeadlinePipelineTest, CancelledQueryReturnsPartialAnswer) {
   const topk::TopKCountResult& result = result_or.value();
   EXPECT_NE(result.quality, topk::AnswerQuality::kExact);
   EXPECT_TRUE(result.degradation.degraded);
-  EXPECT_EQ(result.degradation.reason, DeadlineReason::kCancelled);
+  EXPECT_EQ(result.degradation.reason, DeadlineReason::kWallClock);
 }
 
 TEST_F(DeadlinePipelineTest, WallClockDeadlineReturnsPromptly) {

@@ -218,7 +218,9 @@ TEST(SnapshotTest, DeterministicSortedMerge) {
   for (size_t i = 0; i < s1.counters.size(); ++i) {
     EXPECT_EQ(s1.counters[i].name, s2.counters[i].name);
     EXPECT_EQ(s1.counters[i].value, s2.counters[i].value);
-    if (i > 0) EXPECT_LT(s1.counters[i - 1].name, s1.counters[i].name);
+    if (i > 0) {
+      EXPECT_LT(s1.counters[i - 1].name, s1.counters[i].name);
+    }
   }
 }
 

@@ -292,7 +292,9 @@ TEST(EnvKnobRobustnessTest, GarbageThreadsEnvWarnsAndKeepsHardwareDefault) {
   }
   // The warning is emitted once per process; an earlier test may have
   // consumed it, so only require it when this was the first offender.
-  if (!warnings.empty()) EXPECT_TRUE(mentioned);
+  if (!warnings.empty()) {
+    EXPECT_TRUE(mentioned);
+  }
 
   env.Set("3");
   EXPECT_EQ(ParallelismLevel(), 3);  // Valid values still apply.

@@ -191,6 +191,11 @@ TEST_F(ServeTest, RegisterExactQueryAndHealth) {
   QueryService service(QuietOptions());
   ASSERT_TRUE(
       service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+  // Calibration seeded the cost estimate.
+  const HealthSnapshot registered = service.Health();
+  ASSERT_EQ(registered.datasets.size(), 1u);
+  EXPECT_EQ(registered.datasets[0].cost_samples, 1u);
+  EXPECT_GT(registered.datasets[0].predicted_wall_seconds, 0.0);
 
   QueryResponse response = service.Execute(CountRequest("cites"));
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
@@ -213,8 +218,6 @@ TEST_F(ServeTest, RegisterExactQueryAndHealth) {
   EXPECT_FALSE(health.datasets[0].online);
   EXPECT_EQ(health.datasets[0].breaker, BreakerState::kClosed);
   EXPECT_GE(health.datasets[0].served, 1u);
-  // Calibration seeded the cost estimate.
-  EXPECT_GT(health.datasets[0].p50_seconds, 0.0);
 }
 
 TEST_F(ServeTest, RegistrationBuildsNoIndexBeforeCalibration) {
@@ -1033,26 +1036,28 @@ TEST_F(ServeTest, RankQueryLogsTheWholeQuerysWork) {
             static_cast<double>(candidates));
 }
 
-TEST_F(ServeTest, PredictedMissShedCitesMeasuredUnitCost) {
+TEST_F(ServeTest, PredictedMissShedCitesThePrediction) {
   Watchdog watchdog(120);
   ServiceOptions options = QuietOptions();
   options.request_log.ok_sample_every = 0;  // Sheds always emit anyway.
   QueryService service(options);
-  // Registration calibrates, seeding both p50 and the measured cost
-  // model (CPU per candidate pair / per posting decoded).
+  // Registration calibrates, seeding the dataset's cost estimate.
   ASSERT_TRUE(
       service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
   HealthSnapshot health = service.Health();
   ASSERT_EQ(health.datasets.size(), 1u);
-  EXPECT_GE(JsonNumber(health.datasets[0].cost_model_json, "samples"), 1.0);
+  EXPECT_GE(health.datasets[0].cost_samples, 1u);
 
   // A 1 ms budget is far below the measured cost of an exact query over
-  // 800 records: the shedder must refuse up front, citing the model.
+  // 800 records: the shedder must refuse up front, citing the prediction.
   QueryRequest starved = CountRequest("cites");
   starved.deadline_ms = 1;
   QueryResponse shed = service.Execute(starved);
   ASSERT_EQ(shed.outcome, ServedOutcome::kShed);
   EXPECT_EQ(shed.shed_reason, "predicted_miss");
+  EXPECT_NE(shed.status.message().find("exceeds budget 1ms"),
+            std::string::npos)
+      << shed.status.ToString();
   EXPECT_DOUBLE_EQ(shed.cpu_seconds, 0.0);  // Never executed.
 
   std::vector<std::string> lines = service.request_log().RecentLines();
@@ -1060,11 +1065,58 @@ TEST_F(ServeTest, PredictedMissShedCitesMeasuredUnitCost) {
   const std::string& line = lines.back();
   EXPECT_NE(line.find("\"shed_reason\":\"predicted_miss\""),
             std::string::npos);
-  // The refusal is auditable: the line records the predicted wall cost
-  // and the unit cost the prediction was built from.
+  // The refusal is auditable: the line records the predicted wall cost.
   EXPECT_GT(JsonNumber(line, "shed_predicted_ms"), 1.0);
-  EXPECT_NE(line.find("\"shed_cpu_per_pair_ns\""), std::string::npos);
-  EXPECT_GT(JsonNumber(line, "shed_cpu_per_pair_ns"), 0.0);
+}
+
+/// Only executed queries feed the cost estimate: a cache hit and a
+/// predicted-miss shed run nothing, so they leave it as it was.
+TEST_F(ServeTest, CostEstimateFollowsExecutedQueriesOnly) {
+  Watchdog watchdog(120);
+  ServiceOptions options = QuietOptions();
+  options.cache.enabled = true;
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+  const auto estimate = [&service] {
+    const HealthSnapshot health = service.Health();
+    TOPKDUP_CHECK(health.datasets.size() == 1);
+    return health.datasets[0];
+  };
+  DatasetHealth ds = estimate();
+  EXPECT_EQ(ds.cost_samples, 1u);  // The calibration query.
+  EXPECT_GT(ds.predicted_wall_seconds, 0.0);
+
+  // k = 4 is a shape the calibration query (k = 5) did not cache, so the
+  // request executes and folds in.
+  const QueryResponse executed = service.Execute(CountRequest("cites", 4));
+  ASSERT_TRUE(executed.status.ok()) << executed.status.ToString();
+  EXPECT_EQ(executed.cache, "miss");
+  EXPECT_EQ(executed.attempts, 1);
+  ds = estimate();
+  EXPECT_EQ(ds.cost_samples, 2u);
+  EXPECT_GT(ds.predicted_wall_seconds, 0.0);
+
+  // The same shape again is answered from the cache.
+  const QueryResponse hit = service.Execute(CountRequest("cites", 4));
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_EQ(hit.cache, "hit");
+  EXPECT_EQ(hit.attempts, 0);
+  ds = estimate();
+  EXPECT_EQ(ds.cost_samples, 2u);
+  EXPECT_GT(ds.predicted_wall_seconds, 0.0);
+
+  // A 1 ms budget on another uncached shape (k = 3) passes the cache and
+  // is shed before it runs.
+  QueryRequest starved = CountRequest("cites", 3);
+  starved.deadline_ms = 1;
+  const QueryResponse shed = service.Execute(starved);
+  ASSERT_EQ(shed.outcome, ServedOutcome::kShed);
+  EXPECT_EQ(shed.shed_reason, "predicted_miss");
+  EXPECT_EQ(shed.attempts, 0);
+  ds = estimate();
+  EXPECT_EQ(ds.cost_samples, 2u);
+  EXPECT_GT(ds.predicted_wall_seconds, 0.0);
 }
 
 TEST_F(ServeTest, RequestLogRotatesAtMaxBytes) {
