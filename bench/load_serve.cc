@@ -58,7 +58,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Set by SIGTERM/SIGINT: the loops stop, the service shuts down cleanly
-/// (WAL synced, checkpoint written, request log flushed), and the run
+/// (batched epoch published, WAL synced, request log flushed), and the run
 /// prints `clean_shutdown=1` — the marker the chaos harness uses to tell a
 /// clean exit from a kill -9.
 std::atomic<bool> g_stop{false};
@@ -493,11 +493,9 @@ int Main(int argc, char** argv) {
   options.wal.every_n =
       static_cast<uint64_t>(flags.GetInt("wal-every-n", 32));
   options.wal.interval_ms = flags.GetInt("wal-interval-ms", 50);
-  options.checkpoint_bytes = static_cast<uint64_t>(
-      flags.GetInt("checkpoint-bytes", 1 << 20));
   // Heap-owned so the run can destroy the service — the clean-shutdown
-  // path (Drain, WAL sync, final checkpoint, worker join) — *before*
-  // printing the clean_shutdown marker the chaos harness trusts.
+  // path (Drain, WAL sync, worker join) — *before* printing the
+  // clean_shutdown marker the chaos harness trusts.
   auto service = std::make_unique<serve::QueryService>(options);
   // Register (and calibrate) before arming programmatic faults so the
   // cost estimate and the breaker's degraded-answer cache start clean.
@@ -769,17 +767,14 @@ int Main(int argc, char** argv) {
     const metrics::MetricsSnapshot ms = metrics::Registry::Global().Snapshot();
     std::printf(
         "wal.appends=%llu wal.fsyncs=%llu wal.bytes=%llu "
-        "wal.recovered_mentions=%llu wal.truncated_tail_bytes=%llu "
-        "wal.checkpoints=%llu\n",
+        "wal.recovered_mentions=%llu wal.truncated_tail_bytes=%llu\n",
         static_cast<unsigned long long>(ms.CounterValue("serve.wal.appends")),
         static_cast<unsigned long long>(ms.CounterValue("serve.wal.fsyncs")),
         static_cast<unsigned long long>(ms.CounterValue("serve.wal.bytes")),
         static_cast<unsigned long long>(
             ms.CounterValue("serve.wal.recovered_mentions")),
         static_cast<unsigned long long>(
-            ms.CounterValue("serve.wal.truncated_tail_bytes")),
-        static_cast<unsigned long long>(
-            ms.CounterValue("serve.wal.checkpoints")));
+            ms.CounterValue("serve.wal.truncated_tail_bytes")));
     std::printf(
         "online.epochs_published=%llu online.reader_blocked=%llu "
         "online.epoch=%llu\n",
@@ -872,8 +867,8 @@ int Main(int argc, char** argv) {
   }
   std::printf("OK: every response was an answer or a typed rejection\n");
   // Destroy the service before claiming a clean shutdown: the destructor
-  // drains, syncs every WAL, and writes final checkpoints — only once it
-  // has returned is everything acknowledged actually durable.
+  // drains and syncs every WAL — only once it has returned is everything
+  // acknowledged actually durable.
   service.reset();
   std::printf("clean_shutdown=1\n");
   std::fflush(stdout);

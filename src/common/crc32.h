@@ -8,9 +8,8 @@
 namespace topkdup {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) over `size` bytes.
-/// The shared checksum for every on-disk artifact in the repo: the WAL
-/// frame stream and the online-stream checkpoints both use this exact
-/// function, so images stay cross-checkable by one tool.
+/// The checksum of the write-ahead log (serve/wal.h): its file header and
+/// every frame use this exact function.
 uint32_t Crc32(const uint8_t* data, size_t size);
 
 inline uint32_t Crc32(std::string_view data) {

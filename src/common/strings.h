@@ -46,7 +46,7 @@ inline uint64_t Fnv1a64(std::string_view s) {
 }
 
 /// Little-endian fixed-width integers, the byte order of the write-ahead
-/// log and the online checkpoint images.
+/// log and its mention payloads.
 inline void PutU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }

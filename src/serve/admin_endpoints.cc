@@ -77,8 +77,7 @@ std::string StatuszJson(const QueryService& service,
           snapshot.CounterValue("serve.requestlog.slow_captured")));
   out += StrFormat(
       ",\"wal\":{\"appends\":%llu,\"fsyncs\":%llu,\"bytes\":%llu,"
-      "\"recovered_mentions\":%llu,\"truncated_tail_bytes\":%llu,"
-      "\"checkpoints\":%llu}",
+      "\"recovered_mentions\":%llu,\"truncated_tail_bytes\":%llu}",
       static_cast<unsigned long long>(
           snapshot.CounterValue("serve.wal.appends")),
       static_cast<unsigned long long>(
@@ -87,9 +86,7 @@ std::string StatuszJson(const QueryService& service,
       static_cast<unsigned long long>(
           snapshot.CounterValue("serve.wal.recovered_mentions")),
       static_cast<unsigned long long>(
-          snapshot.CounterValue("serve.wal.truncated_tail_bytes")),
-      static_cast<unsigned long long>(
-          snapshot.CounterValue("serve.wal.checkpoints")));
+          snapshot.CounterValue("serve.wal.truncated_tail_bytes")));
   out += StrFormat(
       ",\"epochs\":{\"published\":%llu,\"reader_blocked\":%llu}",
       static_cast<unsigned long long>(

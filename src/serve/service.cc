@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/file.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/resource_meter.h"
@@ -41,10 +40,6 @@ bool ValidDatasetName(std::string_view name) {
 metrics::Counter* RecoveredMentionsCounter() {
   return metrics::Registry::Global().GetCounter(
       "serve.wal.recovered_mentions");
-}
-
-metrics::Counter* CheckpointsCounter() {
-  return metrics::Registry::Global().GetCounter("serve.wal.checkpoints");
 }
 
 /// The counter totals a response's result carries: the query's own block
@@ -92,15 +87,11 @@ struct QueryService::DatasetState {
   /// snapshot, never for execution.
   mutable std::shared_mutex stream_mu;
 
-  /// Durability state (online datasets with ServiceOptions::wal_dir).
-  /// All three are guarded by the stream writer lock, like the stream
-  /// itself — WAL append and in-memory apply are one critical section.
+  /// The stream's durable history (online datasets with
+  /// ServiceOptions::wal_dir). Guarded by the stream writer lock, like the
+  /// stream itself — WAL append and in-memory apply are one critical
+  /// section.
   std::unique_ptr<WriteAheadLog> wal;
-  /// Newest persisted checkpoint generation (0 = none yet).
-  uint64_t ckpt_seq = 0;
-  /// WAL bytes accumulated since that checkpoint; crossing
-  /// ServiceOptions::checkpoint_bytes triggers the next one.
-  uint64_t wal_bytes_since_ckpt = 0;
 
   /// Per-dataset blocking-index cache: every stage of every query on this
   /// dataset resolves its index here, so each (predicate, item-set) pair
@@ -207,7 +198,6 @@ QueryService::QueryService(ServiceOptions options)
   registry.GetCounter("serve.wal.bytes");
   registry.GetCounter("serve.wal.recovered_mentions");
   registry.GetCounter("serve.wal.truncated_tail_bytes");
-  registry.GetCounter("serve.wal.checkpoints");
   registry.GetCounter("online.epochs_published");
   request_log_ = std::make_unique<RequestLog>(options_.request_log);
 
@@ -227,9 +217,8 @@ QueryService::QueryService(ServiceOptions options)
 
 QueryService::~QueryService() {
   // Durability-preserving order: finish admitted work and persist every
-  // online stream (Drain syncs WALs and writes final checkpoints) before
-  // any worker stops. Only requests racing in *during* this drain are
-  // shed below.
+  // online stream (Drain syncs every WAL) before any worker stops. Only
+  // requests racing in *during* this drain are shed below.
   Drain();
   std::vector<std::unique_ptr<Pending>> orphans;
   {
@@ -314,7 +303,7 @@ Status QueryService::RegisterOnline(std::string name,
     // Publish the initial epoch (recovered or preexisting in-memory
     // state) before the dataset is visible, so the very first query can
     // pin it without ever touching the writer lock. The id advances past
-    // whatever the WAL/checkpoint restored, keeping epochs monotone
+    // whatever the WAL's epoch stamps restored, keeping epochs monotone
     // across restarts.
     std::unique_lock<std::shared_mutex> lock(state->stream_mu);
     state->stream->PublishEpoch();
@@ -350,96 +339,63 @@ Status QueryService::RecoverOnline(DatasetState& ds) {
   TOPKDUP_RETURN_IF_ERROR(wal_or.status());
   ds.wal = std::move(wal_or).value();
 
-  std::vector<CheckpointRef> checkpoints =
-      ListCheckpoints(options_.wal_dir, ds.name);
-  if (preexisting > 0 && (!checkpoints.empty() || !replay.records.empty())) {
-    return Status::FailedPrecondition(
-        "RegisterOnline: stream '" + ds.name + "' already holds " +
-        std::to_string(preexisting) +
-        " mentions but persisted WAL/checkpoint state exists — the two "
-        "histories cannot be merged; register with an empty stream or a "
-        "fresh wal_dir");
+  if (preexisting > 0) {
+    if (!replay.records.empty()) {
+      return Status::FailedPrecondition(
+          "RegisterOnline: stream '" + ds.name + "' already holds " +
+          std::to_string(preexisting) +
+          " mentions but its WAL holds a history — the two histories "
+          "cannot be merged; register with an empty stream or a fresh "
+          "wal_dir");
+    }
+    // The preloaded mentions become the log's frames 0..n-1, in one write
+    // and one sync, stamped with the epoch the registration publish is
+    // about to take.
+    std::vector<std::string> payloads;
+    payloads.reserve(preexisting);
+    for (size_t i = 0; i < preexisting; ++i) {
+      payloads.push_back(topk::EncodeMention(ds.stream->mention(i)));
+    }
+    const uint64_t pre = ds.wal->end_offset();
+    TOPKDUP_RETURN_IF_ERROR(
+        ds.wal->Append(0, payloads, ds.stream->current_epoch() + 1));
+    Status synced = ds.wal->Sync();
+    if (!synced.ok()) {
+      // Registration fails, so it must leave no history behind either.
+      Status rollback = ds.wal->TruncateTo(pre);
+      if (!rollback.ok()) synced = rollback;
+    }
+    return synced;
   }
 
-  // Newest valid checkpoint wins; a corrupt one falls back to the next
-  // generation (the WAL seq gap check below still catches a fallback that
-  // cannot be made consistent).
-  size_t restored = 0;
-  for (const CheckpointRef& ref : checkpoints) {
-    auto image_or = ReadFileToString(ref.path);
-    if (!image_or.ok()) {
-      TOPKDUP_LOG(Warning) << "checkpoint " << ref.path
-                           << " unreadable: " << image_or.status().ToString();
-      continue;
-    }
-    Status s = ds.stream->RestoreFromCheckpoint(image_or.value());
-    if (s.ok()) {
-      restored = ds.stream->mention_count();
-      ds.ckpt_seq = ref.seq_no;
-      break;
-    }
-    TOPKDUP_LOG(Warning) << "checkpoint " << ref.path
-                         << " rejected: " << s.ToString();
-  }
-
-  // Replay the WAL tail. Frames below the restored count are already in
-  // the checkpoint (a crash between checkpoint rename and WAL trim leaves
-  // exactly this overlap); a frame above it means a hole in the history.
-  size_t replayed = 0;
+  // The log is the stream's whole history: frame i must carry seq i. A
+  // gap means missing history and a repeat a duplicated mention; either
+  // would register a stream that differs from what was acknowledged.
   for (const auto& [seq, payload] : replay.records) {
     const uint64_t count = ds.stream->mention_count();
-    if (seq < count) continue;
-    if (seq > count) {
+    if (seq != count) {
       return Status::InvalidArgument(
           "wal replay for '" + ds.name + "': frame seq " +
-          std::to_string(seq) + " leaves a gap after mention " +
-          std::to_string(count) + " (missing history)");
+          std::to_string(seq) + " where seq " + std::to_string(count) +
+          " was expected (" +
+          (seq > count ? "a gap: missing history" : "a repeated frame") +
+          ")");
     }
     auto mention_or = topk::DecodeMention(payload);
     TOPKDUP_RETURN_IF_ERROR(mention_or.status());
     TOPKDUP_RETURN_IF_ERROR(
         ds.stream->AddMention(std::move(mention_or).value()));
-    ++replayed;
   }
-  // Re-establish the epoch counter: the max of what the checkpoint image
-  // restored (inside RestoreFromCheckpoint) and what the replayed WAL
-  // frames were stamped with.
+  // Every frame is stamped with the epoch its mention published under, so
+  // the largest stamp is where publication left off.
   ds.stream->RestoreEpochCounter(replay.max_epoch);
-  if (restored + replayed > 0) {
-    RecoveredMentionsCounter()->Add(restored + replayed);
-    TOPKDUP_LOG(Info) << "dataset '" << ds.name << "': recovered "
-                      << restored << " checkpointed + " << replayed
-                      << " replayed mentions ("
+  if (!replay.records.empty()) {
+    RecoveredMentionsCounter()->Add(replay.records.size());
+    TOPKDUP_LOG(Info) << "dataset '" << ds.name << "': replayed "
+                      << replay.records.size() << " mentions ("
                       << replay.truncated_tail_bytes
                       << " torn tail bytes truncated)";
   }
-
-  // Make the recovered (or preexisting in-memory) state durable now, so
-  // the WAL restarts empty and the next recovery is checkpoint-only.
-  if (ds.stream->mention_count() > restored || replay.truncated_tail_bytes > 0) {
-    std::unique_lock<std::shared_mutex> lock(ds.stream_mu);
-    TOPKDUP_RETURN_IF_ERROR(CheckpointLocked(ds));
-  } else if (!replay.records.empty()) {
-    // Everything in the WAL was already covered by the checkpoint: trim.
-    TOPKDUP_RETURN_IF_ERROR(ds.wal->Reset());
-  }
-  return Status::OK();
-}
-
-Status QueryService::CheckpointLocked(DatasetState& ds) {
-  std::string image = ds.stream->SerializeCheckpoint();
-  const uint64_t seq = ds.ckpt_seq + 1;
-  TOPKDUP_RETURN_IF_ERROR(AtomicWriteFile(
-      CheckpointPath(options_.wal_dir, ds.name, seq), image));
-  ds.ckpt_seq = seq;
-  // The checkpoint is durable (fsynced file + dir): the WAL's history is
-  // now redundant and can be trimmed. A crash in between only leaves a
-  // WAL whose frames all sit below the checkpoint count — replay skips
-  // them.
-  TOPKDUP_RETURN_IF_ERROR(ds.wal->Reset());
-  ds.wal_bytes_since_ckpt = 0;
-  if (seq > 2) DeleteCheckpointsBefore(options_.wal_dir, ds.name, seq - 1);
-  CheckpointsCounter()->Add(1);
   return Status::OK();
 }
 
@@ -481,7 +437,7 @@ Status QueryService::Ingest(std::string_view dataset, record::Record mention) {
   // Stamp the frame with the epoch this mention will publish under, so
   // recovery replay restores the counter to where publication left off.
   Status status =
-      ds->wal->Append(seq, payload, ds->stream->current_epoch() + 1);
+      ds->wal->Append(seq, {payload}, ds->stream->current_epoch() + 1);
   if (status.ok()) {
     status = ds->stream->AddMention(std::move(mention));
     if (!status.ok()) {
@@ -503,18 +459,6 @@ Status QueryService::Ingest(std::string_view dataset, record::Record mention) {
   // never reaches this point, so it can never leak into a published
   // epoch.
   MaybePublishEpoch(*ds);
-  ds->wal_bytes_since_ckpt = ds->wal->appended_bytes();
-  if (options_.checkpoint_bytes > 0 &&
-      ds->wal_bytes_since_ckpt >= options_.checkpoint_bytes) {
-    Status ckpt = CheckpointLocked(*ds);
-    if (!ckpt.ok()) {
-      // The ingest itself is acknowledged and durable (it is on the WAL);
-      // a failed checkpoint only postpones the trim. Warn and move on —
-      // the next threshold crossing or Drain() retries.
-      TOPKDUP_LOG(Warning) << "checkpoint for dataset '" << ds->name
-                           << "' failed: " << ckpt.ToString();
-    }
-  }
   return Status::OK();
 }
 
@@ -715,13 +659,6 @@ void QueryService::FlushDurableState() {
     if (!s.ok()) {
       TOPKDUP_LOG(Warning) << "wal sync for dataset '" << ds->name
                            << "' failed: " << s.ToString();
-    }
-    if (ds->wal_bytes_since_ckpt == 0) continue;
-    s = CheckpointLocked(*ds);
-    if (!s.ok()) {
-      TOPKDUP_LOG(Warning) << "final checkpoint for dataset '" << ds->name
-                           << "' failed: " << s.ToString()
-                           << " (the synced WAL still covers the state)";
     }
   }
 }
@@ -968,9 +905,9 @@ QueryResponse QueryService::BoundsOnlyFromEntry(
     // Epoch-based widening: the delta between the current *published*
     // weight and the entry's epoch weight. Both sides come from published
     // (immutable) epochs — never the live stream under the writer lock —
-    // so the figure is stable, and because epochs ride WAL frames and
-    // checkpoint images it survives recovery replay and restarts, unlike
-    // the old capture-time wall snapshot.
+    // so the figure is stable, and because epochs ride WAL frames it
+    // survives recovery replay and restarts, unlike the old capture-time
+    // wall snapshot.
     std::shared_ptr<const topk::OnlineTopK::EpochSnapshot> pinned =
         ds.stream->PinEpoch();
     if (pinned != nullptr) {

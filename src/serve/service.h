@@ -171,22 +171,17 @@ struct ServiceOptions {
   /// for degraded/shed/error/slow outcomes.
   RequestLogOptions request_log;
   /// Directory for online-dataset durability state. When set, every online
-  /// dataset gets a write-ahead log (`<wal_dir>/<dataset>.wal`) and
-  /// checksummed checkpoints (`<wal_dir>/<dataset>.<seq>.ckpt`):
-  /// RegisterOnline recovers the newest valid checkpoint, replays the WAL
-  /// tail, and only then publishes the dataset (so /readyz never flips
-  /// before recovery completes); Ingest appends to the WAL before applying
-  /// to memory. Empty keeps online streams purely in-memory (a crash loses
-  /// them — the pre-durability behavior).
+  /// dataset gets a write-ahead log (`<wal_dir>/<dataset>.wal`) that holds
+  /// its whole history, one frame per mention: RegisterOnline replays it
+  /// from seq 0 and only then publishes the dataset (so /readyz never
+  /// flips before recovery completes); Ingest appends to the WAL before
+  /// applying to memory. Empty keeps online streams purely in-memory (a
+  /// crash loses them — the pre-durability behavior).
   std::string wal_dir;
   /// Fsync policy for the per-dataset WALs (see WalFsyncPolicy: acked
   /// ingests always survive process death; the policy bounds loss under
   /// machine failure).
   WalOptions wal;
-  /// Checkpoint an online dataset after this many WAL bytes accumulate
-  /// (the checkpoint then trims the WAL). Clean shutdown and Drain()
-  /// always checkpoint regardless.
-  uint64_t checkpoint_bytes = 4ull << 20;
   /// Answer-cache behavior (serve/answer_cache.h: 32 query shapes per
   /// dataset, LRU beyond). The cache is always *populated* by exact count
   /// answers (it is also the breaker's bounds-only fallback); `enabled`
@@ -282,8 +277,7 @@ class QueryService {
   explicit QueryService(ServiceOptions options = {});
   /// Clean shutdown in a fixed, durability-preserving order: Drain() —
   /// which finishes every in-flight and queued query, then syncs each
-  /// online dataset's WAL and writes a final checkpoint — runs *before*
-  /// workers stop, so an acknowledged ingest can never be lost by
+  /// online dataset's WAL — runs *before* workers stop, so an acknowledged ingest can never be lost by
   /// destruction. Requests racing in during shutdown are shed (reason
   /// "shutdown") and the workers joined last.
   ~QueryService();
@@ -297,12 +291,14 @@ class QueryService {
   Status RegisterDataset(std::string name, DatasetBundle bundle);
 
   /// Registers an online (streaming) dataset. `stream` may already hold
-  /// mentions (only when no persisted state exists for the name —
+  /// mentions (only when the name's WAL holds no frame —
   /// FailedPrecondition otherwise, the two histories cannot be merged).
   /// With ServiceOptions::wal_dir set this performs crash recovery before
-  /// the dataset becomes visible: newest valid checkpoint restored, WAL
-  /// tail replayed (torn tail truncated; mid-file corruption surfaces as
-  /// InvalidArgument and the dataset is not registered).
+  /// the dataset becomes visible: every WAL frame is replayed from seq 0
+  /// (torn tail truncated; mid-file corruption, a seq gap or a repeated
+  /// seq surfaces as InvalidArgument and the dataset is not registered),
+  /// and a stream that already holds mentions is written to the empty WAL
+  /// as frames 0..n-1 in one write and one sync.
   Status RegisterOnline(std::string name,
                         std::unique_ptr<topk::OnlineTopK> stream);
 
@@ -328,9 +324,8 @@ class QueryService {
   QueryResponse Execute(QueryRequest request);
 
   /// Blocks until the queue is empty and no query is in flight, then
-  /// syncs every online dataset's WAL and writes a checkpoint (when
-  /// anything accumulated since the last one) — after Drain() returns,
-  /// all acknowledged state is durable.
+  /// publishes any batched epoch and syncs every online dataset's WAL —
+  /// after Drain() returns, all acknowledged state is visible and durable.
   void Drain();
 
   HealthSnapshot Health() const;
@@ -382,17 +377,14 @@ class QueryService {
   DatasetState* FindDataset(std::string_view name);
   void Calibrate(DatasetState& ds);
   void UpdateBreakerGauge(DatasetState& ds);
-  /// Crash recovery for one online dataset (wal_dir set): restore the
-  /// newest valid checkpoint, replay the WAL tail, open the live WAL.
-  /// Runs before the dataset is published; returns the typed error that
-  /// blocked recovery otherwise.
+  /// Crash recovery for one online dataset (wal_dir set): open the WAL,
+  /// replay every frame into an empty stream or write a preloaded stream
+  /// to an empty WAL, and keep the WAL open for ingest. Runs before the
+  /// dataset is published; returns the typed error that blocked recovery
+  /// otherwise.
   Status RecoverOnline(DatasetState& ds);
-  /// Serializes the stream, writes checkpoint generation ds.ckpt_seq + 1
-  /// atomically, trims the WAL, prunes old generations. Caller holds the
-  /// dataset's stream writer lock.
-  Status CheckpointLocked(DatasetState& ds);
-  /// Sync + checkpoint every online dataset that accumulated WAL bytes,
-  /// and force-publish any pending batched epoch (Drain, destructor).
+  /// Force-publishes any pending batched epoch and syncs every online
+  /// dataset's WAL (Drain, destructor).
   void FlushDurableState();
   /// Publishes a fresh epoch for the dataset, or defers it under the
   /// epoch_batch_ms policy. Caller holds the dataset's stream writer lock.

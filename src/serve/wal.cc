@@ -8,9 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <dirent.h>
 
 #include "common/crc32.h"
 #include "common/faultpoint.h"
@@ -22,7 +20,10 @@ namespace {
 
 // File header: [u64 magic][u32 version][u32 crc32 over the first 12 bytes].
 constexpr uint64_t kWalMagic = 0x31'4C'41'57'50'44'4B'54ull;  // "TKDPWAL1"
-constexpr uint32_t kWalVersion = 2;
+// Version 3: the log holds a stream's whole history from seq 0. A version 2
+// log may be the tail left after a checkpoint trim, so it is refused rather
+// than read as a history.
+constexpr uint32_t kWalVersion = 3;
 constexpr size_t kFileHeaderBytes = 16;
 
 metrics::Counter& AppendCounter() {
@@ -61,6 +62,37 @@ std::string BuildFileHeader() {
   return h;
 }
 
+// Appends one frame to `out`, its CRC over seq + epoch + payload.
+void AppendFrame(std::string* out, uint64_t seq, uint64_t epoch,
+                 std::string_view payload) {
+  const size_t start = out->size();
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutU32(out, 0);  // CRC, patched below once the covered bytes are in place.
+  PutU64(out, seq);
+  PutU64(out, epoch);
+  out->append(payload);
+  const uint32_t crc = Crc32(std::string_view(*out).substr(start + 8));
+  for (int i = 0; i < 4; ++i) {
+    (*out)[start + 4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+// True when an intact frame — its length within `end`, its CRC matching —
+// starts at some offset in [from, end). A torn final write leaves nothing
+// intact after the frame it cut, so Open asks this of a frame whose length
+// runs past EOF: a frame found here means that length field is damaged.
+bool IntactFrameIn(const uint8_t* base, uint64_t from, uint64_t end) {
+  constexpr uint64_t kHeader = WriteAheadLog::kFrameHeaderBytes;
+  for (uint64_t q = from; q + kHeader <= end; ++q) {
+    const uint64_t payload_len = GetU32(base + q);
+    if (payload_len > end - q - kHeader) continue;
+    if (Crc32(base + q + 8, 16 + payload_len) == GetU32(base + q + 4)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Status WriteFully(int fd, const char* data, size_t size) {
   size_t done = 0;
   while (done < size) {
@@ -83,7 +115,7 @@ Status SyncFd(int fd, const std::string& what) {
   return Status::OK();
 }
 
-// fsyncs the directory containing `path` so a rename/create in it is durable.
+// fsyncs the directory containing `path` so a file created in it is durable.
 Status SyncParentDir(const std::string& path) {
   std::string dir = ".";
   auto slash = path.find_last_of('/');
@@ -135,8 +167,8 @@ WriteAheadLog::WriteAheadLog(std::string path, WalOptions options, int fd,
 
 WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) {
-    // Best effort: a clean owner already called Sync()/Reset(); this only
-    // covers abandoned logs.
+    // Best effort: a clean owner already called Sync(); this only covers
+    // abandoned logs.
     ::fsync(fd_);
     ::close(fd_);
   }
@@ -233,7 +265,19 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     uint64_t seq = GetU64(base + pos + 8);
     uint64_t epoch = GetU64(base + pos + 16);
     uint64_t frame_bytes = kFrameHeaderBytes + payload_len;
-    if (frame_bytes > remaining) break;  // Frame extends past EOF: torn.
+    if (frame_bytes > remaining) {
+      // Runs past EOF: a torn final write, unless intact frames follow —
+      // then the length field is damaged, and truncating here would drop
+      // every acknowledged frame after it.
+      if (!IntactFrameIn(base, pos + kFrameHeaderBytes, contents.size())) {
+        break;
+      }
+      return fail(Status::InvalidArgument(
+          "wal " + path + ": frame at offset " + std::to_string(pos) +
+          " claims " + std::to_string(payload_len) +
+          " payload bytes, past the end of the log, yet intact frames "
+          "follow it (mid-file corruption)"));
+    }
     // CRC covers the seq + epoch fields plus the payload, so a frame whose
     // length field was itself corrupted still fails verification.
     uint32_t actual = Crc32(base + pos + 8, 16 + payload_len);
@@ -273,53 +317,51 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
       new WriteAheadLog(path, options, fd, valid_end));
 }
 
-Status WriteAheadLog::Append(uint64_t seq, std::string_view payload,
+Status WriteAheadLog::Append(uint64_t first_seq,
+                             const std::vector<std::string>& payloads,
                              uint64_t epoch) {
   if (poisoned_) {
     return Status::IOError("wal " + path_ +
                            " is poisoned after a failed rollback");
   }
   TOPKDUP_FAULT_RETURN_IF("wal.append");
-  if (payload.size() > 0xFFFFFFFFull) {
-    return Status::InvalidArgument("wal payload too large");
+  size_t bytes = 0;
+  for (const std::string& payload : payloads) {
+    if (payload.size() > 0xFFFFFFFFull) {
+      return Status::InvalidArgument("wal payload too large");
+    }
+    bytes += kFrameHeaderBytes + payload.size();
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  std::string body;
-  body.reserve(16 + payload.size());
-  PutU64(&body, seq);
-  PutU64(&body, epoch);
-  body.append(payload);
-  PutU32(&frame, Crc32(body));
-  frame.append(body);
+  std::string frames;
+  frames.reserve(bytes);
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    AppendFrame(&frames, first_seq + i, epoch, payloads[i]);
+  }
 
-  uint64_t pre = end_offset_;
-  Status s = WriteFully(fd_, frame.data(), frame.size());
+  const uint64_t pre = end_offset_;
+  Status s = WriteFully(fd_, frames.data(), frames.size());
   if (!s.ok()) {
     Status rb = RollbackTo(pre);
     return rb.ok() ? s : rb;
   }
-  end_offset_ += frame.size();
-  appended_bytes_ += frame.size();
-  ++appends_since_sync_;
+  end_offset_ += frames.size();
+  appends_since_sync_ += payloads.size();
 
-  s = MaybeSync(/*force=*/options_.fsync == WalFsyncPolicy::kAlways);
+  s = MaybeSync();
   if (!s.ok()) {
-    // The frame may not be on stable storage; withdraw it so the caller's
+    // The run may not be on stable storage; withdraw it so the caller's
     // retry cannot create a duplicate.
-    appended_bytes_ -= frame.size();
-    --appends_since_sync_;
+    appends_since_sync_ -= payloads.size();
     Status rb = RollbackTo(pre);
     return rb.ok() ? s : rb;
   }
-  AppendCounter().Add(1);
-  BytesCounter().Add(frame.size());
+  AppendCounter().Add(payloads.size());
+  BytesCounter().Add(frames.size());
   return Status::OK();
 }
 
-Status WriteAheadLog::MaybeSync(bool force) {
-  bool want = force;
+Status WriteAheadLog::MaybeSync() {
+  bool want = false;
   switch (options_.fsync) {
     case WalFsyncPolicy::kNever:
       break;
@@ -335,14 +377,7 @@ Status WriteAheadLog::MaybeSync(bool force) {
       if (NowMs() - last_sync_ms_ >= options_.interval_ms) want = true;
       break;
   }
-  if (!want) return Status::OK();
-  TOPKDUP_FAULT_RETURN_IF("wal.fsync");
-  Status s = SyncFd(fd_, path_);
-  if (!s.ok()) return s;
-  FsyncCounter().Add(1);
-  appends_since_sync_ = 0;
-  last_sync_ms_ = NowMs();
-  return Status::OK();
+  return want ? SyncNow() : Status::OK();
 }
 
 Status WriteAheadLog::Sync() {
@@ -351,33 +386,14 @@ Status WriteAheadLog::Sync() {
                            " is poisoned after a failed rollback");
   }
   if (appends_since_sync_ == 0) return Status::OK();
+  return SyncNow();
+}
+
+Status WriteAheadLog::SyncNow() {
   TOPKDUP_FAULT_RETURN_IF("wal.fsync");
   Status s = SyncFd(fd_, path_);
   if (!s.ok()) return s;
   FsyncCounter().Add(1);
-  appends_since_sync_ = 0;
-  last_sync_ms_ = NowMs();
-  return Status::OK();
-}
-
-Status WriteAheadLog::Reset() {
-  if (poisoned_) {
-    return Status::IOError("wal " + path_ +
-                           " is poisoned after a failed rollback");
-  }
-  if (::ftruncate(fd_, static_cast<off_t>(kFileHeaderBytes)) != 0) {
-    return Status::IOError("wal reset truncate failed: " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  if (::lseek(fd_, static_cast<off_t>(kFileHeaderBytes), SEEK_SET) < 0) {
-    return Status::IOError("wal reset seek failed: " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  Status s = SyncFd(fd_, path_);
-  if (!s.ok()) return s;
-  FsyncCounter().Add(1);
-  end_offset_ = kFileHeaderBytes;
-  appended_bytes_ = 0;
   appends_since_sync_ = 0;
   last_sync_ms_ = NowMs();
   return Status::OK();
@@ -391,11 +407,7 @@ Status WriteAheadLog::TruncateTo(uint64_t offset) {
   if (offset > end_offset_) {
     return Status::InvalidArgument("wal TruncateTo past end of log");
   }
-  uint64_t dropped = end_offset_ - offset;
-  Status s = RollbackTo(offset);
-  if (!s.ok()) return s;
-  appended_bytes_ -= std::min(appended_bytes_, dropped);
-  return Status::OK();
+  return RollbackTo(offset);
 }
 
 Status WriteAheadLog::RollbackTo(uint64_t offset) {
@@ -408,29 +420,6 @@ Status WriteAheadLog::RollbackTo(uint64_t offset) {
   }
   end_offset_ = offset;
   return Status::OK();
-}
-
-Status AtomicWriteFile(const std::string& path, std::string_view data) {
-  std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  Status s = WriteFully(fd, data.data(), data.size());
-  if (s.ok()) s = SyncFd(fd, tmp);
-  ::close(fd);
-  if (!s.ok()) {
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status r = Status::IOError("rename " + tmp + " -> " + path + ": " +
-                               std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return r;
-  }
-  return SyncParentDir(path);
 }
 
 Status EnsureDirectory(const std::string& dir) {
@@ -451,60 +440,6 @@ Status EnsureDirectory(const std::string& dir) {
     start = slash + 1;
   }
   return Status::OK();
-}
-
-std::string CheckpointPath(const std::string& dir, const std::string& dataset,
-                           uint64_t seq_no) {
-  char num[24];
-  std::snprintf(num, sizeof(num), "%08llu",
-                static_cast<unsigned long long>(seq_no));
-  return dir + "/" + dataset + "." + num + ".ckpt";
-}
-
-std::vector<CheckpointRef> ListCheckpoints(const std::string& dir,
-                                           const std::string& dataset) {
-  std::vector<CheckpointRef> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  const std::string prefix = dataset + ".";
-  const std::string suffix = ".ckpt";
-  while (struct dirent* ent = ::readdir(d)) {
-    std::string name = ent->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      // A checkpoint writer died mid-write; the rename never happened, so
-      // the temp file carries no state anyone acknowledged.
-      ::unlink((dir + "/" + name).c_str());
-      continue;
-    }
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    std::string mid =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (mid.empty() ||
-        mid.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    CheckpointRef ref;
-    ref.seq_no = std::strtoull(mid.c_str(), nullptr, 10);
-    ref.path = dir + "/" + name;
-    out.push_back(std::move(ref));
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointRef& a, const CheckpointRef& b) {
-              return a.seq_no > b.seq_no;
-            });
-  return out;
-}
-
-void DeleteCheckpointsBefore(const std::string& dir,
-                             const std::string& dataset, uint64_t keep_from) {
-  for (const CheckpointRef& ref : ListCheckpoints(dir, dataset)) {
-    if (ref.seq_no < keep_from) ::unlink(ref.path.c_str());
-  }
 }
 
 }  // namespace topkdup::serve

@@ -53,16 +53,17 @@ struct WalReplay {
   uint64_t max_epoch = 0;
 };
 
-/// A per-dataset write-ahead log of CRC32-framed, length-prefixed records.
+/// A per-dataset write-ahead log of CRC32-framed, length-prefixed records:
+/// an online stream's whole durable history, one frame per mention.
 ///
 /// File layout: a 16-byte checksummed file header (magic, format version,
 /// header CRC) followed by frames of
 ///
 ///   [u32 payload_len][u32 crc32][u64 seq][u64 epoch][payload_len bytes]
 ///
-/// where the CRC covers seq + epoch + payload. Append writes one frame with a
-/// single write() call and applies the fsync policy; a frame is therefore
-/// either wholly present or a recognizable torn tail.
+/// where the CRC covers seq + epoch + payload. Append writes a run of
+/// frames with a single write() call and applies the fsync policy once; a
+/// frame is therefore either wholly present or a recognizable torn tail.
 ///
 /// Open() scans an existing file frame by frame. An incomplete final frame
 /// — or a checksum-failed frame that ends exactly at EOF, which is what a
@@ -70,11 +71,13 @@ struct WalReplay {
 /// back to the last intact frame, the discarded byte count is reported
 /// (metric serve.wal.truncated_tail_bytes), and Open succeeds. A
 /// checksum-failed or malformed frame with more data after it cannot be a
-/// tear; that is mid-file corruption and Open returns InvalidArgument —
+/// tear, nor can a frame whose length runs past EOF while intact frames
+/// follow it; that is mid-file corruption and Open returns InvalidArgument —
 /// callers must surface it, never silently serve a state with a hole.
 ///
-/// Not thread-safe: the owner serializes Append/Sync/Reset (QueryService
-/// holds the dataset's stream writer lock across ingest + append).
+/// Not thread-safe: the owner serializes Append/Sync/TruncateTo
+/// (QueryService holds the dataset's stream writer lock across ingest +
+/// append).
 ///
 /// Fault sites: `wal.append` fires before any bytes are written;
 /// `wal.fsync` fires wherever a sync would be issued (policy-triggered or
@@ -90,20 +93,18 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one frame and applies the fsync policy. On any failure the
-  /// file is rolled back to its pre-append size, so a failed Append leaves
-  /// no partial frame behind (IOError if even the rollback failed — the
-  /// log is then poisoned and every later call fails fast).
-  /// `epoch` is the ingest epoch the record will publish under; it rides
-  /// in the frame header so recovery can restore the epoch counter.
-  Status Append(uint64_t seq, std::string_view payload, uint64_t epoch = 0);
+  /// Appends one frame per payload, with consecutive seqs from
+  /// `first_seq`, in one write(), and applies the fsync policy once. On
+  /// any failure the file is rolled back to its pre-append size, so a
+  /// failed Append leaves no frame of the run behind (IOError if even the
+  /// rollback failed — the log is then poisoned and every later call fails
+  /// fast). `epoch` is the ingest epoch the records will publish under; it
+  /// rides in every frame header so recovery can restore the epoch counter.
+  Status Append(uint64_t first_seq, const std::vector<std::string>& payloads,
+                uint64_t epoch = 0);
 
   /// Forces everything appended so far to stable storage.
   Status Sync();
-
-  /// Truncates the log back to just the file header — the post-checkpoint
-  /// trim. Synced before returning.
-  Status Reset();
 
   /// Rolls the log back to `offset` (a value previously read from
   /// end_offset()). The ingest path uses this to withdraw an appended
@@ -113,61 +114,31 @@ class WriteAheadLog {
 
   /// Current end-of-log offset (file header included).
   uint64_t end_offset() const { return end_offset_; }
-  /// Bytes appended (frames only) since Open or the last Reset.
-  uint64_t appended_bytes() const { return appended_bytes_; }
   const std::string& path() const { return path_; }
 
-  /// Frame overhead per record, for sizing checkpoint thresholds.
+  /// Bytes each frame adds in front of its payload.
   static constexpr size_t kFrameHeaderBytes = 24;
 
  private:
   WriteAheadLog(std::string path, WalOptions options, int fd,
                 uint64_t end_offset);
 
-  Status MaybeSync(bool force);
+  /// Syncs when the fsync policy asks for it after an append.
+  Status MaybeSync();
+  Status SyncNow();
   Status RollbackTo(uint64_t offset);
 
   std::string path_;
   WalOptions options_;
   int fd_ = -1;
   uint64_t end_offset_ = 0;
-  uint64_t appended_bytes_ = 0;
   uint64_t appends_since_sync_ = 0;
   int64_t last_sync_ms_ = 0;
   bool poisoned_ = false;
 };
 
-/// Writes `data` to `path` atomically: temp file in the same directory,
-/// write + fsync, rename over `path`, fsync the directory. A reader never
-/// observes a partial file; a crash leaves either the old file or the new
-/// one (plus maybe a stray .tmp, which writers ignore and recovery
-/// deletes).
-Status AtomicWriteFile(const std::string& path, std::string_view data);
-
 /// Creates `dir` (and parents) if missing.
 Status EnsureDirectory(const std::string& dir);
-
-/// One persisted checkpoint of an online dataset's stream state.
-struct CheckpointRef {
-  uint64_t seq_no = 0;  // Monotonic generation number.
-  std::string path;
-};
-
-/// Path of checkpoint generation `seq_no`:
-/// "<dir>/<dataset>.<seq_no as %08llu>.ckpt".
-std::string CheckpointPath(const std::string& dir, const std::string& dataset,
-                           uint64_t seq_no);
-
-/// Lists `dataset`'s checkpoints under `dir`, newest generation first.
-/// Stray "*.ckpt.tmp" leftovers from a crashed writer are deleted.
-std::vector<CheckpointRef> ListCheckpoints(const std::string& dir,
-                                           const std::string& dataset);
-
-/// Deletes checkpoint generations older than `keep_from` (exclusive of
-/// it), i.e. after checkpointing generation S call with S-1 to keep the
-/// newest two.
-void DeleteCheckpointsBefore(const std::string& dir,
-                             const std::string& dataset, uint64_t keep_from);
 
 }  // namespace topkdup::serve
 

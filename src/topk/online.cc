@@ -5,23 +5,11 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 
 namespace topkdup::topk {
 namespace {
-
-// Checkpoint image header, 56 bytes little-endian (v2 adds the epoch):
-// [u64 magic][u32 version][u32 header_size][u64 field_count]
-// [u64 mention_count][u64 epoch][u64 body_size][u32 body_crc32]
-// [u32 header_crc32]
-// where header_crc32 covers the first 52 bytes. Magic first and CRC last,
-// as in the WAL file header; the body is checksummed separately so header
-// validation never reads unverified lengths.
-constexpr uint64_t kCkptMagic = 0x31'4B'43'4F'50'44'4B'54ull;  // "TKDPOCK1"
-constexpr uint32_t kCkptVersion = 2;
-constexpr uint32_t kCkptHeaderBytes = 56;
 
 metrics::Counter& EpochsPublishedCounter() {
   static metrics::Counter* c =
@@ -155,111 +143,6 @@ StatusOr<record::Record> DecodeMention(std::string_view payload) {
                                    " trailing bytes");
   }
   return rec;
-}
-
-std::string OnlineTopK::SerializeCheckpoint() const {
-  std::string body;
-  for (size_t i = 0; i < mentions_.size(); ++i) {
-    std::string enc = EncodeMention(mentions_[i]);
-    PutU32(&body, static_cast<uint32_t>(enc.size()));
-    body.append(enc);
-  }
-  std::string out;
-  out.reserve(kCkptHeaderBytes + body.size());
-  PutU64(&out, kCkptMagic);
-  PutU32(&out, kCkptVersion);
-  PutU32(&out, kCkptHeaderBytes);
-  PutU64(&out, static_cast<uint64_t>(schema_.field_count()));
-  PutU64(&out, static_cast<uint64_t>(mentions_.size()));
-  PutU64(&out, current_epoch());
-  PutU64(&out, static_cast<uint64_t>(body.size()));
-  PutU32(&out, Crc32(body));
-  PutU32(&out, Crc32(reinterpret_cast<const uint8_t*>(out.data()), 52));
-  out.append(body);
-  return out;
-}
-
-Status OnlineTopK::RestoreFromCheckpoint(std::string_view image) {
-  if (mentions_.size() != 0) {
-    return Status::FailedPrecondition(
-        "RestoreFromCheckpoint requires an empty stream (have " +
-        std::to_string(mentions_.size()) + " mentions)");
-  }
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(image.data());
-  if (image.size() < kCkptHeaderBytes) {
-    return Status::InvalidArgument("checkpoint image too short for header");
-  }
-  if (GetU64(p) != kCkptMagic) {
-    return Status::InvalidArgument("checkpoint image has bad magic");
-  }
-  uint32_t version = GetU32(p + 8);
-  if (version != kCkptVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  if (GetU32(p + 12) != kCkptHeaderBytes) {
-    return Status::InvalidArgument("checkpoint header size mismatch");
-  }
-  if (GetU32(p + 52) != Crc32(p, 52)) {
-    return Status::InvalidArgument("checkpoint header CRC mismatch");
-  }
-  uint64_t field_count = GetU64(p + 16);
-  uint64_t mention_count = GetU64(p + 24);
-  uint64_t epoch = GetU64(p + 32);
-  uint64_t body_size = GetU64(p + 40);
-  uint32_t body_crc = GetU32(p + 48);
-  if (field_count != schema_.field_count()) {
-    return Status::InvalidArgument(
-        "checkpoint field count " + std::to_string(field_count) +
-        " does not match stream schema (" +
-        std::to_string(schema_.field_count()) + ")");
-  }
-  if (image.size() - kCkptHeaderBytes != body_size) {
-    return Status::InvalidArgument(
-        "checkpoint body size mismatch: header says " +
-        std::to_string(body_size) + ", image has " +
-        std::to_string(image.size() - kCkptHeaderBytes));
-  }
-  std::string_view body = image.substr(kCkptHeaderBytes);
-  if (Crc32(body) != body_crc) {
-    return Status::InvalidArgument("checkpoint body CRC mismatch");
-  }
-
-  // Decode every mention before touching stream state, so a structurally
-  // broken body cannot leave a half-restored stream behind.
-  std::vector<record::Record> decoded;
-  decoded.reserve(mention_count);
-  size_t pos = 0;
-  const uint8_t* b = reinterpret_cast<const uint8_t*>(body.data());
-  while (pos < body.size()) {
-    if (body.size() - pos < 4) {
-      return Status::InvalidArgument("checkpoint body truncated record length");
-    }
-    uint32_t len = GetU32(b + pos);
-    pos += 4;
-    if (body.size() - pos < len) {
-      return Status::InvalidArgument("checkpoint body truncated record");
-    }
-    auto rec_or = DecodeMention(body.substr(pos, len));
-    TOPKDUP_RETURN_IF_ERROR(rec_or.status());
-    if (rec_or.value().fields.size() != schema_.field_count()) {
-      return Status::InvalidArgument("checkpoint record field count mismatch");
-    }
-    decoded.push_back(std::move(rec_or).value());
-    pos += len;
-  }
-  if (decoded.size() != mention_count) {
-    return Status::InvalidArgument(
-        "checkpoint holds " + std::to_string(decoded.size()) +
-        " records, header says " + std::to_string(mention_count));
-  }
-  for (record::Record& rec : decoded) {
-    TOPKDUP_RETURN_IF_ERROR(AddMention(std::move(rec)));
-  }
-  // Re-establish the epoch counter the image was serialized under, so
-  // post-recovery publications keep the id sequence monotone.
-  RestoreEpochCounter(epoch);
-  return Status::OK();
 }
 
 OnlineTopK::Snapshot OnlineTopK::TakeSnapshot() {

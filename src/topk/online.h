@@ -123,8 +123,8 @@ class OnlineTopK {
   }
 
   /// Fast-forwards the epoch counter to max(current, epoch) without
-  /// publishing. Recovery uses this to re-establish the counter from WAL
-  /// frames / checkpoint images so post-restart epochs stay monotone.
+  /// publishing. Recovery uses this to re-establish the counter from the
+  /// WAL frames' epoch stamps so post-restart epochs stay monotone.
   void RestoreEpochCounter(uint64_t epoch);
 
   /// Answers the TopK count query over a snapshot. Member ids in the
@@ -138,19 +138,6 @@ class OnlineTopK {
   /// TakeSnapshot + QuerySnapshot in one call (single-threaded use).
   StatusOr<TopKCountResult> Query(const TopKCountOptions& options,
                                   const QueryContext& context = {});
-
-  /// Serializes the full ingested stream into a self-validating checkpoint
-  /// image: a versioned, CRC-checked header plus every mention in
-  /// ingestion order. Replaying
-  /// the image rebuilds bit-identical query state, because the collapse is
-  /// a pure function of the mention sequence.
-  std::string SerializeCheckpoint() const;
-
-  /// Replaces this stream's state with the checkpoint image. The stream
-  /// must be empty (FailedPrecondition otherwise — a checkpoint is a
-  /// starting point, not a merge). Any header/CRC/structure mismatch is
-  /// InvalidArgument and leaves the stream untouched.
-  Status RestoreFromCheckpoint(std::string_view image);
 
  private:
   record::Schema schema_;
@@ -170,9 +157,9 @@ class OnlineTopK {
   std::shared_ptr<const EpochSnapshot> published_;
 };
 
-/// Wire encoding of one mention, shared by WAL frames and checkpoint
-/// bodies: [f64 weight][i64 entity_id][u32 nfields][(u32 len, bytes)...],
-/// all little-endian.
+/// Wire encoding of one mention, the payload of a WAL frame:
+/// [f64 weight][i64 entity_id][u32 nfields][(u32 len, bytes)...], all
+/// little-endian.
 std::string EncodeMention(const record::Record& mention);
 
 /// Inverse of EncodeMention. Truncated or internally inconsistent payloads

@@ -168,16 +168,17 @@ TEST(WalFaultTest, AppendSiteYieldsStatusAndCleanRerunSucceeds) {
                                  nullptr);
   ASSERT_TRUE(wal_or.ok());
   serve::WriteAheadLog* wal = wal_or.value().get();
+  const uint64_t pre = wal->end_offset();
 
   fault::ArmForTest("wal.append", 1.0, 21);
-  Status status = wal->Append(0, "payload");
+  Status status = wal->Append(0, {"payload"});
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("wal.append"), std::string::npos);
   // The failed append left nothing behind: same offset, and the clean
   // rerun lands the frame.
-  EXPECT_EQ(wal->appended_bytes(), 0u);
+  EXPECT_EQ(wal->end_offset(), pre);
   fault::DisarmAllForTest();
-  EXPECT_TRUE(wal->Append(0, "payload").ok());
+  EXPECT_TRUE(wal->Append(0, {"payload"}).ok());
 }
 
 TEST(WalFaultTest, FsyncSiteWithdrawsTheFrameUnderAlwaysPolicy) {
@@ -195,16 +196,17 @@ TEST(WalFaultTest, FsyncSiteWithdrawsTheFrameUnderAlwaysPolicy) {
       serve::WriteAheadLog::Open(dir + "/log.wal", options, nullptr);
   ASSERT_TRUE(wal_or.ok());
   serve::WriteAheadLog* wal = wal_or.value().get();
+  const uint64_t pre = wal->end_offset();
 
   fault::ArmForTest("wal.fsync", 1.0, 22);
-  Status status = wal->Append(0, "payload");
+  Status status = wal->Append(0, {"payload"});
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("wal.fsync"), std::string::npos);
   // An append whose durability barrier failed must not survive: the frame
   // was written but withdrawn, so nothing unacknowledged is left durable.
-  EXPECT_EQ(wal->appended_bytes(), 0u);
+  EXPECT_EQ(wal->end_offset(), pre);
   fault::DisarmAllForTest();
-  EXPECT_TRUE(wal->Append(0, "payload").ok());
+  EXPECT_TRUE(wal->Append(0, {"payload"}).ok());
 }
 
 TEST(WalFaultTest, IngestFaultsFeedAndTripTheBreaker) {

@@ -171,23 +171,6 @@ TEST_F(OnlineTopKTest, EpochPublishPinAndRestore) {
   EXPECT_EQ(stream.PublishEpoch(), 10u);
 }
 
-TEST_F(OnlineTopKTest, CheckpointRoundTripsEpochCounter) {
-  topk::OnlineTopK stream = MakeStream();
-  stream.AddMention(Mention("maria gonzalez"));
-  stream.AddMention(Mention("wei zhang"));
-  stream.PublishEpoch();
-  stream.PublishEpoch();
-  stream.PublishEpoch();
-  ASSERT_EQ(stream.current_epoch(), 3u);
-  const std::string image = stream.SerializeCheckpoint();
-
-  topk::OnlineTopK restored = MakeStream();
-  ASSERT_TRUE(restored.RestoreFromCheckpoint(image).ok());
-  EXPECT_EQ(restored.mention_count(), 2u);
-  EXPECT_EQ(restored.current_epoch(), 3u);
-  EXPECT_EQ(restored.PublishEpoch(), 4u);
-}
-
 TEST_F(OnlineTopKTest, GroupCountStaysBelowMentions) {
   topk::OnlineTopK stream = MakeStream();
   for (int i = 0; i < 60; ++i) {

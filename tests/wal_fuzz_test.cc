@@ -1,17 +1,18 @@
-// Seeded mutation fuzzer for the durability images: WAL files and
-// checkpoint images. The invariant is the one wal.h and online.h promise —
-// every byte image, however mangled, comes back as either a typed Status
-// (InvalidArgument for corruption) or a *sound* torn-tail recovery whose
-// replayed frames are an exact prefix of the originals. Never UB, never an
-// abort, never a half-restored stream (the CI asan-ubsan job runs this
+// Seeded mutation fuzzer for the WAL file, the one durability image, and
+// for the mention payloads its frames carry. The invariant is the one
+// wal.h and online.h promise — every byte image, however mangled, comes
+// back as either a typed Status (InvalidArgument for corruption) or a
+// *sound* torn-tail recovery whose replayed frames are byte-identical to
+// original ones. Never UB, never an abort (the CI asan-ubsan job runs this
 // whole file under ASan+UBSan). Seeds and mutations are pure functions of
 // the iteration index, so any failure reproduces exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
-#include <memory>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "common/check.h"
 #include "common/file.h"
 #include "common/status.h"
-#include "predicates/generic.h"
 #include "record/record.h"
 #include "serve/wal.h"
 #include "topk/online.h"
@@ -42,26 +42,6 @@ std::string FuzzDir() {
     return d;
   }();
   return dir;
-}
-
-std::unique_ptr<topk::OnlineTopK> MakeKeyStream() {
-  topk::OnlineTopK::Config config;
-  config.sufficient_signature = [](const record::Record& r) {
-    return std::vector<std::string>{r.field(0)};
-  };
-  config.sufficient_match = [](const record::Record& a,
-                               const record::Record& b) {
-    return a.field(0) == b.field(0);
-  };
-  config.necessary_factory = [](const predicates::Corpus& corpus) {
-    return std::make_unique<predicates::CommonWordsPredicate>(
-        &corpus, std::vector<int>{0}, 1);
-  };
-  config.scorer_factory = [](const record::Dataset&) {
-    return [](size_t, size_t) { return -1.0; };
-  };
-  return std::make_unique<topk::OnlineTopK>(
-      record::Schema({"key", "note"}), std::move(config));
 }
 
 record::Record FuzzMention(uint64_t i) {
@@ -87,7 +67,7 @@ SeedWal MakeSeedWal(size_t frames) {
   TOPKDUP_CHECK(wal.ok());
   for (size_t i = 0; i < frames; ++i) {
     out.payloads.push_back(topk::EncodeMention(FuzzMention(i)));
-    TOPKDUP_CHECK(wal.value()->Append(i, out.payloads.back()).ok());
+    TOPKDUP_CHECK(wal.value()->Append(i, {out.payloads.back()}).ok());
   }
   auto image = ReadFileToString(path);
   TOPKDUP_CHECK(image.ok());
@@ -146,8 +126,9 @@ std::string Mutate(const std::string& base, uint64_t seed) {
 }
 
 void WriteImage(const std::string& path, std::string_view image) {
-  std::remove(path.c_str());
-  TOPKDUP_CHECK(AtomicWriteFile(path, image).ok());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  TOPKDUP_CHECK(out.good());
 }
 
 TEST(WalFuzzTest, MutatedLogsRecoverSoundlyOrRejectTyped) {
@@ -212,79 +193,6 @@ TEST(WalFuzzTest, MutatedMentionPayloadsNeverCrashTheDecoder) {
     }
     // ok() is fine too: the mention codec is not checksummed (the WAL
     // frame CRC above it is); it only promises structural soundness.
-  }
-}
-
-/// One checkpoint image shared across the checkpoint fuzz iterations.
-std::string MakeSeedCheckpoint(size_t mentions) {
-  auto stream = MakeKeyStream();
-  for (size_t i = 0; i < mentions; ++i) {
-    TOPKDUP_CHECK(stream->AddMention(FuzzMention(i)).ok());
-  }
-  return stream->SerializeCheckpoint();
-}
-
-TEST(CheckpointFuzzTest, MutatedImagesRestoreFullyOrNotAtAll) {
-  const std::string seed = MakeSeedCheckpoint(30);
-  constexpr int kIterations = 3000;
-  int accepted = 0;
-  for (int iter = 0; iter < kIterations; ++iter) {
-    const std::string mutated = Mutate(seed, 0xc4e0ULL + iter);
-    auto stream = MakeKeyStream();
-    Status status = stream->RestoreFromCheckpoint(mutated);
-    if (status.ok()) {
-      ++accepted;
-      // Header + body CRCs make accepting a damaged image astronomically
-      // unlikely; an accepted image must restore the full mention count.
-      EXPECT_EQ(stream->mention_count(), 30u) << "iter " << iter;
-    } else {
-      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
-          << "iter " << iter << ": " << status.ToString();
-      // All-or-nothing: a rejected image leaves the stream untouched.
-      EXPECT_EQ(stream->mention_count(), 0u) << "iter " << iter;
-      EXPECT_EQ(stream->group_count(), 0u) << "iter " << iter;
-    }
-  }
-  (void)accepted;
-}
-
-TEST(CheckpointFuzzTest, EveryTruncationLengthIsRejected) {
-  const std::string seed = MakeSeedCheckpoint(12);
-  auto stream = MakeKeyStream();
-  for (size_t len = 0; len < seed.size(); ++len) {
-    EXPECT_EQ(stream
-                  ->RestoreFromCheckpoint(
-                      std::string_view(seed).substr(0, len))
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << "truncation to " << len << " bytes parsed";
-    EXPECT_EQ(stream->mention_count(), 0u);
-  }
-}
-
-TEST(CheckpointFuzzTest, EveryHeaderBitFlipIsRejected) {
-  const std::string seed = MakeSeedCheckpoint(12);
-  // The 48-byte checkpoint header is fully checksummed.
-  for (size_t bit = 0; bit < 48 * 8; ++bit) {
-    std::string flipped = seed;
-    flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    auto stream = MakeKeyStream();
-    EXPECT_EQ(stream->RestoreFromCheckpoint(flipped).code(),
-              StatusCode::kInvalidArgument)
-        << "header bit " << bit << " flip parsed";
-    EXPECT_EQ(stream->mention_count(), 0u);
-  }
-}
-
-TEST(CheckpointFuzzTest, GarbageAndEmptyInputsAreRejected) {
-  auto stream = MakeKeyStream();
-  for (const std::string& input :
-       {std::string(), std::string("short"), std::string(48, '\0'),
-        std::string(4096, '\xff'),
-        std::string("TKDPOCK1") + std::string(200, 'x')}) {
-    EXPECT_EQ(stream->RestoreFromCheckpoint(input).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(stream->mention_count(), 0u);
   }
 }
 

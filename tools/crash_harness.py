@@ -20,8 +20,9 @@ asserts the recovery contract:
 On top of the kill -9 rounds the harness runs three edge rounds:
 
   * clean round: SIGTERM instead of SIGKILL — the run must print
-    `clean_shutdown=1`, and the next start must recover checkpoint-only
-    (empty WAL tail).
+    `clean_shutdown=1` and leave the WAL as the only record (no `*.ckpt`
+    file), and the next start must replay every acknowledged mention and
+    verify (`verify.match=1`).
   * torn-tail round: append garbage bytes to the WAL after a kill; the
     restart must truncate the tail (`wal.truncated_tail_bytes > 0`) and
     still verify.
@@ -50,7 +51,6 @@ import time
 
 INGEST = 500000  # Far more than any round completes; the kill decides.
 KEYS = 20
-CHECKPOINT_BYTES = 65536
 
 
 def parse_marker(text, key):
@@ -81,7 +81,6 @@ class Round:
             "--ingest-keys=%d" % KEYS,
             "--wal-dir=%s" % self.wal_dir,
             "--ack-log=%s" % self.ack_log,
-            "--checkpoint-bytes=%d" % CHECKPOINT_BYTES,
             "--wal-fsync=%s" % self.args.fsync,
             # Publishing an epoch snapshots the whole stream (O(mentions));
             # per-ingest publication would make a 500k-mention round
@@ -192,8 +191,8 @@ def kill9_round(args, rng, base, index):
             % (index, counter, recovered, vout)
         )
     # Recovery must re-establish the epoch counter: a recovered non-empty
-    # stream republishes at an epoch strictly above zero (WAL frames and
-    # checkpoints both persist epoch ids).
+    # stream republishes at an epoch strictly above zero (every WAL frame
+    # carries the epoch id its mention published under).
     epoch = parse_marker(vout, "online.epoch")
     if recovered > 0 and not epoch:
         raise AssertionError(
@@ -217,23 +216,23 @@ def clean_round(args, rng, base):
             % (rc, out)
         )
     acked = r.last_acked()
-    # A clean shutdown checkpointed everything: the WAL must hold only its
-    # 16-byte file header.
-    size = os.path.getsize(wal_path(wal_dir))
-    if size != 16:
+    # The WAL is the stream's only durable record: a clean shutdown syncs
+    # it and writes no other file.
+    stray = sorted(p.name for p in pathlib.Path(wal_dir).glob("*.ckpt"))
+    if stray:
         raise AssertionError(
-            "clean round: WAL not trimmed after clean shutdown (%d bytes)"
-            % size
+            "clean round: checkpoint files after clean shutdown: %s" % stray
         )
     vout, vrc = r.run_verify()
     recovered = parse_marker(vout, "verify.recovered")
-    if vrc != 0 or recovered is None or recovered < acked:
+    match = parse_marker(vout, "verify.match")
+    if vrc != 0 or recovered is None or match != 1 or recovered < acked:
         raise AssertionError(
             "clean round: restart after clean shutdown failed "
             "(exit %d, acked %d)\n%s" % (vrc, acked, vout)
         )
     print(
-        "round clean: clean_shutdown=1, wal trimmed, acked=%d recovered=%d OK"
+        "round clean: clean_shutdown=1, wal only, acked=%d recovered=%d OK"
         % (acked, recovered)
     )
 

@@ -256,7 +256,7 @@ def recovery_round(args, base):
     shutil.rmtree(wal_dir, ignore_errors=True)
     os.makedirs(wal_dir)
     wal = ["--wal-dir=%s" % wal_dir, "--wal-fsync=always"]
-    # Crash mid-session: `halt` is _Exit(7) — no drain, no checkpoint.
+    # Crash mid-session: `halt` is _Exit(7) — no drain, no final sync.
     out = run(
         base_cmd(args, wal + ["--epoch-schedule=i12,q,halt"]), expect_rc=7
     )
