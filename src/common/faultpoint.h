@@ -13,25 +13,20 @@ namespace topkdup::fault {
 /// Named, deterministically-seeded fault-injection sites.
 ///
 /// Production code plants sites with TOPKDUP_FAULT_RETURN_IF only where a
-/// real failure can happen: reading a CSV file (`csv.read`) and the
-/// durability layer (`wal.append` fires before a WAL frame is written,
-/// `wal.fsync` wherever a sync would be issued), so chaos runs exercise
-/// the ingest rollback and breaker paths. The query pipeline is a
-/// deterministic function of its input and has no sites. A fired site
-/// returns an Internal Status naming the site, so tests and CI can prove
-/// the error path propagates instead of crashing or hanging.
+/// real failure can happen: the durability layer (`wal.append` fires
+/// before a WAL frame is written, `wal.fsync` wherever a sync would be
+/// issued), so tests and `load_serve --wal-fault-prob` exercise the ingest
+/// rollback and breaker paths. The query pipeline is a deterministic
+/// function of its input and has no sites. A fired site returns an
+/// Internal Status naming the site, so tests can prove the error path
+/// propagates instead of crashing or hanging.
 ///
-/// Disabled (the default) the whole machinery compiles down to one relaxed
-/// atomic load per site visit. Enable with the environment variable
-///
-///   TOPKDUP_FAULTS=site:prob:seed[,site:prob:seed...]
-///
-/// e.g. TOPKDUP_FAULTS=csv.read:1.0:7 or
-/// TOPKDUP_FAULTS=csv.read:0.01:42,wal.fsync:0.5:9. Draws are pure
-/// functions of (seed, site, per-site visit counter) via splitmix64, so a
-/// given configuration fires at exactly the same visits on every run.
+/// Sites are armed only through ArmForTest; unarmed, the machinery costs
+/// one relaxed atomic load per site visit. Draws are pure functions of
+/// (seed, site, per-site visit counter) via splitmix64, so a given arming
+/// fires at exactly the same visits on every run.
 
-/// Fast-path gate: true when any site is armed (env or ArmForTest).
+/// Fast-path gate: true when any site is armed.
 bool Enabled();
 
 /// True when the named site should fire at this visit. Advances the site's
@@ -41,12 +36,10 @@ bool Fires(std::string_view site);
 /// How many times the site has fired so far (test assertion hook).
 uint64_t FireCount(std::string_view site);
 
-/// Arms a site programmatically (tests). probability in [0,1].
+/// Arms a site (tests, load_serve). probability in [0,1].
 void ArmForTest(std::string_view site, double probability, uint64_t seed);
 
-/// Disarms every site and resets counters; Enabled() becomes false unless
-/// the environment variable armed sites (env arming is permanent for the
-/// process, matching its use in CI smoke runs).
+/// Disarms every site and resets counters; Enabled() becomes false.
 void DisarmAllForTest();
 
 /// Names of the sites armed right now (diagnostics).

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -14,7 +15,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/resource_meter.h"
-#include "common/timer.h"
 #include "common/trace.h"
 
 namespace topkdup {
@@ -66,13 +66,15 @@ std::atomic<int> g_override{0};  // <= 0: use HardwareDefault().
 thread_local int t_scoped_override = 0;
 
 // True while this thread executes inside a parallel region; nested
-// regions then run serially inline (also keeps the pool's region mutex
-// from self-deadlocking).
+// regions then run serially inline, because the enclosing region already
+// spends the thread budget.
 thread_local bool t_in_parallel_region = false;
 
-/// Lazily grown shared worker pool. One parallel region runs at a time
-/// (region_mutex_); workers park on a condition variable between regions
-/// and claim shards from an atomic counter within one.
+/// Lazily grown shared worker pool. A parallel region lives on the stack of
+/// the thread that launches it, so regions launched from different threads
+/// run side by side: each queues itself for helpers, claims shards from its
+/// own atomic cursor, then withdraws and waits only for the helpers that
+/// joined it. Idle workers park on a condition variable.
 class Pool {
  public:
   static Pool& Instance() {
@@ -84,95 +86,74 @@ class Pool {
 
   void Run(size_t num_shards, int threads,
            const std::function<void(size_t)>& fn) {
-    std::unique_lock<std::mutex> region(region_mutex_);
     const int helpers =
         std::min(threads - 1, static_cast<int>(num_shards) - 1);
-    EnsureWorkers(helpers);
-
+    Region region(fn, num_shards, helpers);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      job_ = &fn;
-      num_shards_ = num_shards;
-      next_shard_.store(0, std::memory_order_relaxed);
-      helper_cap_.store(helpers, std::memory_order_relaxed);
-      finished_ = 0;
-      expected_finishers_ = static_cast<int>(workers_.size());
-      ++epoch_;
+      while (static_cast<int>(workers_.size()) < helpers) {
+        workers_.emplace_back([this] { WorkerLoop(); });
+      }
+      queue_.push_back(&region);
     }
-    work_cv_.notify_all();
+    for (int i = 0; i < helpers; ++i) work_cv_.notify_one();
 
-    // The caller is always a participant.
-    t_in_parallel_region = true;
-    for (size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-         s < num_shards;
-         s = next_shard_.fetch_add(1, std::memory_order_relaxed)) {
-      fn(s);
-    }
-    t_in_parallel_region = false;
+    // The launching thread is always a participant.
+    region.ClaimShards();
 
+    // Once withdrawn, no helper can join, so the region outlives every
+    // helper that holds it.
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return finished_ == expected_finishers_; });
-    job_ = nullptr;
+    if (region.wanted > 0) {
+      queue_.erase(std::find(queue_.begin(), queue_.end(), &region));
+    }
+    region.done_cv.wait(lock, [&] { return region.inside == 0; });
   }
 
  private:
+  struct Region {
+    Region(const std::function<void(size_t)>& f, size_t n, int helpers)
+        : fn(f), num_shards(n), wanted(helpers) {}
+
+    void ClaimShards() {
+      t_in_parallel_region = true;
+      for (size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
+           s < num_shards;
+           s = next_shard.fetch_add(1, std::memory_order_relaxed)) {
+        fn(s);
+      }
+      t_in_parallel_region = false;
+    }
+
+    const std::function<void(size_t)>& fn;
+    const size_t num_shards;
+    int wanted;      // Helpers still wanted; guarded by Pool::mu_.
+    int inside = 0;  // Helpers that joined and have not left; ditto.
+    std::atomic<size_t> next_shard{0};
+    std::condition_variable done_cv;  // Signalled when `inside` hits 0.
+  };
+
   Pool() = default;
 
-  void EnsureWorkers(int count) {
-    // Only called with region_mutex_ held and no region in flight. The
-    // baseline epoch is captured *here*, not inside the worker: the new
-    // thread may not get scheduled until after the caller publishes the
-    // next job, and reading epoch_ then would make it skip that job —
-    // and Run would wait forever for its check-in.
+  void WorkerLoop() {
     std::unique_lock<std::mutex> lock(mu_);
-    const uint64_t baseline = epoch_;
-    while (static_cast<int>(workers_.size()) < count) {
-      workers_.emplace_back([this, baseline] { WorkerLoop(baseline); });
-    }
-  }
-
-  void WorkerLoop(uint64_t seen_epoch) {
     for (;;) {
-      const std::function<void(size_t)>* job;
-      size_t num_shards;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return epoch_ != seen_epoch; });
-        seen_epoch = epoch_;
-        job = job_;
-        num_shards = num_shards_;
-      }
-      // Respect the region's thread budget: only the first `helper_cap_`
-      // workers to arrive join in; the rest just check out.
-      if (helper_cap_.fetch_sub(1, std::memory_order_acq_rel) > 0) {
-        t_in_parallel_region = true;
-        for (size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-             s < num_shards;
-             s = next_shard_.fetch_add(1, std::memory_order_relaxed)) {
-          (*job)(s);
-        }
-        t_in_parallel_region = false;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++finished_;
-      }
-      done_cv_.notify_one();
+      work_cv_.wait(lock, [&] { return !queue_.empty(); });
+      Region* region = queue_.front();
+      if (--region->wanted == 0) queue_.pop_front();
+      ++region->inside;
+      lock.unlock();
+      region->ClaimShards();
+      lock.lock();
+      // Notified under the lock: the launching thread frees the region as
+      // soon as it can reacquire mu_.
+      if (--region->inside == 0) region->done_cv.notify_one();
     }
   }
 
-  std::mutex region_mutex_;  // Serializes whole parallel regions.
-
-  std::mutex mu_;  // Guards the per-region job state below.
+  std::mutex mu_;  // Guards queue_, workers_ and each region's counts.
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  const std::function<void(size_t)>* job_ = nullptr;
-  size_t num_shards_ = 0;
-  int finished_ = 0;
-  int expected_finishers_ = 0;
-  std::atomic<size_t> next_shard_{0};
-  std::atomic<int> helper_cap_{0};
+  std::deque<Region*> queue_;  // Regions still wanting helpers, oldest first.
   std::vector<std::thread> workers_;
 };
 
@@ -221,27 +202,12 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // Pool utilization metrics: per-region latency, per-shard task latency,
-  // and a queue-depth gauge tracking shards not yet claimed. Handles are
-  // resolved once; the per-shard cost is one clock read plus striped
-  // relaxed adds.
   static metrics::Counter* regions =
       metrics::Registry::Global().GetCounter("parallel.regions");
   static metrics::Counter* shards =
       metrics::Registry::Global().GetCounter("parallel.shards");
-  static metrics::Gauge* threads_gauge =
-      metrics::Registry::Global().GetGauge("parallel.threads");
-  static metrics::Gauge* queue_depth =
-      metrics::Registry::Global().GetGauge("parallel.queue_depth");
-  static metrics::Histogram* region_seconds =
-      metrics::Registry::Global().GetHistogram(
-          "parallel.region_seconds", metrics::LatencySecondsBounds());
-  static metrics::Histogram* shard_seconds =
-      metrics::Registry::Global().GetHistogram(
-          "parallel.shard_seconds", metrics::LatencySecondsBounds());
   regions->Increment();
   shards->Add(num_shards);
-  threads_gauge->Set(threads);
 
   trace::Span span("parallel.region");
   span.AddArg("shards", static_cast<int64_t>(num_shards));
@@ -254,26 +220,17 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& fn) {
   // whatever query last ran on it.
   const resource::internal::Attribution sink =
       resource::internal::CurrentAttribution();
-  const auto instrumented = [&](size_t s) {
+  Pool::Instance().Run(num_shards, threads, [&](size_t s) {
     resource::ScopedMeterAttach meter_attach(sink.meter, sink.stage);
     metrics::CounterBlock::Delegate counter_block(sink.counters);
-    // `s` is claimed in increasing order, so num_shards - s approximates
-    // the shards still queued when this task starts.
-    queue_depth->Set(static_cast<double>(num_shards - 1 - s));
     // Per-shard span on the *executing* thread — the caller-side
     // "parallel.region" span above cannot show which worker lane ran
     // which shard, so without this the pool's threads have no spans at
     // all and a trace shows fan-out as a single opaque block.
     trace::Span shard_span("parallel.shard");
     shard_span.AddArg("shard", static_cast<int64_t>(s));
-    Timer timer;
     fn(s);
-    shard_seconds->Observe(timer.ElapsedSeconds());
-  };
-  metrics::ScopedTimer region_timer(region_seconds);
-  Pool::Instance().Run(num_shards, threads, instrumented);
-  region_timer.Stop();
-  queue_depth->Set(0.0);
+  });
 }
 
 }  // namespace internal

@@ -82,7 +82,8 @@ bool ParseThreadsEnvValue(const char* value, int* threads);
 /// are claimed from an atomic counter (self-scheduling, no stealing);
 /// which thread runs which shard is unspecified, so `fn` must only touch
 /// shard-owned state. Nested calls from inside a parallel region run
-/// serially inline. Thread-safe.
+/// serially inline. Thread-safe: regions launched from different threads
+/// run at the same time on the shared workers.
 void RunShards(size_t num_shards, const std::function<void(size_t)>& fn);
 
 }  // namespace internal

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/faultpoint.h"
 #include "common/file.h"
 #include "common/strings.h"
 
@@ -190,7 +189,6 @@ StatusOr<std::vector<CsvRow>> ParseCsvContent(const std::string& content,
 StatusOr<Dataset> ReadCsvFromString(const std::string& content,
                                     const std::string& name,
                                     const CsvLimits& limits) {
-  TOPKDUP_FAULT_RETURN_IF("csv.read");
   TOPKDUP_ASSIGN_OR_RETURN(std::vector<CsvRow> rows,
                            ParseCsvContent(content, name, limits));
   if (rows.empty()) {

@@ -148,9 +148,8 @@ struct DatasetBundle {
 struct ServiceOptions {
   /// Query worker threads — the concurrency limiter. Each worker runs one
   /// query at a time; queries fan out internally on the shared pool
-  /// (common/parallel.h), which serializes parallel regions, so workers
-  /// beyond the pool's thread count only add queueing, not speed.
-  /// <= 0 sizes against the pool: max(1, ParallelismLevel() / 2).
+  /// (common/parallel.h), where regions from different workers run side
+  /// by side. <= 0 sizes against the pool: max(1, ParallelismLevel() / 2).
   int workers = 2;
   /// Bounded admission queue. Arrivals beyond capacity evict the oldest
   /// waiting request (LIFO service order — see Submit).

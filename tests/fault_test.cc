@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "predicates/corpus.h"
 #include "predicates/generic.h"
-#include "record/csv.h"
 #include "serve/service.h"
 #include "serve/wal.h"
 #include "topk/online.h"
@@ -269,18 +268,6 @@ TEST(WalFaultTest, IngestFaultsFeedAndTripTheBreaker) {
   // back off); once the faults clear the stream keeps accepting.
   EXPECT_TRUE(service.Ingest("stream", mention).ok());
   EXPECT_EQ(service.Health().datasets[0].records, 2u);
-}
-
-TEST(CsvFaultTest, CsvReadSiteYieldsStatus) {
-  ScopedDisarm disarm;
-  fault::ArmForTest("csv.read", 1.0, 3);
-  auto data_or = record::ReadCsvFromString("name\na\n", "fault.csv");
-  EXPECT_FALSE(data_or.ok());
-  EXPECT_NE(data_or.status().message().find("csv.read"), std::string::npos);
-  fault::DisarmAllForTest();
-  auto clean_or = record::ReadCsvFromString("name\na\n", "fault.csv");
-  EXPECT_TRUE(clean_or.ok());
-  EXPECT_EQ(clean_or.value().size(), 1u);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <latch>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -91,6 +94,83 @@ TEST(ParallelismLevelTest, ScopesAreThreadLocal) {
   EXPECT_EQ(b_after, 3);
   EXPECT_EQ(ParallelismLevel(), 3);
   SetParallelism(0);
+}
+
+// Bound on every wait in the two tests below, so a pool that runs regions
+// one at a time fails them instead of hanging.
+constexpr auto kWaitBound = std::chrono::seconds(5);
+
+// Each region's shards wait until both regions have a shard running, which
+// only happens if regions launched from different threads overlap.
+TEST(ParallelForTest, RegionsFromTwoThreadsRunAtOnce) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool running[2] = {false, false};
+  int timeouts = 0;
+  const auto launch = [&](int region) {
+    ScopedParallelism scoped(2);
+    ParallelFor(0, 2, 1, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      running[region] = true;
+      cv.notify_all();
+      if (!cv.wait_for(lock, kWaitBound,
+                       [&] { return running[0] && running[1]; })) {
+        ++timeouts;
+      }
+    });
+  };
+  std::thread a(launch, 0);
+  std::thread b(launch, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(timeouts, 0);
+}
+
+// Thread A's region blocks in all four shards, holding three pool workers
+// (every worker, when this runs before any wider region in this binary).
+// Thread B's region must still finish: its launching thread can claim
+// every shard alone.
+TEST(ParallelForTest, RegionFinishesWhileAnotherHoldsEveryWorker) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int a_running = 0;
+  bool a_released = false;
+  bool b_finished = false;
+  std::thread a([&] {
+    ScopedParallelism scoped(4);
+    ParallelFor(0, 4, 1, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++a_running;
+      cv.notify_all();
+      cv.wait_for(lock, 6 * kWaitBound, [&] { return a_released; });
+    });
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  const bool a_holds_all =
+      cv.wait_for(lock, kWaitBound, [&] { return a_running == 4; });
+  lock.unlock();
+
+  std::atomic<int> b_shards{0};
+  std::thread b([&] {
+    ScopedParallelism scoped(2);
+    ParallelFor(0, 8, 1, [&](size_t) {
+      b_shards.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::lock_guard<std::mutex> guard(mu);
+    b_finished = true;
+    cv.notify_all();
+  });
+  lock.lock();
+  const bool b_in_time =
+      cv.wait_for(lock, kWaitBound, [&] { return b_finished; });
+  a_released = true;
+  lock.unlock();
+  cv.notify_all();
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_holds_all);
+  EXPECT_TRUE(b_in_time);
+  EXPECT_EQ(b_shards.load(), 8);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexOnce) {
