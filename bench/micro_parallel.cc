@@ -1,5 +1,7 @@
 // Micro benchmark: collapse and prune throughput of the parallel
 // execution layer at 1/2/4/8 threads on a fig6-style citation workload.
+// The prune reads an N1 index built once, as in the pipeline, where the
+// lower bound builds it and the prune reuses it.
 //
 // The dataset size defaults to the fig6 45k-record corpus; override with
 // TOPKDUP_BENCH_RECORDS to iterate faster on small machines, e.g.
@@ -21,6 +23,7 @@
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
 #include "predicates/generic.h"
+#include "predicates/index_cache.h"
 
 namespace topkdup {
 namespace {
@@ -42,6 +45,7 @@ struct Workload {
   std::unique_ptr<predicates::QGramOverlapPredicate> n1;
   std::vector<dedup::Group> singletons;
   std::vector<dedup::Group> collapsed;  // After S1, the prune input.
+  std::unique_ptr<predicates::IndexHandle> n1_index;  // Over `collapsed`.
   double M = 0.0;                       // Lower bound for K=100.
 
   static const Workload& Get() {
@@ -73,8 +77,10 @@ struct Workload {
       {
         ScopedParallelism serial(1);
         out->collapsed = dedup::Collapse(out->singletons, *out->s1);
-        const dedup::LowerBoundResult lb =
-            dedup::EstimateLowerBound(out->collapsed, *out->n1, /*k=*/100);
+        out->n1_index = std::make_unique<predicates::IndexHandle>(
+            dedup::RepresentativeIndex(out->collapsed, *out->n1));
+        const dedup::LowerBoundResult lb = dedup::EstimateLowerBound(
+            out->collapsed, *out->n1, **out->n1_index, /*k=*/100);
         out->M = lb.M;
       }
       return out;
@@ -106,7 +112,7 @@ void BM_PruneThreads(benchmark::State& state) {
   ScopedParallelism threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     dedup::PruneResult out =
-        dedup::PruneGroups(w.collapsed, *w.n1, w.M, {});
+        dedup::PruneGroups(w.collapsed, *w.n1, **w.n1_index, w.M, {});
     benchmark::DoNotOptimize(out.groups.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -153,7 +159,7 @@ void BM_PruneDeadline(benchmark::State& state) {
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
   for (auto _ : state) {
     dedup::PruneResult out =
-        dedup::PruneGroups(w.collapsed, *w.n1, w.M, {},
+        dedup::PruneGroups(w.collapsed, *w.n1, **w.n1_index, w.M, {},
                            /*exact_bounds=*/false, {.deadline = &deadline});
     benchmark::DoNotOptimize(out.groups.size());
   }

@@ -78,9 +78,14 @@ const char* StageForSpan(const char* span_name) {
   // are deliberately absent: they wrap stages and must not capture the
   // attribution themselves. segment.scorer.fill nests inside
   // segment.topk_dp and maps to the same stage, so the switch is a
-  // no-op rather than a theft.
+  // no-op rather than a theft. dedup.necessary_index, the build of the
+  // index a level's lower bound and prune share, is charged to the lower
+  // bound, which reads it first. online.corpus is an online query's
+  // corpus and predicate construction over the snapshot.
   static constexpr Mapping kStages[] = {
+      {"online.corpus", "corpus"},
       {"dedup.collapse", "collapse"},
+      {"dedup.necessary_index", "lower_bound"},
       {"dedup.lower_bound", "lower_bound"},
       {"dedup.prune", "prune"},
       {"topk.pair_scores", "pair_scoring"},

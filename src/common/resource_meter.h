@@ -14,7 +14,7 @@
 namespace topkdup::resource {
 
 /// Per-query resource attribution: how much CPU time a query consumed,
-/// broken down by pipeline stage (collapse, lower_bound, prune,
+/// broken down by pipeline stage (corpus, collapse, lower_bound, prune,
 /// pair_scoring, segment_dp, embedding), no matter which pool workers the
 /// work landed on.
 ///

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -12,8 +11,6 @@
 #include "graph/clique_partition.h"
 #include "graph/graph.h"
 #include "obs/explain.h"
-#include "predicates/blocked_index.h"
-#include "predicates/index_cache.h"
 
 namespace topkdup::dedup {
 
@@ -30,15 +27,12 @@ class PrefixCpn {
 
   PrefixCpn(const std::vector<Group>& groups,
             const predicates::PairPredicate& necessary,
-            const Deadline* deadline, predicates::IndexCache* index_cache)
+            const predicates::BlockedIndex& index, const Deadline* deadline)
       : groups_(groups),
         necessary_(necessary),
+        index_(index),
         exact_blocking_(necessary.BlockingIsExact()),
-        deadline_(deadline),
-        reps_(groups.size()) {
-    for (size_t i = 0; i < groups.size(); ++i) reps_[i] = groups[i].rep;
-    index_.emplace(index_cache, necessary, reps_);
-  }
+        deadline_(deadline) {}
 
   /// CPN lower bound of the graph on groups[0..m), early-stopped at `k`;
   /// kAbandoned when the deadline expired mid-growth.
@@ -77,12 +71,14 @@ class PrefixCpn {
           deadline_->ExpiredUrgent()) {
         return false;
       }
-      index_->get().ForEachCandidate(grown_, &scratch_, [&](size_t j) {
+      index_.ForEachCandidate(grown_, &scratch_, [&](size_t j) {
         if (j >= grown_) return true;
         ++edges_examined_;
         if (!exact_blocking_) {
           ++pair_evals_;
-          if (!necessary_.Evaluate(reps_[grown_], reps_[j])) return true;
+          if (!necessary_.Evaluate(groups_[grown_].rep, groups_[j].rep)) {
+            return true;
+          }
         }
         edges_.emplace_back(static_cast<uint32_t>(j),
                             static_cast<uint32_t>(grown_));
@@ -94,10 +90,9 @@ class PrefixCpn {
 
   const std::vector<Group>& groups_;
   const predicates::PairPredicate& necessary_;
+  const predicates::BlockedIndex& index_;
   const bool exact_blocking_;  // Candidates are edges without Evaluate.
   const Deadline* deadline_;
-  std::vector<size_t> reps_;
-  std::optional<predicates::IndexHandle> index_;
   predicates::BlockedIndex::QueryScratch scratch_;
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   size_t grown_ = 0;
@@ -135,9 +130,11 @@ void RecordLowerBoundMetrics(const LowerBoundResult& result) {
 
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
-    const predicates::PairPredicate& necessary, int k,
+    const predicates::PairPredicate& necessary,
+    const predicates::BlockedIndex& index, int k,
     const QueryContext& context) {
   TOPKDUP_CHECK(k >= 1);
+  TOPKDUP_CHECK(index.item_count() == groups.size());
   obs::ExplainRecorder* recorder = context.recorder;
   trace::Span span("dedup.lower_bound");
   span.AddArg("groups", static_cast<int64_t>(groups.size()));
@@ -157,7 +154,7 @@ LowerBoundResult EstimateLowerBound(
   }
 
   const Deadline* deadline = context.deadline;
-  PrefixCpn cpn(groups, necessary, deadline, context.index_cache);
+  PrefixCpn cpn(groups, necessary, index, deadline);
   bool degraded = false;
   size_t edges_charged = 0;
 

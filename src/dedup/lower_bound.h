@@ -6,6 +6,7 @@
 
 #include "common/query_context.h"
 #include "dedup/group.h"
+#include "predicates/blocked_index.h"
 #include "predicates/pair_predicate.h"
 
 namespace topkdup::dedup {
@@ -43,6 +44,9 @@ struct LowerBoundResult {
 /// given necessary predicate, per paper §4.2: the CPN lower bound of the
 /// graph induced by N on a prefix certifies that many distinct entities,
 /// and any prefix with CPN >= k yields the bound M = weight(c_m).
+/// `index` is the necessary predicate's blocked index over the groups'
+/// representatives, position i holding groups[i].rep; PrunedDedup builds
+/// it once per level and hands the same index to PruneGroups.
 ///
 /// The search gallops: prefix sizes k, 2k, 4k, ... until one certifies k,
 /// then a binary search locates the smallest certifying prefix, so the CPN
@@ -62,7 +66,8 @@ struct LowerBoundResult {
 /// Necessary-predicate edge enumerations are charged as work units.
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
-    const predicates::PairPredicate& necessary, int k,
+    const predicates::PairPredicate& necessary,
+    const predicates::BlockedIndex& index, int k,
     const QueryContext& context = {});
 
 }  // namespace topkdup::dedup

@@ -18,7 +18,9 @@ namespace topkdup::dedup {
 namespace {
 
 /// Per-level prune instrumentation (Figures 2-4's n' column). Flushed once
-/// per shard so the bound loops stay allocation- and contention-free.
+/// per shard so the bound loops stay allocation- and contention-free;
+/// `passes` counts the passes that ran, a deadline-stopped prune's
+/// included.
 struct PruneCounters {
   metrics::Counter* groups_examined;
   metrics::Counter* groups_pruned;
@@ -41,24 +43,27 @@ struct PruneCounters {
 
 }  // namespace
 
+predicates::IndexHandle RepresentativeIndex(
+    const std::vector<Group>& groups, const predicates::PairPredicate& pred,
+    predicates::IndexCache* cache) {
+  std::vector<size_t> reps(groups.size());
+  for (size_t i = 0; i < groups.size(); ++i) reps[i] = groups[i].rep;
+  return predicates::IndexHandle(cache, pred, reps);
+}
+
 PruneResult PruneGroups(const std::vector<Group>& groups,
-                        const predicates::PairPredicate& necessary, double M,
+                        const predicates::PairPredicate& necessary,
+                        const predicates::BlockedIndex& index, double M,
                         const PruneOptions& options, bool exact_bounds,
                         const QueryContext& context) {
   TOPKDUP_CHECK(options.passes >= 1);
   obs::ExplainRecorder* recorder = context.recorder;
   const size_t n = groups.size();
+  TOPKDUP_CHECK(index.item_count() == n);
   trace::Span span("dedup.prune");
   span.AddArg("groups_in", static_cast<int64_t>(n));
   span.AddArg("passes", options.passes);
   const PruneCounters& counters = PruneCounters::Get();
-  counters.passes->Add(options.passes);
-
-  std::vector<size_t> reps(n);
-  for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
-  const predicates::IndexHandle index_handle(context.index_cache, necessary,
-                                             reps);
-  const predicates::BlockedIndex& index = index_handle.get();
 
   // Exact blocking: every candidate satisfies N, so none is re-evaluated.
   const bool exact_blocking = necessary.BlockingIsExact();
@@ -125,7 +130,9 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
           ++live_candidates;
           if (!exact_blocking) {
             ++evals;
-            if (!necessary.Evaluate(reps[i], reps[j])) return true;
+            if (!necessary.Evaluate(groups[i].rep, groups[j].rep)) {
+              return true;
+            }
           }
           sum += groups[j].weight;
           if (sampled) ++contributing;
@@ -168,6 +175,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
       if (deadline != nullptr) deadline->ChargeWork(live_candidates);
     });
     alive.swap(next_alive);
+    counters.passes->Increment();
     if (pass_skipped.load(std::memory_order_relaxed)) {
       result.degraded = true;
       result.pass_skipped = true;
@@ -194,12 +202,8 @@ std::vector<double> ComputeGroupUpperBounds(
     const predicates::PairPredicate& necessary,
     const std::vector<size_t>& indices, const QueryContext& context) {
   const Deadline* deadline = context.deadline;
-  const size_t n = groups.size();
-  std::vector<size_t> reps(n);
-  for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
-  const predicates::IndexHandle index_handle(context.index_cache, necessary,
-                                             reps);
-  const predicates::BlockedIndex& index = index_handle.get();
+  const predicates::IndexHandle index =
+      RepresentativeIndex(groups, necessary, context.index_cache);
   const bool exact_blocking = necessary.BlockingIsExact();
 
   std::vector<double> bounds(indices.size(),
@@ -211,9 +215,9 @@ std::vector<double> ComputeGroupUpperBounds(
     for (size_t s = shard_begin; s < shard_end; ++s) {
       const size_t i = indices[s];
       double sum = groups[i].weight;
-      index.ForEachCandidate(i, &scratch, [&](size_t j) {
-        if (j != i &&
-            (exact_blocking || necessary.Evaluate(reps[i], reps[j]))) {
+      index->ForEachCandidate(i, &scratch, [&](size_t j) {
+        if (j != i && (exact_blocking ||
+                       necessary.Evaluate(groups[i].rep, groups[j].rep))) {
           sum += groups[j].weight;
         }
         return true;

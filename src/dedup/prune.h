@@ -5,6 +5,8 @@
 
 #include "common/query_context.h"
 #include "dedup/group.h"
+#include "predicates/blocked_index.h"
+#include "predicates/index_cache.h"
 #include "predicates/pair_predicate.h"
 
 namespace topkdup::dedup {
@@ -44,6 +46,13 @@ struct PruneResult {
   bool unconditional_bounds = false;
 };
 
+/// The blocked index of `pred` over `groups`' representatives, position i
+/// holding groups[i].rep: the index EstimateLowerBound and PruneGroups
+/// take. Resolved through `cache` when one is given, built otherwise.
+predicates::IndexHandle RepresentativeIndex(
+    const std::vector<Group>& groups, const predicates::PairPredicate& pred,
+    predicates::IndexCache* cache = nullptr);
+
 /// Prunes every group whose recursively tightened upper bound on the
 /// largest group it can belong to is <= M (paper §4.3).
 ///
@@ -52,6 +61,9 @@ struct PruneResult {
 /// w_i >= M are never pruned. The scan over a group's candidates stops
 /// early once its bound provably exceeds M, unless `exact_bounds` — needed
 /// by the rank queries that compare bounds across groups — is requested.
+/// `index` is the necessary predicate's blocked index over the groups'
+/// representatives, position i holding groups[i].rep (the index the
+/// level's EstimateLowerBound read).
 ///
 /// The context's recorder, when set, receives the prune summary plus
 /// per-group decisions (bound vs. M, decisive component) sampled
@@ -66,7 +78,8 @@ struct PruneResult {
 /// unit, whether or not the predicate's exact blocking spares its
 /// evaluation.
 PruneResult PruneGroups(const std::vector<Group>& groups,
-                        const predicates::PairPredicate& necessary, double M,
+                        const predicates::PairPredicate& necessary,
+                        const predicates::BlockedIndex& index, double M,
                         const PruneOptions& options = {},
                         bool exact_bounds = false,
                         const QueryContext& context = {});

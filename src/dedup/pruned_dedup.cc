@@ -9,6 +9,7 @@
 #include "common/trace.h"
 #include "dedup/collapse.h"
 #include "dedup/lower_bound.h"
+#include "dedup/prune.h"
 #include "obs/explain.h"
 
 namespace topkdup::dedup {
@@ -89,8 +90,16 @@ StatusOr<PrunedDedupResult> PrunedDedup(
 
     if (!stopped && level.necessary != nullptr) {
       timer.Reset();
-      const LowerBoundResult lb =
-          EstimateLowerBound(groups, *level.necessary, options.k, context);
+      // One necessary index over the collapsed groups' representatives
+      // serves both the lower bound and the prune. Its build is timed and
+      // charged as the lower bound's, the stage that reads it first.
+      const predicates::IndexHandle necessary_index = [&] {
+        trace::Span index_span("dedup.necessary_index");
+        return RepresentativeIndex(groups, *level.necessary,
+                                   context.index_cache);
+      }();
+      const LowerBoundResult lb = EstimateLowerBound(
+          groups, *level.necessary, *necessary_index, options.k, context);
       stats.lower_bound_seconds = timer.ElapsedSeconds();
       stats.m = lb.m;
       stats.M = lb.M;
@@ -110,8 +119,8 @@ StatusOr<PrunedDedupResult> PrunedDedup(
       if (!stopped) {
         timer.Reset();
         PruneResult pruned = PruneGroups(
-            groups, *level.necessary, lb.M, {.passes = options.prune_passes},
-            options.exact_bounds, context);
+            groups, *level.necessary, *necessary_index, lb.M,
+            {.passes = options.prune_passes}, options.exact_bounds, context);
         stats.prune_seconds = timer.ElapsedSeconds();
         stats.groups_pruned = groups.size() - pruned.groups.size();
         groups = std::move(pruned.groups);

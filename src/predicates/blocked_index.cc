@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -59,7 +58,9 @@ void AppendVarint(std::vector<uint8_t>* out, uint32_t v) {
 /// Whether sorted signatures `a` and `b` share at least `thr` valid tokens
 /// (invalid tokens never count as shared). Merges with early accept, and
 /// early reject once even a full match of the shorter remainder falls
-/// short.
+/// short. Each merge step advances past the smaller token, or past both on
+/// a tie, without a data-dependent branch: the order of two tokens is a
+/// coin flip the branch predictor would lose.
 bool SharesAtLeast(const text::TokenId* a, size_t an, const text::TokenId* b,
                    size_t bn, int thr) {
   int common = 0;
@@ -71,15 +72,9 @@ bool SharesAtLeast(const text::TokenId* a, size_t an, const text::TokenId* b,
     }
     const text::TokenId ta = a[i];
     const text::TokenId tb = b[j];
-    if (ta < tb) {
-      ++i;
-    } else if (tb < ta) {
-      ++j;
-    } else {
-      if (ta >= 0) ++common;
-      ++i;
-      ++j;
-    }
+    common += (ta == tb) & (ta >= 0);
+    i += ta <= tb;
+    j += tb <= ta;
   }
   return true;
 }
@@ -118,9 +113,9 @@ BlockedIndex::BlockedIndex(const PairPredicate& pred,
   for (size_t i = 0; i < n; ++i) sigs[i] = &pred.Signature(items_[i]);
 
   // Document reordering. Primary key: signature SIZE, so every size class
-  // is a contiguous internal position range and the per-class enumeration
-  // can restrict a posting list to its class segment by block binary
-  // search. Secondary key: the signature itself, which clusters similar
+  // is a contiguous internal position range and one contiguous segment of
+  // every posting list, which the per-class enumeration walks list by
+  // list. Secondary key: the signature itself, which clusters similar
   // items inside a class and keeps posting-list deltas small. The tie on
   // the original position keeps the permutation deterministic.
   std::vector<uint32_t> order(n);
@@ -153,8 +148,12 @@ BlockedIndex::BlockedIndex(const PairPredicate& pred,
   }
 
   // sig_size is nondecreasing: items are ordered by size first.
-  std::unique_copy(sig_size.begin(), sig_size.end(),
-                   std::back_inserter(distinct_sizes_));
+  class_begin_.resize(static_cast<size_t>(max_sig_size_) + 2);
+  for (size_t z = 0; z < class_begin_.size(); ++z) {
+    class_begin_[z] = static_cast<uint32_t>(
+        std::lower_bound(sig_size.begin(), sig_size.end(), z) -
+        sig_size.begin());
+  }
 
   // Postings carry the token's rank — its index within the owning item's
   // signature. The positional prefix filter keys off it: a class-z
@@ -241,7 +240,6 @@ BlockedIndex::BlockedIndex(const PairPredicate& pred,
   }
   rank_ = std::move(rank);
   order_ = std::move(order);
-  sig_size_ = std::move(sig_size);
   lists_ = std::move(lists);
   blocks_ = std::move(blocks);
   blob_ = std::move(blob);
@@ -261,36 +259,82 @@ size_t BlockedIndex::memory_bytes() const {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  return bytes(items_) + bytes(rank_) + bytes(order_) + bytes(sig_size_) +
-         bytes(distinct_sizes_) + bytes(lists_) + bytes(blocks_) +
-         bytes(blob_) + bytes(sig_offsets_) + bytes(sig_tokens_);
+  return bytes(items_) + bytes(rank_) + bytes(order_) + bytes(class_begin_) +
+         bytes(lists_) + bytes(blocks_) + bytes(blob_) + bytes(sig_offsets_) +
+         bytes(sig_tokens_);
 }
 
 // ---------------------------------------------------------------------------
 // Enumeration.
 
 void BlockedIndex::EnsureThresholds(size_t s, QueryScratch* scratch) const {
-  if (scratch->cached_pred == this && scratch->cached_sig_size == s) return;
+  // The size check keeps a scratch that outlived its index in bounds when
+  // a new index takes the old one's address.
+  if (scratch->cached_pred == this && scratch->cached_sig_size == s &&
+      scratch->next_admissible.size() == max_sig_size_ + 2) {
+    return;
+  }
   scratch->cached_pred = this;
   scratch->cached_sig_size = s;
   scratch->thresholds.assign(max_sig_size_ + 1, kInadmissible);
-  scratch->admissible_sizes.clear();
-  int tmin = kInadmissible;
-  for (const uint32_t z : distinct_sizes_) {
-    if (z == 0) continue;  // Empty signatures never share a token.
-    int thr = pred_->MinCommon(s, z);
-    if (thr < 1) thr = 1;
-    // A size-z candidate shares at most min(s, z) tokens with the query;
-    // sizes whose threshold exceeds that can never qualify.
-    if (static_cast<uint64_t>(thr) >
-        std::min<uint64_t>(s, z)) {
+  scratch->next_admissible.assign(max_sig_size_ + 2, kNoClass);
+  // Buckets are empty between probes, so resizing keeps them empty.
+  scratch->class_bucket.resize(max_sig_size_ + 1, kNoClass);
+  uint32_t next = kNoClass;
+  // Size 0 stays inadmissible: empty signatures never share a token.
+  for (uint32_t z = max_sig_size_; z >= 1; --z) {
+    if (class_begin_[z] < class_begin_[z + 1]) {
+      int thr = pred_->MinCommon(s, z);
+      if (thr < 1) thr = 1;
+      // A size-z candidate shares at most min(s, z) tokens with the query;
+      // sizes whose threshold exceeds that can never qualify.
+      if (static_cast<uint64_t>(thr) <= std::min<uint64_t>(s, z)) {
+        scratch->thresholds[z] = thr;
+        next = z;
+      }
+    }
+    scratch->next_admissible[z] = next;
+  }
+  scratch->next_admissible[0] = next;
+}
+
+uint32_t BlockedIndex::NextSegment(const QueryScratch& scratch, uint32_t from,
+                                   QueryScratch::ListCursor* cursor) const {
+  const BlockMeta* const blocks =
+      blocks_.data() + lists_[cursor->token].first_block;
+  const uint32_t nb = cursor->block_count;
+  // First block at or after `lo` whose min_sig exceeds `z`: gallop, then
+  // binary search the last stride (min_sig is nondecreasing along a list).
+  const auto first_past = [&](uint32_t lo, uint32_t z) {
+    uint32_t hi = lo;
+    for (uint32_t step = 1; hi < nb && blocks[hi].min_sig <= z; step *= 2) {
+      lo = hi + 1;
+      hi = std::min(nb, lo + step);
+    }
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      if (blocks[mid].min_sig <= z) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  uint32_t b = from;
+  while (b < nb) {
+    const uint32_t m = blocks[b].min_sig;
+    const uint32_t z = scratch.next_admissible[m];
+    if (z == kNoClass) break;
+    if (z != m) {  // Class m is inadmissible: skip to class z's blocks.
+      b = first_past(b, z - 1);
       continue;
     }
-    scratch->thresholds[z] = thr;
-    scratch->admissible_sizes.push_back(z);
-    tmin = std::min(tmin, thr);
+    cursor->seg_begin = b;
+    cursor->seg_end = first_past(b + 1, z);
+    return z;
   }
-  scratch->min_threshold = tmin;
+  return kNoClass;
 }
 
 size_t BlockedIndex::DecodeBlock(const ListMeta& list, uint32_t block_id,
@@ -365,7 +409,10 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
   const size_t s = sig_offsets[self_ip + 1] - sig_offsets[self_ip];
   EnsureThresholds(s, scratch);
 
-  scratch->scan_lists.clear();
+  // One cursor per query token with postings.
+  std::vector<QueryScratch::ListCursor>& cursors = scratch->cursors;
+  cursors.clear();
+  uint64_t total_blocks = 0;
   text::TokenId prev_t = text::kInvalidToken;
   for (size_t idx = 0; idx < s; ++idx) {
     const text::TokenId t = sig[idx];
@@ -375,15 +422,11 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
     const ListMeta& lm = lists_[t];
     postings_scanned += lm.count;
     if (lm.count > 0) {
-      scratch->scan_lists.emplace_back(static_cast<uint32_t>(t),
-                                       static_cast<uint32_t>(idx));
+      const uint32_t nb = ListBlockCount(t);
+      total_blocks += nb;
+      cursors.push_back({static_cast<uint32_t>(t), static_cast<uint32_t>(idx),
+                         nb, 0, 0, kNoClass});
     }
-  }
-
-  const size_t num_lists = scratch->scan_lists.size();
-  uint64_t total_blocks = 0;
-  for (const auto& [t, idx] : scratch->scan_lists) {
-    total_blocks += ListBlockCount(t);
   }
 
   // Memoized replay: a resident index that has already enumerated this item
@@ -404,7 +447,7 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
     }
   }
 
-  if (scratch->admissible_sizes.empty() || num_lists == 0) {
+  if (scratch->next_admissible[0] == kNoClass || cursors.empty()) {
     flush();
     return;
   }
@@ -417,10 +460,12 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
   // Enumerate per signature-size class. Items are ordered by size, so class
   // z occupies one contiguous internal position range and one contiguous
   // block segment of every posting list; all of a class's candidates share
-  // the same threshold thr(z). A metadata-only pre-pass locates each query
-  // list's class segment and the rank-filtered prefix of it, then one of
-  // two sound generation schemes is chosen by its metadata-predicted
-  // decode cost:
+  // the same threshold thr(z). Each query list's cursor walks its segments
+  // of admissible classes in ascending class order, waiting in the bucket
+  // of its next segment's class, so each class visits exactly the lists
+  // that have a segment in it. A metadata-only pre-pass sizes those
+  // segments and their rank-filtered prefixes, then one of two sound
+  // generation schemes is chosen by its metadata-predicted decode cost:
   //
   //   * SUFFIX-DROP: a qualifying candidate shares a token with the query
   //     outside any fixed thr(z)-1 of the L_z lists with a non-empty class
@@ -437,89 +482,75 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
   //
   //   Candidates the counting pass leaves short of thr(z) are verified by
   //   a direct signature merge, never by decoding more postings.
+  std::vector<uint32_t>& bucket = scratch->class_bucket;
+  const auto wait_for_next_segment = [&](uint32_t li, uint32_t from) {
+    QueryScratch::ListCursor& cursor = cursors[li];
+    const uint32_t next_class = NextSegment(*scratch, from, &cursor);
+    if (next_class == kNoClass) return;
+    cursor.next = bucket[next_class];
+    bucket[next_class] = li;
+  };
+  for (uint32_t li = 0; li < cursors.size(); ++li) {
+    wait_for_next_segment(li, 0);
+  }
   bool keep_going = true;
-  for (size_t ci = 0;
-       ci < scratch->admissible_sizes.size() && (keep_going || memo_fill);
-       ++ci) {
-    const uint32_t z = scratch->admissible_sizes[ci];
+  uint32_t z = scratch->next_admissible[0];
+  for (; z != kNoClass && (keep_going || memo_fill);
+       z = scratch->next_admissible[z + 1]) {
+    // Take the lists with a class-z segment out of the bucket, and move
+    // each one's cursor on to its next segment. Lists without a class-z
+    // segment cannot contribute a token to any class-z candidate and are
+    // never visited.
+    scratch->class_lists.clear();
+    for (uint32_t li = std::exchange(bucket[z], kNoClass); li != kNoClass;) {
+      const QueryScratch::ListCursor& cursor = cursors[li];
+      const uint32_t next_li = cursor.next;
+      scratch->class_lists.push_back({cursor.token, cursor.sig_idx, 0, 0,
+                                      cursor.seg_begin, cursor.seg_end, 0});
+      wait_for_next_segment(li, cursor.seg_end);
+      li = next_li;
+    }
     const int thr = scratch->thresholds[z];
-    if (static_cast<size_t>(thr) > num_lists) continue;  // Class unreachable.
-    const uint32_t* size_begin = sig_size_.data();
-    const uint32_t* size_end = size_begin + n_;
-    const uint32_t z_begin = static_cast<uint32_t>(
-        std::lower_bound(size_begin, size_end, z) - size_begin);
-    const uint32_t z_end = static_cast<uint32_t>(
-        std::upper_bound(size_begin + z_begin, size_end, z) - size_begin);
-    if (z_begin == z_end) continue;
+    if (scratch->class_lists.size() < static_cast<size_t>(thr)) continue;
+    const uint32_t z_begin = class_begin_[z];
+    const uint32_t z_end = class_begin_[z + 1];
 
-    // Metadata pre-pass: locate each query list's class-z block segment
-    // (blocks are class-pure with nondecreasing min_sig) and the prefix of
-    // it reachable under the candidate-side rank bound z - thr. Lists with
-    // an empty segment cannot contribute a token to any class-z candidate
-    // and drop out entirely.
+    // Metadata pre-pass: size each class-z segment and the prefix of it
+    // reachable under the candidate-side rank bound z - thr.
     const uint32_t rank_limit = static_cast<uint32_t>(z - thr);
     const uint32_t pref_idx_limit = static_cast<uint32_t>(s - thr);
-    scratch->class_lists.clear();
     uint64_t cost_prefix = 0;
-    for (const auto& [t, idx] : scratch->scan_lists) {
-      const ListMeta& lm = lists_[t];
-      const uint32_t nb = ListBlockCount(t);
-      uint32_t lo = 0;
-      uint32_t hi = nb;
-      while (lo < hi) {  // First block of class z.
-        const uint32_t mid = lo + (hi - lo) / 2;
-        if (blocks_[lm.first_block + mid].min_sig < z) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      const uint32_t seg_begin = lo;
-      hi = nb;
-      while (lo < hi) {  // First block past class z.
-        const uint32_t mid = lo + (hi - lo) / 2;
-        if (blocks_[lm.first_block + mid].min_sig <= z) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      const uint32_t seg_end = lo;
-      if (seg_begin == seg_end) continue;
-      lo = seg_begin;
-      hi = seg_end;
+    for (QueryScratch::ClassListRef& ref : scratch->class_lists) {
+      const BlockMeta* const blocks =
+          blocks_.data() + lists_[ref.token].first_block;
+      uint32_t lo = ref.block_begin;
+      uint32_t hi = ref.block_end;
       while (lo < hi) {  // First segment block past the rank bound.
         const uint32_t mid = lo + (hi - lo) / 2;
-        if (blocks_[lm.first_block + mid].min_rank <= rank_limit) {
+        if (blocks[mid].min_rank <= rank_limit) {
           lo = mid + 1;
         } else {
           hi = mid;
         }
       }
-      const uint32_t pref_end = lo;
-      uint32_t seg_count = 0;
-      uint32_t pref_count = 0;
-      for (uint32_t b = seg_begin; b < seg_end; ++b) {
-        const uint32_t c = blocks_[lm.first_block + b].count;
-        seg_count += c;
-        if (b < pref_end) pref_count += c;
+      ref.pref_end = lo;
+      for (uint32_t b = ref.block_begin; b < ref.block_end; ++b) {
+        const uint32_t c = blocks[b].count;
+        ref.seg_count += c;
+        if (b < ref.pref_end) ref.pref_count += c;
       }
-      if (seg_count == 0) continue;
-      scratch->class_lists.push_back(
-          {t, idx, seg_count, pref_count, seg_begin, seg_end, pref_end});
-      if (idx <= pref_idx_limit && pref_count > 0) {
+      if (ref.sig_idx <= pref_idx_limit && ref.pref_count > 0) {
         // The decoder stops mid-block once ranks pass the bound, so the
         // expected cost under a uniform rank model is the rank fraction of
         // the segment, floored at one pair per non-empty prefix.
         cost_prefix += std::max<uint64_t>(
             1, std::min<uint64_t>(
-                   pref_count,
-                   (static_cast<uint64_t>(seg_count) * (rank_limit + 1) +
+                   ref.pref_count,
+                   (static_cast<uint64_t>(ref.seg_count) * (rank_limit + 1) +
                     z - 1) /
                        z));
       }
     }
-    if (scratch->class_lists.size() < static_cast<size_t>(thr)) continue;
     bool prefix_reachable = false;
     for (const QueryScratch::ClassListRef& ref : scratch->class_lists) {
       if (ref.sig_idx <= pref_idx_limit && ref.pref_count > 0) {
@@ -599,6 +630,10 @@ void BlockedIndex::ForEachCandidateImpl(size_t pos, bool later_only,
         keep_going = fn(ext);
       }
     }
+  }
+  // A consumer that stopped early leaves cursors waiting in later buckets.
+  for (; z != kNoClass; z = scratch->next_admissible[z + 1]) {
+    bucket[z] = kNoClass;
   }
   if (memo_fill) {
     auto* filled = new std::vector<uint32_t>(std::move(memo_vec));

@@ -30,12 +30,19 @@ namespace topkdup::predicates {
 /// with that class's uniform threshold thr(z) = MinCommon(|query sig|, z),
 /// skipping whole blocks that cannot contain a qualifying candidate:
 ///
-///   * Blocks outside class z are never decoded while class z is
-///     enumerated: a binary search on the blocks' min_sig finds the
-///     class's segment of each list.
-///   * A metadata pre-pass sizes each query list's class-z segment; if
-///     fewer than thr(z) lists have a non-empty segment the whole class
-///     is skipped without decoding a byte.
+///   * Blocks never span two classes, and a list's blocks are ordered by
+///     class, so each list is a run of class segments. A probe walks each
+///     query list once, galloping a cursor from one admissible class's
+///     segment to the next. A cursor waits in a bucket queue indexed by
+///     the class of its next segment, so each class, taken in ascending
+///     order, visits exactly the lists with a segment in it. A probe's
+///     fixed cost therefore grows with the admissible classes plus the
+///     (list, class) segments that exist, not with admissible classes
+///     times query lists, and blocks outside class z are never decoded
+///     while class z is enumerated.
+///   * If fewer than thr(z) lists have a class-z segment, the class is
+///     skipped without reading more metadata; otherwise a metadata pass
+///     sizes each segment.
 ///   * Candidates are generated either from the L_z - thr(z) + 1 lists
 ///     with the SMALLEST class segments (a qualifying candidate appears
 ///     in at least one of them) or, when the metadata predicts it is
@@ -63,24 +70,43 @@ namespace topkdup::predicates {
 class BlockedIndex {
  public:
   static constexpr size_t kBlockSize = 128;
+  /// "None" in QueryScratch: no size class in next_admissible, no cursor
+  /// in class_bucket and ListCursor::next.
+  static constexpr uint32_t kNoClass = UINT32_MAX;
 
   /// Per-caller query workspace. Reuse across queries to avoid
   /// reallocation; one scratch must not be shared between threads.
   struct QueryScratch {
     std::vector<int> counts;        // Zero outside a query.
     std::vector<uint32_t> touched;  // Internal positions dirtied.
-    // Threshold table for the cached query signature size: thr[z] is
-    // MinCommon(sig, z) for admissible sizes z, kInadmissible otherwise.
+    // Tables for the cached query signature size, indexed by size z up to
+    // the index's largest: thr[z] is MinCommon(sig, z) for admissible
+    // sizes z, kInadmissible otherwise; next_admissible[z] is the smallest
+    // admissible size >= z, or kNoClass (one entry past the largest size,
+    // so next_admissible[z + 1] is always defined).
     std::vector<int> thresholds;
-    std::vector<uint32_t> admissible_sizes;  // Sorted.
+    std::vector<uint32_t> next_admissible;
     size_t cached_sig_size = static_cast<size_t>(-1);
     const void* cached_pred = nullptr;
-    int min_threshold = 1;
     // Decode workspace for the counting pass's current block.
     std::vector<uint32_t> decode_buf;
-    // Query tokens with postings, as (token, index within the query
-    // signature) — the latter drives the query-side prefix filter.
-    std::vector<std::pair<uint32_t, uint32_t>> scan_lists;
+    // A query list's cursor over its class segments: the list's token, the
+    // token's index within the query signature (it drives the query-side
+    // prefix filter), the list's block count, the block range of the
+    // segment the cursor stands on, relative to the list's first block,
+    // and the next cursor waiting in the same class bucket.
+    struct ListCursor {
+      uint32_t token;
+      uint32_t sig_idx;
+      uint32_t block_count;
+      uint32_t seg_begin;
+      uint32_t seg_end;
+      uint32_t next;
+    };
+    std::vector<ListCursor> cursors;
+    // Bucket queue by class: class_bucket[z] is the first cursor standing
+    // on a class-z segment, or kNoClass. Empty outside a probe.
+    std::vector<uint32_t> class_bucket;
     // Per-class view of a query list: the block range holding the class's
     // segment, its posting count, and the rank-filtered prefix of it
     // (metadata only; nothing is decoded to build these).
@@ -219,6 +245,14 @@ class BlockedIndex {
   size_t DecodeBlock(const ListMeta& list, uint32_t block_id,
                      uint32_t rank_limit, uint32_t* out) const;
 
+  /// Moves `cursor` to its list's first segment of an admissible class
+  /// starting at or after block `from`, and returns that class, or
+  /// kNoClass when the list has none left. Gallops over the list's
+  /// class-ordered blocks, so passing a run of blocks costs a logarithmic
+  /// number of block reads.
+  uint32_t NextSegment(const QueryScratch& scratch, uint32_t from,
+                       QueryScratch::ListCursor* cursor) const;
+
   const PairPredicate* pred_ = nullptr;
 
   /// Lazily filled candidate lists, present only after EnableCandidateMemo.
@@ -228,8 +262,9 @@ class BlockedIndex {
   std::vector<size_t> items_;             // [n] external pos -> record id.
   std::vector<uint32_t> rank_;            // [n] external -> internal.
   std::vector<uint32_t> order_;           // [n] internal -> external.
-  std::vector<uint32_t> sig_size_;        // [n] internal pos -> |signature|.
-  std::vector<uint32_t> distinct_sizes_;  // Sorted ascending.
+  // [max_sig_size_ + 2] Size class z holds internal positions
+  // [class_begin_[z], class_begin_[z + 1]).
+  std::vector<uint32_t> class_begin_;
   std::vector<ListMeta> lists_;           // [token_count].
   std::vector<BlockMeta> blocks_;
   std::vector<uint8_t> blob_;

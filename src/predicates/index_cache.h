@@ -16,9 +16,9 @@ namespace topkdup::predicates {
 /// (predicate identity, exact item vector). A resident query service keeps
 /// one cache per dataset: every pipeline stage that would otherwise
 /// rebuild the same index on every request — collapse over the
-/// weight-sorted singleton groups, CPN probes over the collapsed groups'
-/// representatives, pruning (which shares the CPN's entry), and pair
-/// scoring — shares one immutable index instead. The first query of a
+/// weight-sorted singleton groups, the necessary index over the collapsed
+/// groups' representatives that the CPN lower bound and pruning share,
+/// and pair scoring — shares one immutable index instead. The first query of a
 /// shape builds the entries (the service's calibration query, when it
 /// runs); later ones hit them.
 /// Cached indexes have their per-item candidate memo enabled

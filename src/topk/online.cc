@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/strings.h"
+#include "common/trace.h"
 
 namespace topkdup::topk {
 namespace {
@@ -178,12 +180,16 @@ OnlineTopK::Snapshot OnlineTopK::TakeSnapshot() {
 StatusOr<TopKCountResult> OnlineTopK::QuerySnapshot(
     const Snapshot& snapshot, const TopKCountOptions& options,
     const QueryContext& context) const {
+  // The corpus over the snapshot's representatives and the predicate and
+  // scorer built on it are the query's "corpus" stage.
+  std::optional<trace::Span> corpus_span(std::in_place, "online.corpus");
   auto corpus_or = predicates::Corpus::Build(&snapshot.reps, {});
   TOPKDUP_RETURN_IF_ERROR(corpus_or.status());
   const predicates::Corpus& corpus = corpus_or.value();
   std::unique_ptr<predicates::PairPredicate> necessary =
       config_.necessary_factory(corpus);
   const PairScoreFn scorer = config_.scorer_factory(snapshot.reps);
+  corpus_span.reset();
 
   // The collapse already happened incrementally: run pruning + clustering
   // with a necessary-only level over the representative dataset.

@@ -18,15 +18,13 @@ std::vector<std::vector<uint32_t>> NeighborLists(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary,
     predicates::IndexCache* index_cache) {
-  const size_t n = groups.size();
-  std::vector<size_t> reps(n);
-  for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
-  const predicates::IndexHandle index_handle(index_cache, necessary, reps);
-  const predicates::BlockedIndex& index = index_handle.get();
+  const predicates::IndexHandle index =
+      dedup::RepresentativeIndex(groups, necessary, index_cache);
   const bool exact_blocking = necessary.BlockingIsExact();
-  std::vector<std::vector<uint32_t>> adj(n);
-  index.ForEachCandidatePair([&](size_t p, size_t q) {
-    if (exact_blocking || necessary.Evaluate(reps[p], reps[q])) {
+  std::vector<std::vector<uint32_t>> adj(groups.size());
+  index->ForEachCandidatePair([&](size_t p, size_t q) {
+    if (exact_blocking ||
+        necessary.Evaluate(groups[p].rep, groups[q].rep)) {
       adj[p].push_back(static_cast<uint32_t>(q));
       adj[q].push_back(static_cast<uint32_t>(p));
     }
@@ -183,9 +181,12 @@ StatusOr<ThresholdedRankResult> ThresholdedRankQuery(
       groups = dedup::Collapse(groups, *level.sufficient, stage_context);
     }
     if (level.necessary != nullptr) {
+      const predicates::IndexHandle index = dedup::RepresentativeIndex(
+          groups, *level.necessary, stage_context.index_cache);
       dedup::PruneResult pruned = dedup::PruneGroups(
-          groups, *level.necessary, T, {.passes = options.prune_passes},
-          /*exact_bounds=*/true, stage_context);
+          groups, *level.necessary, *index, T,
+          {.passes = options.prune_passes}, /*exact_bounds=*/true,
+          stage_context);
       groups = std::move(pruned.groups);
       ub = std::move(pruned.upper_bounds);
     }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "cluster/pair_scores.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/strings.h"
 #include "datagen/address_gen.h"
 #include "datagen/citation_gen.h"
 #include "datagen/lexicon.h"
@@ -29,6 +31,7 @@
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
 #include "predicates/generic.h"
+#include "predicates/index_cache.h"
 #include "predicates/student.h"
 #include "predicates/tfidf_canopy.h"
 #include "topk/pair_scoring.h"
@@ -510,16 +513,19 @@ TEST(ExactBlockingTest, SkippingEvaluateKeepsPruneAndPairScores) {
   const topk::PairScoreFn scorer = [](size_t a, size_t b) {
     return static_cast<double>((a * 31 + b * 17) % 9) - 4.5;
   };
+  const IndexHandle exact_index = dedup::RepresentativeIndex(groups, exact);
+  const IndexHandle evaluating_index =
+      dedup::RepresentativeIndex(groups, evaluating);
 
   for (const int threads : {1, 4}) {
     ScopedParallelism scoped(threads);
     for (const bool exact_bounds : {false, true}) {
       const uint64_t evals = CounterValue("dedup.prune.pair_evals");
-      const dedup::PruneResult flagged =
-          dedup::PruneGroups(groups, exact, M, {}, exact_bounds);
+      const dedup::PruneResult flagged = dedup::PruneGroups(
+          groups, exact, *exact_index, M, {}, exact_bounds);
       EXPECT_EQ(CounterValue("dedup.prune.pair_evals"), evals);
-      const dedup::PruneResult evaluated =
-          dedup::PruneGroups(groups, evaluating, M, {}, exact_bounds);
+      const dedup::PruneResult evaluated = dedup::PruneGroups(
+          groups, evaluating, *evaluating_index, M, {}, exact_bounds);
       EXPECT_GT(CounterValue("dedup.prune.pair_evals"), evals);
 
       ASSERT_GT(flagged.groups.size(), 0u);
@@ -557,6 +563,120 @@ TEST(ExactBlockingTest, SkippingEvaluateKeepsPruneAndPairScores) {
           << "threads=" << threads << " row " << i;
     }
   }
+}
+
+/// What a full sweep of probes over an index produced: a digest of every
+/// item's candidate sequence, in enumeration order, and the blocked index's
+/// work counters over the sweep.
+struct ProbeDigest {
+  uint64_t sequences = 0;
+  uint64_t postings_decoded = 0;
+  uint64_t blocks_decoded = 0;
+  uint64_t blocks_skipped = 0;
+  uint64_t candidates = 0;
+};
+
+ProbeDigest DigestOf(const metrics::CounterBlock& block,
+                     const std::string& text) {
+  return {Fnv1a64(text),
+          block.Value("predicates.blocked_index.postings_decoded"),
+          block.Value("predicates.blocked_index.blocks_decoded"),
+          block.Value("predicates.blocked_index.blocks_skipped"),
+          block.Value("predicates.blocked_index.candidates")};
+}
+
+/// Digests of three sweeps over items 0..n-1 of `pred`'s index: every
+/// item's full ForEachCandidate sequence; every item's sequence cut after
+/// its third candidate, as prune's early exit cuts it; and the pairs of
+/// ForEachCandidatePairInRange over the whole range.
+std::vector<ProbeDigest> DigestProbes(const PairPredicate& pred, size_t n) {
+  std::vector<size_t> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = i;
+  const BlockedIndex index(pred, items);
+  BlockedIndex::QueryScratch scratch;
+  std::vector<ProbeDigest> digests;
+  for (const size_t cut : {std::numeric_limits<size_t>::max(), size_t{3}}) {
+    const metrics::CounterBlock block;
+    std::string text;
+    for (size_t p = 0; p < n; ++p) {
+      size_t seen = 0;
+      index.ForEachCandidate(p, &scratch, [&](size_t q) {
+        text += std::to_string(q) + ',';
+        return ++seen < cut;
+      });
+      text += ';';
+    }
+    digests.push_back(DigestOf(block, text));
+  }
+  const metrics::CounterBlock block;
+  std::string text;
+  index.ForEachCandidatePairInRange(0, n, &scratch, [&](size_t p, size_t q) {
+    text += std::to_string(p) + ',' + std::to_string(q) + ';';
+  });
+  digests.push_back(DigestOf(block, text));
+  return digests;
+}
+
+void ExpectDigests(const PairPredicate& pred, size_t n,
+                   const std::vector<ProbeDigest>& pinned) {
+  const std::vector<ProbeDigest> got = DigestProbes(pred, n);
+  ASSERT_EQ(got.size(), pinned.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(std::string(pred.name()) + " sweep " + std::to_string(i));
+    EXPECT_EQ(got[i].sequences, pinned[i].sequences)
+        << StrFormat("0x%016llx",
+                     static_cast<unsigned long long>(got[i].sequences));
+    EXPECT_EQ(got[i].postings_decoded, pinned[i].postings_decoded);
+    EXPECT_EQ(got[i].blocks_decoded, pinned[i].blocks_decoded);
+    EXPECT_EQ(got[i].blocks_skipped, pinned[i].blocks_skipped);
+    EXPECT_EQ(got[i].candidates, pinned[i].candidates);
+  }
+}
+
+/// Enumeration order and probe work are pinned on two fixtures: citations
+/// under QGramOverlapPredicate(0, 0.6), whose author q-gram signatures
+/// span many size classes, and addresses under AddressS1 and AddressN1,
+/// whose common words make multi-block class segments. The candidate
+/// sets are checked against a reference scan above; these constants also
+/// hold the order the pipelines' float sums and early exits depend on, and
+/// the decode and skip work a probe pays. A change to the enumeration that
+/// moves any of them on purpose must say why and re-record them.
+TEST(ProbePinTest, EnumerationOrderAndWorkArePinned) {
+  datagen::CitationGenOptions citation_gen;
+  citation_gen.num_records = 3000;
+  citation_gen.num_authors = 600;
+  citation_gen.seed = 12006;
+  auto citations_or = datagen::GenerateCitations(citation_gen);
+  ASSERT_TRUE(citations_or.ok());
+  const record::Dataset& citations = citations_or.value();
+  auto citation_corpus_or = Corpus::Build(&citations, {});
+  ASSERT_TRUE(citation_corpus_or.ok());
+  ExpectDigests(QGramOverlapPredicate(&citation_corpus_or.value(), 0, 0.6),
+                citations.size(),
+                {{0xa92feb6b9c75a5fbull, 3402206, 90034, 438469, 397866},
+                 {0x6a81188601fd9b68ull, 2467409, 66871, 461632, 8137},
+                 {0x3157e6824b1461dcull, 3402206, 90034, 438469, 198933}});
+
+  datagen::AddressGenOptions address_gen;
+  address_gen.num_records = 3000;
+  address_gen.num_entities = 600;
+  address_gen.seed = 12007;
+  auto addresses_or = datagen::GenerateAddresses(address_gen);
+  ASSERT_TRUE(addresses_or.ok());
+  const record::Dataset& addresses = addresses_or.value();
+  Corpus::Options corpus_options;
+  corpus_options.stop_words = datagen::AddressStopWords();
+  auto address_corpus_or = Corpus::Build(&addresses, corpus_options);
+  ASSERT_TRUE(address_corpus_or.ok());
+  const Corpus& address_corpus = address_corpus_or.value();
+  ExpectDigests(AddressS1(&address_corpus, AddressFields{}), addresses.size(),
+                {{0xe3a3897bf06c109aull, 387314, 5397, 5601, 361540},
+                 {0x379d435c53293122ull, 387314, 5397, 5601, 7639},
+                 {0xd5bb4a54f2d0577aull, 387314, 5397, 5601, 180770}});
+  ExpectDigests(AddressN1(&address_corpus, AddressFields{}), addresses.size(),
+                {{0x4807d7ddc66aa917ull, 1219678, 20112, 32985, 406846},
+                 {0xa92974d83dfd6d9bull, 1013761, 16431, 36666, 7955},
+                 {0x78b4b27c1e0b3306ull, 1219678, 20112, 32985, 203423}});
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "datagen/citation_gen.h"
@@ -262,15 +264,24 @@ TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
   // prune stage. Work-budget expiry is only decided between prune passes,
   // so such a stop must report a clean stage boundary (partial_stage ==
   // false), and the early-exit-truncated bounds it kept must not be
-  // advertised as unconditional count caps.
+  // advertised as unconditional count caps. Every such stop must also
+  // leave `dedup.prune.passes` counting the passes that ran, which the
+  // recorder's prune decisions show (it samples every group at its
+  // default rate); the scan goes on until one stop ran fewer passes than
+  // it asked for.
   const uint64_t full_work = MeasureFullRunWork();
   bool found = false;
-  for (uint64_t budget = full_work - 1; budget > 0; budget = budget * 3 / 4) {
+  bool found_short = false;
+  for (uint64_t budget = full_work - 1; budget > 0 && !found_short;
+       budget = budget * 3 / 4) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options,
-                                        {.deadline = &deadline});
+    const metrics::CounterBlock counters;
+    obs::ExplainRecorder recorder;
+    auto result_or = dedup::PrunedDedup(
+        data_, Levels(), options,
+        {.deadline = &deadline, .recorder = &recorder});
     ASSERT_TRUE(result_or.ok());
     const dedup::PrunedDedupResult& result = result_or.value();
     if (!result.degradation.degraded) continue;
@@ -278,8 +289,22 @@ TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
         result.degradation.reason == DeadlineReason::kWorkBudget) {
       EXPECT_FALSE(result.degradation.partial_stage);
       EXPECT_FALSE(result.upper_bounds_unconditional);
+      const obs::ExplainReport report = recorder.Finish();
+      uint64_t passes_run = 0;
+      for (const obs::LevelExplain& level : report.levels) {
+        int last_pass = 0;
+        for (const obs::PruneDecisionExplain& decision :
+             level.prune.sampled_decisions) {
+          last_pass = std::max(last_pass, decision.pass);
+        }
+        passes_run += static_cast<uint64_t>(last_pass);
+      }
+      EXPECT_EQ(counters.Value("dedup.prune.passes"), passes_run)
+          << "budget " << budget;
       found = true;
-      break;
+      found_short = passes_run < report.levels.size() *
+                                     static_cast<size_t>(options.prune_passes);
+      continue;
     }
     // Below a mid-collapse stop of level 1 no smaller budget can reach a
     // later stage; stop scanning.
@@ -289,6 +314,7 @@ TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
     }
   }
   EXPECT_TRUE(found) << "no budget stopped the pipeline in the prune stage";
+  EXPECT_TRUE(found_short) << "no budget stopped a prune between its passes";
 }
 
 TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {

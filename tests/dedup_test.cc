@@ -108,6 +108,19 @@ class LowerBoundTest : public ::testing::Test {
     necessary_.emplace(&*corpus_, std::vector<int>{0}, 1);
   }
 
+  // The §4.2 and §4.3 stages over an index built for the call.
+  LowerBoundResult LowerBound(const std::vector<Group>& groups, int k) const {
+    return EstimateLowerBound(groups, *necessary_,
+                              *RepresentativeIndex(groups, *necessary_), k);
+  }
+  PruneResult Prune(const std::vector<Group>& groups, double M,
+                    const PruneOptions& options = {},
+                    bool exact_bounds = false) const {
+    return PruneGroups(groups, *necessary_,
+                       *RepresentativeIndex(groups, *necessary_), M, options,
+                       exact_bounds);
+  }
+
   record::Dataset data_;
   std::optional<predicates::Corpus> corpus_;
   std::optional<predicates::CommonWordsPredicate> necessary_;
@@ -117,7 +130,7 @@ TEST_F(LowerBoundTest, DisconnectedGroupsCertifyQuickly) {
   // Three mutually unconnectable names: CPN of any prefix of size k is k.
   Init({{"alpha", 10.0}, {"beta", 7.0}, {"gamma", 4.0}, {"alpha x", 2.0}});
   auto groups = MakeSingletonGroups(data_);
-  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  const LowerBoundResult lb = LowerBound(groups, 2);
   EXPECT_TRUE(lb.certified);
   EXPECT_EQ(lb.m, 2u);
   EXPECT_DOUBLE_EQ(lb.M, 7.0);
@@ -128,7 +141,7 @@ TEST_F(LowerBoundTest, ConnectedPrefixPushesMOut) {
   // entities are only certified at the third group.
   Init({{"alpha one", 10.0}, {"alpha two", 7.0}, {"beta", 4.0}});
   auto groups = MakeSingletonGroups(data_);
-  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  const LowerBoundResult lb = LowerBound(groups, 2);
   EXPECT_TRUE(lb.certified);
   EXPECT_EQ(lb.m, 3u);
   EXPECT_DOUBLE_EQ(lb.M, 4.0);
@@ -137,7 +150,7 @@ TEST_F(LowerBoundTest, ConnectedPrefixPushesMOut) {
 TEST_F(LowerBoundTest, UncertifiableWhenAllConnect) {
   Init({{"alpha one", 10.0}, {"alpha two", 7.0}, {"alpha three", 4.0}});
   auto groups = MakeSingletonGroups(data_);
-  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  const LowerBoundResult lb = LowerBound(groups, 2);
   EXPECT_FALSE(lb.certified);
   EXPECT_EQ(lb.m, 3u);
   EXPECT_DOUBLE_EQ(lb.M, 4.0);
@@ -173,7 +186,7 @@ TEST_F(LowerBoundTest, GallopingMatchesLinearScan) {
         {"z", 3.0}});
   auto groups = MakeSingletonGroups(data_);
   for (int k = 1; k <= 4; ++k) {
-    const LowerBoundResult a = EstimateLowerBound(groups, *necessary_, k);
+    const LowerBoundResult a = LowerBound(groups, k);
     const size_t linear_m = LinearScanPrefix(groups, *necessary_, k);
     const bool linear_certified = linear_m != 0;
     const double linear_M = linear_certified ? groups[linear_m - 1].weight
@@ -194,7 +207,7 @@ TEST_F(LowerBoundTest, BothGraphBoundsCertifyTheChainPrefix) {
         {"x", 6.0},
         {"y", 5.0}});
   auto groups = MakeSingletonGroups(data_);
-  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  const LowerBoundResult lb = LowerBound(groups, 2);
   EXPECT_TRUE(lb.certified);
   // "a b"/"b c" chain; "x" is certainly distinct from the chain, so two
   // entities are certified within the first four groups at the latest.
@@ -213,7 +226,7 @@ TEST_F(LowerBoundTest, BothGraphBoundsCertifyTheChainPrefix) {
 TEST_F(LowerBoundTest, FewerGroupsThanK) {
   Init({{"alpha", 3.0}, {"beta", 2.0}});
   auto groups = MakeSingletonGroups(data_);
-  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 5);
+  const LowerBoundResult lb = LowerBound(groups, 5);
   EXPECT_FALSE(lb.certified);
   EXPECT_EQ(lb.m, 2u);
   EXPECT_DOUBLE_EQ(lb.M, 2.0);
@@ -226,7 +239,7 @@ TEST_F(LowerBoundTest, PruneDropsProvablySmallGroups) {
         {"alpha two", 4.0},
         {"lone", 1.0}});
   auto groups = MakeSingletonGroups(data_);
-  PruneResult pruned = PruneGroups(groups, *necessary_, /*M=*/5.0);
+  PruneResult pruned = Prune(groups, /*M=*/5.0);
   ASSERT_EQ(pruned.groups.size(), 2u);
   EXPECT_DOUBLE_EQ(pruned.groups[0].weight, 10.0);
   EXPECT_DOUBLE_EQ(pruned.groups[1].weight, 4.0);  // 4+10 > 5 via alpha.
@@ -240,19 +253,19 @@ TEST_F(LowerBoundTest, SecondPassPrunesMore) {
   auto groups = MakeSingletonGroups(data_);
   PruneOptions one_pass;
   one_pass.passes = 1;
-  PruneResult p1 = PruneGroups(groups, *necessary_, 5.0, one_pass);
+  PruneResult p1 = Prune(groups, 5.0, one_pass);
   EXPECT_EQ(p1.groups.size(), 1u);
   PruneOptions two_pass;
   two_pass.passes = 2;
-  PruneResult p2 = PruneGroups(groups, *necessary_, 5.0, two_pass);
+  PruneResult p2 = Prune(groups, 5.0, two_pass);
   EXPECT_EQ(p2.groups.size(), 0u);
 }
 
 TEST_F(LowerBoundTest, ExactBoundsMatchNeighborSums) {
   Init({{"a x", 3.0}, {"x b", 2.0}, {"q", 7.0}});
   auto groups = MakeSingletonGroups(data_);
-  PruneResult pruned = PruneGroups(groups, *necessary_, /*M=*/1.0,
-                                   PruneOptions{}, /*exact_bounds=*/true);
+  PruneResult pruned =
+      Prune(groups, /*M=*/1.0, PruneOptions{}, /*exact_bounds=*/true);
   ASSERT_EQ(pruned.groups.size(), 3u);
   // Sorted desc: q(7), a x(3), x b(2).
   EXPECT_DOUBLE_EQ(pruned.upper_bounds[0], 7.0);

@@ -59,7 +59,9 @@ TEST(ResourceMeterTest, ChargeAccumulatesAndClampsNegatives) {
 }
 
 TEST(ResourceMeterTest, StageForSpanIsAFixedAllowlist) {
+  EXPECT_STREQ(StageForSpan("online.corpus"), "corpus");
   EXPECT_STREQ(StageForSpan("dedup.collapse"), "collapse");
+  EXPECT_STREQ(StageForSpan("dedup.necessary_index"), "lower_bound");
   EXPECT_STREQ(StageForSpan("dedup.lower_bound"), "lower_bound");
   EXPECT_STREQ(StageForSpan("dedup.prune"), "prune");
   EXPECT_STREQ(StageForSpan("topk.pair_scores"), "pair_scoring");
